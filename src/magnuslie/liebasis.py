@@ -6,8 +6,16 @@ of the Lyndon words of weighted degree k over the ordered alphabet
 xi_1 < .. < xi_m < eta_1 < .. < eta_n, each word carrying its standard
 factorization bracketing.
 
-Two classical facts drive the computations here and are exercised by
-the test suite rather than re-derived:
+One classical rule both builds the basis and brackets it (Reutenauer,
+Free Lie Algebras, 5.1; Lothaire, Combinatorics on Words, ch. 5): for
+Lyndon words u < v, uv is Lyndon with standard factorization (u, v)
+exactly when u is a letter or the right factor of u is >= v.  Each
+Lyndon word of length >= 2 comes from exactly one such pair, and
+[u, v] = uv when the rule holds; otherwise u = (u1, u2) and Jacobi gives
+[u, v] = [u1, [u2, v]] - [u2, [u1, v]], which recurses to the rule.
+
+Associative expansion serves only recognition of series components and
+the map back into series.  Two facts drive it:
 
 * Triangularity: expanding the standard bracketing of a Lyndon word in
   the associative algebra gives the word itself with coefficient 1 plus
@@ -23,6 +31,7 @@ the test suite rather than re-derived:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -59,44 +68,63 @@ def _is_lyndon(word: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _weighted_lyndon_words(weights: tuple[int, ...], max_weight: int):
-    """All Lyndon words of weighted degree <= max_weight, bucketed by degree.
+def _lyndon_table(weights: tuple[int, ...]):
+    """Weight buckets of Lyndon words (index = weight), grown on demand by
+    _lyndon_bucket, and the right factor of every word of length >= 2."""
+    return [[]], {}
 
-    Duval's algorithm enumerates Lyndon words by length; every letter
-    weighs at least 1, so length max_weight bounds the search.
+
+def _lyndon_bucket(weights: tuple[int, ...], weight: int) -> list[tuple[int, ...]]:
+    """Sorted Lyndon words of one weight.  Shared: treat as read-only.
+
+    Weight n is built from the standard-factorization pairs (u, v) of
+    lower buckets: v runs over (u, right(u)], or over v > u for a letter u.
     """
-    k = len(weights)
-    by_weight: dict[int, list[tuple[int, ...]]] = {w: [] for w in range(1, max_weight + 1)}
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        weight = sum(weights[letter] for letter in w)
-        if weight <= max_weight:
-            by_weight[weight].append(tuple(w))
-        while len(w) < max_weight:
-            w.append(w[-m])
-        while w and w[-1] == k - 1:
-            w.pop()
-    for bucket in by_weight.values():
-        bucket.sort()
-    return {weight: tuple(bucket) for weight, bucket in by_weight.items()}
+    buckets, right = _lyndon_table(weights)
+    while len(buckets) <= weight:
+        n = len(buckets)
+        found = [(z,) for z, w in enumerate(weights) if w == n]
+        for a in range(1, n):
+            tails = buckets[n - a]
+            for u in buckets[a]:
+                lo = bisect_right(tails, u)
+                hi = len(tails) if len(u) == 1 else bisect_right(tails, right[u], lo)
+                for v in tails[lo:hi]:
+                    word = u + v
+                    right[word] = v
+                    found.append(word)
+        found.sort()
+        buckets.append(found)
+    return buckets[weight]
 
 
 def lyndon_words(scheme: WeightScheme, weight: int) -> list[tuple[int, ...]]:
     """Lyndon words of the given weighted degree, in lexicographic order."""
     if weight < 1:
         raise ValueError("weight must be positive")
-    table = _weighted_lyndon_words(scheme.letter_weights(), weight)
-    return list(table.get(weight, ()))
+    return list(_lyndon_bucket(scheme.letter_weights(), weight))
 
 
 def witt_dimensions(scheme: WeightScheme, up_to: int) -> list[int]:
-    """dim of the weight-k component for k = 1..up_to, by Lyndon count."""
+    """dim of the weight-k component for k = 1..up_to, counted, not enumerated.
+
+    By the logarithm of prod_k (1 - t^k)^dim_k = 1 - m t - n t^e, the sums
+    p_N = sum of d dim_d over d | N are the power sums of the inverse roots
+    of 1 - m t - n t^e (Newton); Moebius inversion recovers dim_N.
+    """
     if up_to < 1:
         raise ValueError("up_to must be positive")
-    table = _weighted_lyndon_words(scheme.letter_weights(), up_to)
-    return [len(table.get(k, ())) for k in range(1, up_to + 1)]
+    c = [0] * (up_to + 1)
+    c[1] -= scheme.m
+    if scheme.e <= up_to:
+        c[scheme.e] -= scheme.n
+    p = [0] * (up_to + 1)
+    for k in range(1, up_to + 1):
+        p[k] = -k * c[k] - sum(c[i] * p[k - i] for i in range(1, k))
+    dims = [0] * (up_to + 1)
+    for k in range(1, up_to + 1):
+        dims[k] = (p[k] - sum(d * dims[d] for d in range(1, k) if k % d == 0)) // k
+    return dims[1:]
 
 
 @lru_cache(maxsize=None)
@@ -375,53 +403,49 @@ def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
     return LieElement(scheme, degree, out)
 
 
+@lru_cache(maxsize=None)
+def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict:
+    """Lyndon coordinates of [u, v] for Lyndon words u, v.  Read-only cache.
+
+    Scheme independent: only the letter order enters, so one table
+    serves every weighting of the same alphabet.
+    """
+    if u == v:
+        return {}
+    if u > v:
+        return {w: -c for w, c in _bracket_words(v, u).items()}
+    if len(u) == 1 or standard_factorization(u)[1] >= v:
+        return {u + v: 1}
+    u1, u2 = standard_factorization(u)
+    out = _add_bracket({}, {u1: 1}, _bracket_words(u2, v))
+    return _add_bracket(out, {u2: 1}, _bracket_words(u1, v), -1)
+
+
+def _add_bracket(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """Add sign * [a, b] to out, everything in Lyndon coordinates."""
+    for u, cu in a.items():
+        for v, cv in b.items():
+            scale = sign * cu * cv
+            for w, c in _bracket_words(u, v).items():
+                value = out.get(w, 0) + scale * c
+                if value:
+                    out[w] = value
+                else:
+                    del out[w]
+    return out
+
+
 def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Lie bracket via associative commutator plus Lyndon rewriting."""
+    """Lie bracket, bilinear over the bracket table of Lyndon words."""
     if a.scheme != b.scheme:
         raise ValueError("scheme mismatch")
-    ea = a.expansion()
-    eb = b.expansion()
-    comm: dict[tuple[int, ...], int] = {}
-    for ma, ca in ea.items():
-        for mb, cb in eb.items():
-            key = ma + mb
-            comm[key] = comm.get(key, 0) + ca * cb
-            key = mb + ma
-            comm[key] = comm.get(key, 0) - ca * cb
-    coords = _lyndon_rewrite(comm)
-    return LieElement(a.scheme, a.degree + b.degree, coords)
-
-
-@lru_cache(maxsize=None)
-def _ad_row(letter: int, word: tuple[int, ...]) -> dict:
-    """Lyndon coordinates of [generator, basis word].  Read-only cache.
-
-    Scheme independent: the rewrite only uses the letter ordering, so
-    one table serves every weighting of the same alphabet.
-    """
-    exp = _expand_word(word)
-    prefix = (letter,)
-    comm: dict[tuple[int, ...], int] = {}
-    for mono, c in exp.items():
-        key = prefix + mono
-        comm[key] = comm.get(key, 0) + c
-        key = mono + prefix
-        comm[key] = comm.get(key, 0) - c
-    return _lyndon_rewrite(comm)
+    return LieElement(a.scheme, a.degree + b.degree,
+                      _add_bracket({}, a.coords, b.coords))
 
 
 def ad_generator(letter: int, elem: LieElement) -> LieElement:
-    """[generator, elem] through the cached structure-constant rows."""
-    out: dict[tuple[int, ...], int] = {}
-    for word, c in elem.coords.items():
-        for w2, c2 in _ad_row(letter, word).items():
-            value = out.get(w2, 0) + c * c2
-            if value:
-                out[w2] = value
-            else:
-                del out[w2]
-    degree = elem.degree + elem.scheme.letter_weight(letter)
-    return LieElement(elem.scheme, degree, out)
+    """[generator, elem]."""
+    return bracket(generator_element(elem.scheme, letter), elem)
 
 
 def leading_lie_form(word: Word, scheme: WeightScheme, cutoff: int) -> tuple[int, LieElement]:

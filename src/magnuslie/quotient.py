@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import truncpoly
-from .liebasis import (LieElement, _ad_row, bracket, generator_element,
+from .liebasis import (LieElement, _add_bracket, bracket, generator_element,
                        lyndon_basis, lyndon_words, witt_dimensions)
-from .series import WeightScheme
+from .series import WeightScheme, _is_prime
 from .snf import SmithResult, fp_rank, smith_normal_form
 
 DEFAULT_BUDGET = 8_000_000
@@ -115,18 +115,6 @@ class ModpCheck:
 # -- ad-monomial sweep ----------------------------------------------------
 
 
-def _ad_coords(letter: int, coords: dict) -> dict:
-    out: dict[tuple[int, ...], int] = {}
-    for word, c in coords.items():
-        for w2, c2 in _ad_row(letter, word).items():
-            value = out.get(w2, 0) + c * c2
-            if value:
-                out[w2] = value
-            else:
-                del out[w2]
-    return out
-
-
 class _IdealSweep:
     """Levels of left-normed ad-monomials applied to a fixed relator.
 
@@ -150,7 +138,7 @@ class _IdealSweep:
                 if source < 0:
                     continue
                 for coords in self.levels[source]:
-                    image = _ad_coords(letter, coords)
+                    image = _add_bracket({}, {(letter,): 1}, coords)
                     if not image:
                         continue
                     key = tuple(sorted(image.items()))
@@ -409,8 +397,8 @@ def modp_dimension_check(rho: LieElement, max_degree: int, scheme: WeightScheme,
     rho = _check_relator(rho, rho.degree, scheme)
     primes = tuple(primes)
     for p in primes:
-        if p < 2:
-            raise ValueError(f"prime {p} out of range")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not a prime")
     d = rho.degree
     note = None
     content = rho.content()

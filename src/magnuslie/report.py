@@ -24,7 +24,7 @@ from .presentation_io import PresentationFile, parse_presentation_file
 from .quotient import (DEFAULT_BUDGET, HilbertTable, ModpCheck, TorsionReport,
                        hilbert_crosscheck, modp_dimension_check,
                        torsion_free_certificate)
-from .series import WeightScheme
+from .series import WeightScheme, _is_prime
 from .words import word_to_text
 
 EXIT_OK = 0
@@ -59,8 +59,8 @@ class RunConfig:
         if self.samples < 0:
             raise ValueError("sample count must be nonnegative")
         for p in self.primes:
-            if p < 2:
-                raise ValueError(f"prime {p} out of range")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not a prime")
         for name in self.checks:
             if name not in ALL_CHECKS + ("all",):
                 raise ValueError(f"unknown check {name!r}")

@@ -420,14 +420,8 @@ class Series:
         else:
             pieces = []
             for mono, coeff in terms:
-                if isinstance(coeff, Fraction):
-                    negative = coeff < 0
-                    mag = -coeff if negative else coeff
-                    mag_text = str(mag)
-                else:
-                    negative = coeff < 0
-                    mag = -coeff if negative else coeff
-                    mag_text = str(mag)
+                negative = coeff < 0
+                mag_text = str(-coeff if negative else coeff)
                 if mono:
                     mono_text = "*".join(self.scheme.letter_name(z) for z in mono)
                     body_piece = mono_text if mag_text == "1" else f"{mag_text}*{mono_text}"

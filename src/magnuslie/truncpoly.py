@@ -23,21 +23,6 @@ def poly_mul(a: list[int], b: list[int], order: int) -> list[int]:
     return out
 
 
-def poly_inverse(a: list[int], order: int) -> list[int]:
-    """Inverse mod t^(order+1); requires constant term 1 or -1."""
-    c0 = a[0]
-    if c0 not in (1, -1):
-        raise ValueError("inverse needs constant term 1 or -1")
-    out = [0] * (order + 1)
-    out[0] = c0
-    for k in range(1, order + 1):
-        acc = 0
-        for i in range(1, min(k, len(a) - 1) + 1):
-            acc += a[i] * out[k - i]
-        out[k] = -c0 * acc
-    return out
-
-
 def one_minus_tk_power(k: int, exponent: int, order: int) -> list[int]:
     """(1 - t^k) ** exponent, truncated; negative exponents allowed."""
     out = [0] * (order + 1)

@@ -240,10 +240,19 @@ def test_cli_primes_flag(tmp_path, capsys):
     assert payload["modp"]["all_match"] is True
 
 
+@pytest.mark.parametrize("primes", ["4,9", "2,4", "1"])
+def test_cli_rejects_non_primes(tmp_path, capsys, primes):
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    assert main(["--input", ok, "--samples", "10", "--primes", primes]) == EXIT_USAGE
+    assert "is not a prime" in capsys.readouterr().err
+
+
 def test_bad_config_values(tmp_path):
     ok = _write(tmp_path, "ok.pres", ACCEPTED)
     with pytest.raises(ValueError):
         RunConfig(input_path=ok, primes=(1,))
+    with pytest.raises(ValueError):
+        RunConfig(input_path=ok, primes=(2, 9))
     with pytest.raises(ValueError):
         RunConfig(input_path=ok, checks=("nope",))
     with pytest.raises(ValueError):

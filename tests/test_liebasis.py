@@ -13,7 +13,8 @@ from magnuslie import (DegreeAboveCutoff, LieElement, NotIntegralCoordinates,
                        generator_element, group_commutator, leading_lie_form,
                        lyndon_basis, lyndon_words, to_lyndon_coords,
                        witt_dimensions)
-from magnuslie import free_reduce, word_multiply
+from magnuslie import free_reduce, standard_factorization, word_multiply
+from magnuslie.liebasis import _lyndon_rewrite, _lyndon_table
 from magnuslie.truncpoly import product_of_powers
 
 S20 = WeightScheme(2, 0, 1)
@@ -141,6 +142,49 @@ def test_ad_generator_agrees_with_bracket():
             lhs = ad_generator(letter, elem)
             rhs = bracket(generator_element(S212, letter), elem)
             assert lhs == rhs
+
+
+# -- the standard-factorization rule against the paths it replaced ---------
+
+S314 = WeightScheme(3, 1, 4)
+
+
+def associative_bracket(a, b):
+    """The associative commutator of the two expansions, rewritten."""
+    comm = {}
+    for ma, ca in a.expansion().items():
+        for mb, cb in b.expansion().items():
+            comm[ma + mb] = comm.get(ma + mb, 0) + ca * cb
+            comm[mb + ma] = comm.get(mb + ma, 0) - ca * cb
+    return _lyndon_rewrite(comm)
+
+
+@pytest.mark.parametrize("scheme", [S20, S213, S314])
+def test_bracket_of_basis_words_matches_associative_oracle(scheme, top=8):
+    elems = [LieElement(scheme, k, {w: 1})
+             for k in range(1, top) for w in lyndon_words(scheme, k)]
+    for a in elems:
+        for b in elems:
+            if a.degree + b.degree <= top:
+                assert bracket(a, b).coords == associative_bracket(a, b)
+
+
+@pytest.mark.parametrize("scheme", [S20, S213, S314])
+def test_pair_table_right_factors_match_suffix_scan(scheme, top=8):
+    words = [w for k in range(1, top + 1) for w in lyndon_words(scheme, k)]
+    _, right = _lyndon_table(scheme.letter_weights())
+    for word in words:
+        if len(word) >= 2:
+            assert right[word] == standard_factorization(word)[1]
+
+
+@pytest.mark.parametrize("scheme", [S20, S112, S213, S314, WeightScheme(2, 2, 2)])
+def test_witt_count_matches_enumeration(scheme, top=14):
+    try:
+        assert witt_dimensions(scheme, top) == [len(lyndon_words(scheme, k))
+                                                for k in range(1, top + 1)]
+    finally:
+        _lyndon_table.cache_clear()  # weight 14 over (3,1,4) holds ~600k words
 
 
 coeff = st.integers(min_value=-3, max_value=3)

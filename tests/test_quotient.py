@@ -211,6 +211,21 @@ def test_modp_flags_two_torsion():
     assert (row.rank_mod_p, row.rank_integer) == (0, 1)
 
 
+@pytest.mark.parametrize("primes", [(4,), (2, 9), (1,)])
+def test_modp_rejects_non_primes(primes):
+    with pytest.raises(ValueError, match="not a prime"):
+        modp_dimension_check(rho_comm(S213), 4, S213, primes)
+
+
+def test_high_cap_stops_at_the_budget_without_enumerating_the_cap():
+    # the free dimensions up to the cap are counted, so only the degrees
+    # the sweep reaches are ever enumerated
+    cert = torsion_free_certificate(rho_comm(S213), 24, S213)
+    assert cert.aborted_degree == 13
+    assert cert.torsion_free
+    assert [r.degree for r in cert.degrees] == list(range(1, 13))
+
+
 def test_modp_generator_relator_gives_smaller_free_ring():
     scheme = WeightScheme(2, 1, 2)
     rho = generator_element(scheme, 0)
