@@ -1,16 +1,23 @@
 """Exact integer matrix kernels: Smith elementary divisors, prime-field
 ranks, and canonical integer row-space bases.
 
-The Smith routine works destructively on a sparse copy, choosing pivots
-of minimal absolute value (ties broken toward sparser rows and columns)
-and reducing with nearest-integer quotients so entries stay small.  It
-returns only the rank and the divisor chain; no transform matrices are
-accumulated, which is all the torsion certificates need.  Everything is
+All three eliminate row by row in lead-column order.  Each row walks
+its sorted columns with a cursor; a column added by fill-in lies past
+the cursor and is inserted by bisection.  Over Z (``_echelon``) a row is
+reduced by exact division when the kept row's lead divides its lead and
+by a unimodular Bezout step otherwise, so the echelon basis spans the
+input lattice; ``fp_rank`` runs the same loop mod p.  The Smith routine
+starts from that basis.  When every lead is +-1, as for the usual ideal
+matrices of the torsion certificates, the basis column-reduces to [I 0]
+and every divisor is 1.  Otherwise the general minimal-pivot loop runs
+on the echelon rows alone; equal lattices have equal divisors.  Only the
+rank and the divisor chain are returned.  Everything is
 arbitrary-precision, no modular shortcuts.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from math import gcd
 
@@ -31,8 +38,12 @@ def _rounded_quotient(a: int, b: int) -> int:
 
 
 def _divisor_chain(values: list[int]) -> tuple[int, ...]:
-    """Normalize a diagonal to the divisibility chain via gcd/lcm passes."""
-    vals = [abs(v) for v in values]
+    """Normalize a diagonal to the divisibility chain via gcd/lcm passes.
+
+    Units divide everything, so they are set aside before the passes.
+    """
+    units = tuple(1 for v in values if abs(v) == 1)
+    vals = [abs(v) for v in values if abs(v) != 1]
     changed = True
     while changed:
         changed = False
@@ -42,7 +53,7 @@ def _divisor_chain(values: list[int]) -> tuple[int, ...]:
                     g = gcd(vals[i], vals[j])
                     vals[i], vals[j] = g, vals[i] * vals[j] // g
                     changed = True
-    return tuple(sorted(vals))
+    return units + tuple(sorted(vals))
 
 
 @dataclass(frozen=True)
@@ -55,18 +66,66 @@ class SmithResult:
         return tuple(d for d in self.divisors if d != 1)
 
 
-def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
-    """Rank and elementary divisors of an integer matrix.
+def _echelon(mat: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Row-echelon basis over Z of the span of ``mat``, keyed by lead column.
 
-    ``rows`` is an iterable of dense sequences or sparse {col: value}
-    dicts.  ``ncols`` is only used for validation when given.
+    The sparse rows of ``mat`` are reduced in place and become the basis
+    rows.  Every step is unimodular, so the basis spans the same lattice.
     """
-    mat = _sparse_rows(rows)
-    if ncols is not None:
-        for row in mat:
-            if row and max(row) >= ncols:
-                raise ValueError("column index beyond the declared width")
+    pivots: dict[int, dict[int, int]] = {}
+    for current in mat:
+        leads = sorted(current)
+        i = 0
+        while current:
+            lead = leads[i]
+            i += 1
+            b = current.get(lead)
+            if b is None:
+                continue
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = current
+                break
+            a = pivot[lead]
+            if b % a == 0:
+                q = b // a
+                for c, v in pivot.items():
+                    old = current.get(c)
+                    if old is None:
+                        current[c] = -q * v
+                        insort(leads, c, i)
+                    elif old == q * v:
+                        del current[c]
+                    else:
+                        current[c] = old - q * v
+                continue
+            # unimodular 2x2 combination: new pivot has entry gcd(a, b) at lead
+            g = gcd(a, b)
+            x, y = _bezout(a, b)
+            fa, fb = a // g, b // g
+            combo: dict[int, int] = {}
+            reduced: dict[int, int] = {}
+            for c in set(pivot) | set(current):
+                u, w = pivot.get(c, 0), current.get(c, 0)
+                value = x * u + y * w
+                if value:
+                    combo[c] = value
+                value = fa * w - fb * u
+                if value:
+                    reduced[c] = value
+            pivots[lead] = combo
+            current = reduced
+            leads = sorted(current)
+            i = 0
+    return pivots
 
+
+def _smith_diagonal(mat: list[dict[int, int]]) -> list[int]:
+    """Diagonal of a Smith reduction of the sparse rows ``mat`` (destroyed).
+
+    Pivots have minimal absolute value, ties broken toward sparser rows
+    and columns; nearest-integer quotients keep entries small.
+    """
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(mat):
         for c in row:
@@ -94,7 +153,6 @@ def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
 
     diagonal: list[int] = []
     while live:
-        # global pivot hunt: smallest |entry|, then fewer row entries
         pivot_row = min(live, key=lambda i: (row_min[i], len(mat[i])))
         target = row_min[pivot_row]
         candidates = [c for c, v in mat[pivot_row].items() if abs(v) == target]
@@ -150,7 +208,25 @@ def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
         row_min.pop(pivot_row, None)
         col_rows.get(pivot_col, set()).discard(pivot_row)
         del mat[pivot_row][pivot_col]
+    return diagonal
 
+
+def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
+    """Rank and elementary divisors of an integer matrix.
+
+    ``rows`` is an iterable of dense sequences or sparse {col: value}
+    dicts.  ``ncols`` is only used for validation when given.
+    """
+    mat = _sparse_rows(rows)
+    if ncols is not None:
+        for row in mat:
+            if row and max(row) >= ncols:
+                raise ValueError("column index beyond the declared width")
+    pivots = _echelon(mat)
+    if all(abs(row[lead]) == 1 for lead, row in pivots.items()):
+        diagonal = [1] * len(pivots)
+    else:
+        diagonal = _smith_diagonal(list(pivots.values()))
     return SmithResult(rank=len(diagonal), divisors=_divisor_chain(diagonal))
 
 
@@ -159,22 +235,33 @@ def fp_rank(rows, p: int) -> int:
     if p < 2:
         raise ValueError("modulus must be at least 2")
     pivots: dict[int, dict[int, int]] = {}
-    for row in _sparse_rows(rows):
-        current = {c: v % p for c, v in row.items() if v % p}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        current = {int(c): r for c, v in items if (r := int(v) % p)}
+        leads = sorted(current)
+        i = 0
         while current:
-            lead = min(current)
+            lead = leads[i]
+            i += 1
+            factor = current.get(lead)
+            if factor is None:
+                continue
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = pow(current[lead], -1, p)
+                inv = pow(factor, -1, p)
                 pivots[lead] = {c: (v * inv) % p for c, v in current.items()}
                 break
-            factor = current[lead]
             for c, v in pivot.items():
-                value = (current.get(c, 0) - factor * v) % p
-                if value:
-                    current[c] = value
+                old = current.get(c)
+                if old is None:
+                    current[c] = (-factor * v) % p
+                    insort(leads, c, i)
                 else:
-                    current.pop(c, None)
+                    value = (old - factor * v) % p
+                    if value:
+                        current[c] = value
+                    else:
+                        del current[c]
     return len(pivots)
 
 
@@ -184,32 +271,7 @@ def integer_row_space(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     Two generating sets span the same subgroup of Z^ncols exactly when
     this function returns identical tuples for both.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in _sparse_rows(rows):
-        current = dict(row)
-        while current:
-            lead = min(current)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = current
-                break
-            a, b = pivot[lead], current[lead]
-            g = gcd(a, b)
-            # unimodular 2x2 combination: new pivot has entry g at lead
-            x, y = _bezout(a, b)
-            combo: dict[int, int] = {}
-            for c in set(pivot) | set(current):
-                value = x * pivot.get(c, 0) + y * current.get(c, 0)
-                if value:
-                    combo[c] = value
-            reduced: dict[int, int] = {}
-            fa, fb = a // g, b // g
-            for c in set(pivot) | set(current):
-                value = fa * current.get(c, 0) - fb * pivot.get(c, 0)
-                if value:
-                    reduced[c] = value
-            pivots[lead] = combo
-            current = reduced
+    pivots = _echelon(_sparse_rows(rows))
     # normalize: positive pivots, entries above each pivot reduced into [0, pivot)
     for lead in sorted(pivots):
         row = pivots[lead]

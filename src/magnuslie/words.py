@@ -164,6 +164,10 @@ def random_word(rng: Random, scheme: WeightScheme, max_len: int) -> Word:
 # meaning:  juxtaposition concatenates, ^k is an integer power,
 #           [a, b] is the commutator a b a^-1 b^-1, 1 is the identity.
 
+# Longest word a power may expand to; larger powers are rejected before
+# any letter is built.
+MAX_POWER_LENGTH = 10_000
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[xy]\d+)|(?P<power>\^-?\d+)"
                        r"|(?P<one>1)|(?P<punct>[\[\](),]))")
 
@@ -217,17 +221,17 @@ class _WordParser:
 
     def parse_factor(self) -> Word:
         base = self.parse_atom()
-        kind, value, _ = self.peek()
+        kind, value, column = self.peek()
         if kind == "power":
             self.advance()
             exponent = int(value[1:])
+            if abs(exponent) * len(base) > MAX_POWER_LENGTH:
+                raise WordSyntaxError(
+                    f"power {value} of a word of length {len(base)} exceeds "
+                    f"{MAX_POWER_LENGTH} letters", column)
             if exponent < 0:
                 base = invert_word(base)
-                exponent = -exponent
-            out: Word = ()
-            for _ in range(exponent):
-                out = word_multiply(out, base)
-            return out
+            return free_reduce(base * abs(exponent), self.scheme)
         return base
 
     def parse_atom(self) -> Word:

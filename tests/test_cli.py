@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -245,6 +246,26 @@ def test_cli_rejects_non_primes(tmp_path, capsys, primes):
     ok = _write(tmp_path, "ok.pres", ACCEPTED)
     assert main(["--input", ok, "--samples", "10", "--primes", primes]) == EXIT_USAGE
     assert "is not a prime" in capsys.readouterr().err
+
+
+def test_cli_accepts_large_prime_quickly(tmp_path, capsys):
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    start = time.perf_counter()
+    assert RunConfig(input_path=ok, primes=(2 ** 61 - 1,)).primes == (2 ** 61 - 1,)
+    assert time.perf_counter() - start < 0.5
+    code = main(["--input", ok, "--samples", "10", "--check", "modp",
+                 "--primes", str(2 ** 61 - 1)])
+    assert "mod-p: match" in capsys.readouterr().out
+    assert code == EXIT_OK
+
+
+def test_cli_rejects_product_of_mersenne_primes_quickly(tmp_path, capsys):
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    product = (2 ** 31 - 1) * (2 ** 61 - 1)
+    start = time.perf_counter()
+    assert main(["--input", ok, "--primes", f"2,{product}"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 0.5
+    assert "too large" in capsys.readouterr().err
 
 
 def test_bad_config_values(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from magnuslie import (INFINITY, INTEGERS, RATIONALS, Series, WeightScheme,
                        inverse, monomial_weight, mul, prime_field,
                        series_from_text, valuation)
+from magnuslie.series import _PRIME_LIMIT, _is_prime
 
 S213 = WeightScheme(2, 1, 3)
 S212 = WeightScheme(2, 1, 2)
@@ -121,6 +122,31 @@ def test_prime_field_normalization():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         prime_field(6)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    assert [p for p in range(-3, 5000) if _is_prime(p)] == \
+        [p for p in range(-3, 5000) if trial(p)]
+
+
+@pytest.mark.parametrize("p, prime", [
+    (2 ** 61 - 1, True),
+    (2 ** 31 - 1, True),
+    ((2 ** 31 - 1) * (2 ** 13 - 1), False),
+    # strong pseudoprime to every prime base up to 23
+    (3825123056546413051, False),
+    # strong pseudoprime to every prime base up to 37
+    (318665857834031151167461, False),
+])
+def test_is_prime_large_values(p, prime):
+    assert _is_prime(p) is prime
+
+
+def test_is_prime_rejects_values_past_the_exact_range():
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(_PRIME_LIMIT)
 
 
 def test_rational_text():

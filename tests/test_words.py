@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ from magnuslie import (Series, WeightScheme, WordSyntaxError, filtration_degree,
                        free_reduce, group_commutator, inverse, invert_word,
                        magnus_embed, mul, parse_word, random_word,
                        word_multiply, word_to_text)
+from magnuslie.words import MAX_POWER_LENGTH
 
 S213 = WeightScheme(2, 1, 3)
 S212 = WeightScheme(2, 1, 2)
@@ -146,6 +148,30 @@ def test_parse_word_range_error_position():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("[x1,x3]", WeightScheme(2, 1, 1))
     assert err.value.column == 4
+
+
+def test_parse_word_power_matches_repeated_product():
+    rng = Random(13)
+    for _ in range(100):
+        base = random_word(rng, S213, 6)
+        k = rng.randrange(-5, 6)
+        text = "(" + word_to_text(base, S213) + f")^{k}"
+        step = base if k >= 0 else invert_word(base)
+        expected = ()
+        for _ in range(abs(k)):
+            expected = word_multiply(expected, step)
+        assert parse_word(text, S213) == expected
+
+
+def test_parse_word_bounds_powers_before_building_them():
+    start = time.perf_counter()
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("x2 x1^100000000", S213)
+    assert err.value.column == 5
+    with pytest.raises(WordSyntaxError):
+        parse_word("(x1 x2)^-" + str(MAX_POWER_LENGTH // 2 + 1), S213)
+    assert time.perf_counter() - start < 1.0
+    assert len(parse_word(f"x1^{MAX_POWER_LENGTH}", S213)) == MAX_POWER_LENGTH
 
 
 def test_parse_word_syntax_errors():
