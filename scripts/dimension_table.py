@@ -14,8 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from magnuslie import (WeightScheme, hilbert_crosscheck, ideal_component,
-                       leading_lie_form, parse_word, torsion_free_certificate,
+from magnuslie import (WeightScheme, hilbert_crosscheck, leading_lie_form,
+                       lyndon_words, parse_word, torsion_free_certificate,
                        witt_dimensions)
 
 
@@ -59,11 +59,14 @@ def main() -> int:
     if args.dump_matrices:
         out_dir = Path(args.dump_matrices)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for n in range(degree, cap + 1):
-            component = ideal_component(rho, n, scheme)
+        # the certificate's own rows, one matrix row per line over the
+        # degree's Lyndon basis, as IdealComponent.matrix_text spells them
+        for n, rows in enumerate(cert.rows, degree):
+            basis = lyndon_words(scheme, n)
             path = out_dir / f"ideal_degree_{n}.txt"
-            path.write_text(component.matrix_text() + "\n")
-            print(f"wrote {path} ({len(component.matrix)} rows)")
+            path.write_text("\n".join(" ".join(str(row.get(w, 0)) for w in basis)
+                                      for row in rows) + "\n")
+            print(f"wrote {path} ({len(rows)} rows)")
     return 0 if cert.torsion_free else 2
 
 

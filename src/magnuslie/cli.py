@@ -2,7 +2,8 @@
 
 Exit codes: 0 all selected checks pass, 1 gate rejection, 2 check
 failure (torsion found, series mismatch, suite violation), 3
-inconclusive or budget exceeded, 4 usage or parse error.
+inconclusive, budget exceeded, or the run ran out of memory or
+recursion depth, 4 usage or parse error.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import argparse
 import sys
 
 from .presentation_io import PresentationSyntaxError
-from .report import (ALL_CHECKS, EXIT_USAGE, RunConfig, report_to_json,
-                     run_report)
+from .report import (ALL_CHECKS, EXIT_INCONCLUSIVE, EXIT_USAGE, RunConfig,
+                     report_to_json, run_report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,6 +137,10 @@ def main(argv=None) -> int:
     except (OSError, PresentationSyntaxError, ValueError) as ex:
         print(f"magnuslie: error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, RecursionError) as ex:
+        print(f"magnuslie: inconclusive: the run hit {type(ex).__name__}",
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
     _print_summary(report)
     if config.json_out:

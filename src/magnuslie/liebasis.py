@@ -68,41 +68,34 @@ def _is_lyndon(word: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _lyndon_table(weights: tuple[int, ...]):
-    """Weight buckets of Lyndon words (index = weight), grown on demand by
-    _lyndon_bucket, and the right factor of every word of length >= 2."""
-    return [[]], {}
-
-
-def _lyndon_bucket(weights: tuple[int, ...], weight: int) -> list[tuple[int, ...]]:
-    """Sorted Lyndon words of one weight.  Shared: treat as read-only.
+def _lyndon_bucket(weights: tuple[int, ...], weight: int
+                   ) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """Sorted Lyndon words of one weight and the right factor of each
+    (None for a letter).
 
     Weight n is built from the standard-factorization pairs (u, v) of
     lower buckets: v runs over (u, right(u)], or over v > u for a letter u.
     """
-    buckets, right = _lyndon_table(weights)
-    while len(buckets) <= weight:
-        n = len(buckets)
-        found = [(z,) for z, w in enumerate(weights) if w == n]
-        for a in range(1, n):
-            tails = buckets[n - a]
-            for u in buckets[a]:
-                lo = bisect_right(tails, u)
-                hi = len(tails) if len(u) == 1 else bisect_right(tails, right[u], lo)
-                for v in tails[lo:hi]:
-                    word = u + v
-                    right[word] = v
-                    found.append(word)
-        found.sort()
-        buckets.append(found)
-    return buckets[weight]
+    found = [((z,), None) for z, w in enumerate(weights) if w == weight]
+    for a in range(1, weight):
+        tails = _lyndon_bucket(weights, weight - a)[0]
+        for u, right in zip(*_lyndon_bucket(weights, a)):
+            lo = bisect_right(tails, u)
+            hi = len(tails) if right is None else bisect_right(tails, right, lo)
+            for v in tails[lo:hi]:
+                found.append((u + v, v))
+    found.sort()
+    return tuple(zip(*found)) or ((), ())
 
 
 def lyndon_words(scheme: WeightScheme, weight: int) -> list[tuple[int, ...]]:
     """Lyndon words of the given weighted degree, in lexicographic order."""
     if weight < 1:
         raise ValueError("weight must be positive")
-    return list(_lyndon_bucket(scheme.letter_weights(), weight))
+    weights = scheme.letter_weights()
+    for lower in range(1, weight):  # bottom up, so the memo recurses one level
+        _lyndon_bucket(weights, lower)
+    return list(_lyndon_bucket(weights, weight)[0])
 
 
 def witt_dimensions(scheme: WeightScheme, up_to: int) -> list[int]:

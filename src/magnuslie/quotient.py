@@ -22,13 +22,13 @@ Cross-checks on the same data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import truncpoly
 from .liebasis import (LieElement, _add_bracket, bracket, generator_element,
                        lyndon_basis, lyndon_words, witt_dimensions)
 from .series import WeightScheme, _is_prime
-from .snf import SmithResult, fp_rank, smith_normal_form
+from .snf import fp_rank, smith_normal_form
 
 DEFAULT_BUDGET = 8_000_000
 
@@ -75,6 +75,8 @@ class TorsionReport:
     torsion_free: bool
     aborted_degree: int | None
     note: str | None
+    # word-keyed ideal rows of degrees d, d + 1, ..., as the sweep made them
+    rows: tuple[list[dict], ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ class _IdealSweep:
     Level t holds the distinct nonzero values of added weight t, in the
     order the lexicographic sequence enumeration first reaches them.
     Deduplication is sound because equal inputs give equal brackets.
+    A sweep belongs to one computation and is never shared.
     """
 
     def __init__(self, rho: LieElement):
@@ -128,8 +131,9 @@ class _IdealSweep:
         self.scheme = rho.scheme
         self.levels: list[list[dict]] = [[dict(rho.coords)]]
 
-    def ensure(self, added: int):
+    def rows(self, degree: int) -> list[dict]:
         scheme = self.scheme
+        added = degree - self.rho.degree
         while len(self.levels) <= added:
             t = len(self.levels)
             fresh: dict[tuple, dict] = {}
@@ -145,23 +149,7 @@ class _IdealSweep:
                     if key not in fresh:
                         fresh[key] = image
             self.levels.append(list(fresh.values()))
-
-    def rows(self, degree: int) -> list[dict]:
-        added = degree - self.rho.degree
-        self.ensure(added)
         return self.levels[added]
-
-
-_sweeps: dict[tuple, _IdealSweep] = {}
-
-
-def _sweep_for(rho: LieElement) -> _IdealSweep:
-    key = (rho.scheme, rho.degree, tuple(sorted(rho.coords.items())))
-    sweep = _sweeps.get(key)
-    if sweep is None:
-        sweep = _IdealSweep(rho)
-        _sweeps[key] = sweep
-    return sweep
 
 
 def _check_relator(rho: LieElement, n: int, scheme: WeightScheme) -> LieElement:
@@ -174,15 +162,21 @@ def _check_relator(rho: LieElement, n: int, scheme: WeightScheme) -> LieElement:
     return rho
 
 
-def _sparse_degree_rows(rho: LieElement, n: int, scheme: WeightScheme,
-                        budget: int) -> tuple[list[dict[int, int]], int]:
-    """Rows of the degree-n component over column indices, plus dim."""
-    basis = lyndon_words(scheme, n)
-    rows = _sweep_for(rho).rows(n)
+def _indexed(rows: list[dict], basis: list[tuple[int, ...]]) -> list[dict[int, int]]:
+    """Word-keyed rows over the column indices of the basis."""
+    index = {word: i for i, word in enumerate(basis)}
+    return [{index[w]: c for w, c in coords.items()} for coords in rows]
+
+
+def _sparse_degree_rows(sweep: _IdealSweep, n: int, budget: int
+                        ) -> tuple[list[dict], list[dict[int, int]], int]:
+    """The degree-n rows over Lyndon words and over column indices, and
+    the column count; BudgetExceeded when the matrix outgrows the budget."""
+    basis = lyndon_words(sweep.scheme, n)
+    rows = sweep.rows(n)
     if len(rows) * max(len(basis), 1) > budget:
         raise BudgetExceeded(n, len(rows), len(basis), budget)
-    index = {word: i for i, word in enumerate(basis)}
-    return [{index[w]: c for w, c in coords.items()} for coords in rows], len(basis)
+    return rows, _indexed(rows, basis), len(basis)
 
 
 def ideal_component(rho: LieElement, n: int, scheme: WeightScheme,
@@ -193,13 +187,9 @@ def ideal_component(rho: LieElement, n: int, scheme: WeightScheme,
     over the Lyndon basis of the degree in lexicographic order.
     """
     rho = _check_relator(rho, n, scheme)
-    basis = lyndon_words(scheme, n)
-    rows = _sweep_for(rho).rows(n)
-    if len(rows) * max(len(basis), 1) > budget:
-        raise BudgetExceeded(n, len(rows), len(basis), budget)
+    rows, indexed, ncols = _sparse_degree_rows(_IdealSweep(rho), n, budget)
     generators = tuple(LieElement(scheme, n, coords) for coords in rows)
-    matrix = tuple(tuple(coords.get(word, 0) for word in basis)
-                   for coords in rows)
+    matrix = tuple(tuple(row.get(i, 0) for i in range(ncols)) for row in indexed)
     return IdealComponent(degree=n, generators=generators, matrix=matrix)
 
 
@@ -243,20 +233,24 @@ def ideal_component_alt(rho: LieElement, n: int, scheme: WeightScheme) -> tuple[
     return tuple(level(n))
 
 
+def _degree_report(n: int, indexed: list[dict[int, int]], ncols: int) -> DegreeReport:
+    result = smith_normal_form(indexed)
+    return DegreeReport(
+        degree=n,
+        dim_free=ncols,
+        rank=result.rank,
+        divisors=result.divisors,
+        dim_quotient=ncols - result.rank,
+        torsion=result.nontrivial,
+    )
+
+
 def quotient_degree_report(rho: LieElement, n: int, scheme: WeightScheme,
                            budget: int = DEFAULT_BUDGET) -> DegreeReport:
     """Exact rank, divisor chain, and quotient data at one degree."""
     rho = _check_relator(rho, n, scheme)
-    rows, dim_free = _sparse_degree_rows(rho, n, scheme, budget)
-    result: SmithResult = smith_normal_form(rows)
-    return DegreeReport(
-        degree=n,
-        dim_free=dim_free,
-        rank=result.rank,
-        divisors=result.divisors,
-        dim_quotient=dim_free - result.rank,
-        torsion=result.nontrivial,
-    )
+    _, indexed, ncols = _sparse_degree_rows(_IdealSweep(rho), n, budget)
+    return _degree_report(n, indexed, ncols)
 
 
 def torsion_free_certificate(rho: LieElement, max_degree: int,
@@ -267,7 +261,8 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
     The verdict is "torsion free up to the computed range": true exactly
     when every elementary divisor equals 1.  A relator of content
     greater than 1 is allowed, the certificate then legitimately fails
-    and the note records the violated expectation.
+    and the note records the violated expectation.  One sweep serves
+    every degree; its rows stay on the report for the mod-p check.
     """
     rho = _check_relator(rho, rho.degree, scheme)
     if max_degree < 1:
@@ -279,7 +274,9 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
     if content != 1:
         note = (f"relator content is {content}, not 1; "
                 "torsion in the quotient is expected")
+    sweep = _IdealSweep(rho)
     reports: list[DegreeReport] = []
+    rows: list[list[dict]] = []
     aborted: int | None = None
     for n in range(1, max_degree + 1):
         dim_free = dims[n - 1]
@@ -287,10 +284,12 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
             reports.append(DegreeReport(n, dim_free, 0, (), dim_free, ()))
             continue
         try:
-            reports.append(quotient_degree_report(rho, n, scheme, budget))
+            level, indexed, ncols = _sparse_degree_rows(sweep, n, budget)
         except BudgetExceeded:
             aborted = n
             break
+        reports.append(_degree_report(n, indexed, ncols))
+        rows.append(level)
     torsion_free = all(not r.torsion for r in reports)
     return TorsionReport(
         scheme=scheme,
@@ -300,6 +299,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
         torsion_free=torsion_free,
         aborted_degree=aborted,
         note=note,
+        rows=tuple(rows),
     )
 
 
@@ -392,7 +392,10 @@ def modp_dimension_check(rho: LieElement, max_degree: int, scheme: WeightScheme,
 
     Equality in every degree for every prime is exactly the absence of
     p-torsion there.  A relator whose content is divisible by one of
-    the primes is expected to mismatch; the note says so.
+    the primes is expected to mismatch; the note says so.  The rows,
+    integer ranks and budget abort come from ``report``, the certificate
+    of the same relator to at least ``max_degree``; without one, a
+    certificate is computed under ``budget``.
     """
     rho = _check_relator(rho, rho.degree, scheme)
     primes = tuple(primes)
@@ -400,6 +403,14 @@ def modp_dimension_check(rho: LieElement, max_degree: int, scheme: WeightScheme,
         if not _is_prime(p):
             raise ValueError(f"{p} is not a prime")
     d = rho.degree
+    if report is None:
+        report = torsion_free_certificate(rho, max_degree, scheme, budget)
+    elif (report.scheme != scheme or report.relator_degree != d
+          or report.max_degree < max_degree
+          or len(report.rows) != max(len(report.degrees) - d + 1, 0)
+          or (report.rows and report.rows[0] != [rho.coords])):
+        raise ValueError("the report is not a certificate of this relator "
+                         f"up to degree {max_degree}")
     note = None
     content = rho.content()
     divisible = [p for p in primes if content % p == 0]
@@ -407,40 +418,23 @@ def modp_dimension_check(rho: LieElement, max_degree: int, scheme: WeightScheme,
         note = (f"relator content {content} is divisible by {divisible}; "
                 "mismatches are expected for those primes")
 
-    integer_ranks: dict[int, int] = {}
-    if report is not None:
-        for r in report.degrees:
-            if r.degree >= d:
-                integer_ranks[r.degree] = r.rank
-
-    aborted: int | None = None
-    sparse_by_degree: dict[int, list[dict[int, int]]] = {}
-    for n in range(d, max_degree + 1):
-        try:
-            rows, _ = _sparse_degree_rows(rho, n, scheme, budget)
-        except BudgetExceeded:
-            aborted = n
-            break
-        sparse_by_degree[n] = rows
-        if n not in integer_ranks:
-            integer_ranks[n] = smith_normal_form(rows).rank
-
-    reports = []
-    for p in primes:
-        rows_out = []
-        for n in sorted(sparse_by_degree):
-            rank_p = fp_rank(sparse_by_degree[n], p)
-            rank_z = integer_ranks[n]
-            rows_out.append(ModpDegreeRow(
+    tables: list[list[ModpDegreeRow]] = [[] for _ in primes]
+    for n, rows in zip(range(d, max_degree + 1), report.rows):
+        indexed = _indexed(rows, lyndon_words(scheme, n))
+        rank_z = report.degrees[n - 1].rank
+        for table, p in zip(tables, primes):
+            rank_p = fp_rank(indexed, p)
+            table.append(ModpDegreeRow(
                 degree=n, rank_mod_p=rank_p, rank_integer=rank_z,
                 match=rank_p == rank_z))
-        reports.append(ModpReport(
-            prime=p, rows=tuple(rows_out),
-            all_match=all(r.match for r in rows_out)))
+    reports = [ModpReport(prime=p, rows=tuple(table),
+                          all_match=all(r.match for r in table))
+               for p, table in zip(primes, tables)]
+    aborted = report.aborted_degree
     return ModpCheck(
         primes=primes,
         reports=tuple(reports),
         all_match=all(r.all_match for r in reports),
-        aborted_degree=aborted,
+        aborted_degree=aborted if aborted is not None and aborted <= max_degree else None,
         note=note,
     )

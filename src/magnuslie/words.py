@@ -164,8 +164,8 @@ def random_word(rng: Random, scheme: WeightScheme, max_len: int) -> Word:
 # meaning:  juxtaposition concatenates, ^k is an integer power,
 #           [a, b] is the commutator a b a^-1 b^-1, 1 is the identity.
 
-# Longest word a power may expand to; larger powers are rejected before
-# any letter is built.
+# Longest word a power or a commutator may expand to; larger ones are
+# rejected before any letter is built.
 MAX_POWER_LENGTH = 10_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[xy]\d+)|(?P<power>\^-?\d+)"
@@ -257,6 +257,7 @@ class _WordParser:
                 raise WordSyntaxError("expected ')'", column)
             return inner
         if kind == "punct" and value == "[":
+            start = column
             first = self.parse_word()
             kind, value, column = self.advance()
             if value != ",":
@@ -265,6 +266,10 @@ class _WordParser:
             kind, value, column = self.advance()
             if value != "]":
                 raise WordSyntaxError("expected ']'", column)
+            if 2 * (len(first) + len(second)) > MAX_POWER_LENGTH:
+                raise WordSyntaxError(
+                    f"commutator of words of lengths {len(first)} and "
+                    f"{len(second)} exceeds {MAX_POWER_LENGTH} letters", start)
             return group_commutator(first, second)
         if kind is None:
             raise WordSyntaxError("unexpected end of word", column)

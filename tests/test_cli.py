@@ -8,6 +8,7 @@ from magnuslie import (EXIT_CHECK_FAILED, EXIT_GATE_REJECTED,
                        PresentationSyntaxError, RunConfig,
                        parse_presentation, parse_presentation_file,
                        report_to_json, run_report)
+from magnuslie import cli
 from magnuslie.cli import main
 
 ACCEPTED = """\
@@ -219,6 +220,19 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     assert main(["--input", ok, "--primes", "2,x"]) == EXIT_USAGE
     assert main(["--check", "nonsense", "--input", ok]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_cli_resource_errors_are_inconclusive(tmp_path, capsys, monkeypatch, error):
+    def exhausted(config):
+        raise error("simulated")
+
+    monkeypatch.setattr(cli, "run_report", exhausted)
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    assert main(["--input", ok]) == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and error.__name__ in captured.err
 
 
 def test_cli_e_override(tmp_path, capsys):

@@ -14,7 +14,7 @@ from magnuslie import (DegreeAboveCutoff, LieElement, NotIntegralCoordinates,
                        lyndon_basis, lyndon_words, to_lyndon_coords,
                        witt_dimensions)
 from magnuslie import free_reduce, standard_factorization, word_multiply
-from magnuslie.liebasis import _lyndon_rewrite, _lyndon_table
+from magnuslie.liebasis import _lyndon_bucket, _lyndon_rewrite
 from magnuslie.truncpoly import product_of_powers
 
 S20 = WeightScheme(2, 0, 1)
@@ -171,11 +171,13 @@ def test_bracket_of_basis_words_matches_associative_oracle(scheme, top=8):
 
 @pytest.mark.parametrize("scheme", [S20, S213, S314])
 def test_pair_table_right_factors_match_suffix_scan(scheme, top=8):
-    words = [w for k in range(1, top + 1) for w in lyndon_words(scheme, k)]
-    _, right = _lyndon_table(scheme.letter_weights())
-    for word in words:
-        if len(word) >= 2:
-            assert right[word] == standard_factorization(word)[1]
+    lyndon_words(scheme, top)
+    for k in range(1, top + 1):
+        for word, right in zip(*_lyndon_bucket(scheme.letter_weights(), k)):
+            if len(word) >= 2:
+                assert right == standard_factorization(word)[1]
+            else:
+                assert right is None
 
 
 @pytest.mark.parametrize("scheme", [S20, S112, S213, S314, WeightScheme(2, 2, 2)])
@@ -184,7 +186,17 @@ def test_witt_count_matches_enumeration(scheme, top=14):
         assert witt_dimensions(scheme, top) == [len(lyndon_words(scheme, k))
                                                 for k in range(1, top + 1)]
     finally:
-        _lyndon_table.cache_clear()  # weight 14 over (3,1,4) holds ~600k words
+        _lyndon_bucket.cache_clear()  # weight 14 over (3,1,4) holds ~600k words
+
+
+def test_lyndon_buckets_built_concurrently_match_the_witt_count(on_four_threads):
+    scheme = WeightScheme(2, 3, 3)  # no other test builds these buckets
+    assert lyndon_words(scheme, 1) == [(0,), (1,)]
+    results = on_four_threads([(lyndon_words, scheme, 12)] * 4)
+    dims = witt_dimensions(scheme, 12)
+    for words in results:
+        assert words == sorted(set(words)) and len(words) == dims[-1]
+    assert [len(lyndon_words(scheme, k)) for k in range(1, 13)] == dims
 
 
 coeff = st.integers(min_value=-3, max_value=3)

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from magnuslie import quotient
 from magnuslie import (BudgetExceeded, LieElement, WeightScheme, bracket,
                        candidate_series, generator_element, hilbert_crosscheck,
                        ideal_component, ideal_component_alt, integer_row_space,
@@ -215,6 +216,75 @@ def test_modp_flags_two_torsion():
 def test_modp_rejects_non_primes(primes):
     with pytest.raises(ValueError, match="not a prime"):
         modp_dimension_check(rho_comm(S213), 4, S213, primes)
+
+
+def test_modp_reuses_the_certificate_rows(monkeypatch):
+    rho = rho_comm(S213)
+    cert = torsion_free_certificate(rho, 8, S213)
+    expected = modp_dimension_check(rho, 8, S213, (2, 3))
+
+    def unused(*args, **kwargs):
+        raise AssertionError("mod-p recomputed what the certificate holds")
+
+    monkeypatch.setattr(quotient, "_IdealSweep", unused)
+    monkeypatch.setattr(quotient, "smith_normal_form", unused)
+    assert modp_dimension_check(rho, 8, S213, (2, 3), report=cert) == expected
+    assert modp_dimension_check(rho, 6, S213, (2, 3), report=cert).reports[0].rows \
+        == expected.reports[0].rows[:5]
+
+
+def test_modp_reads_the_abort_from_the_certificate():
+    rho = rho_comm(S213)
+    cert = torsion_free_certificate(rho, 8, S213, budget=200)
+    check = modp_dimension_check(rho, 8, S213, (2,), report=cert)
+    assert check.aborted_degree == cert.aborted_degree
+    assert [r.degree for r in check.reports[0].rows] \
+        == list(range(2, cert.aborted_degree))
+    assert check == modp_dimension_check(rho, 8, S213, (2,), budget=200)
+    assert modp_dimension_check(rho, cert.aborted_degree - 1, S213, (2,),
+                                report=cert).aborted_degree is None
+
+
+def test_modp_rejects_a_foreign_certificate():
+    rho = rho_comm(S213)
+    cert = torsion_free_certificate(rho, 6, S213)
+    other = LieElement(S213, 3, {(0, 0, 1): 1})
+    with pytest.raises(ValueError):
+        modp_dimension_check(rho, 6, WeightScheme(2, 1, 4), (2,), report=cert)
+    with pytest.raises(ValueError):
+        modp_dimension_check(other, 6, S213, (2,), report=cert)
+    with pytest.raises(ValueError):
+        modp_dimension_check(rho, 7, S213, (2,), report=cert)
+    with pytest.raises(ValueError):
+        modp_dimension_check(rho.scale(3), 6, S213, (2,), report=cert)
+
+
+def _fresh_relators(scheme, degree, count, seed):
+    rng = Random(seed)
+    basis = lyndon_words(scheme, degree)
+    relators = []
+    while len(relators) < count:
+        coords = {w: rng.randrange(-9, 10) for w in basis}
+        if any(coords.values()):
+            relators.append(LieElement(scheme, degree, coords))
+    return relators
+
+
+def test_concurrent_certificates_match_serial_ones(on_four_threads):
+    scheme = WeightScheme(3, 0, 1)
+    relators = _fresh_relators(scheme, 2, 20, seed=53)
+    calls = []
+    for rho in relators:
+        calls += [(quotient_degree_report, rho, 6, scheme),
+                  (torsion_free_certificate, rho, 6, scheme)] * 2
+    results = on_four_threads(calls)
+    # the serial reference runs on -rho: the same ideal, hence equal
+    # reports, computed from nothing the threaded calls made
+    for k, rho in enumerate(relators):
+        serial = (quotient_degree_report(-rho, 6, scheme),
+                  torsion_free_certificate(-rho, 6, scheme))
+        assert tuple(results[4 * k:4 * k + 2]) == serial
+        assert tuple(results[4 * k + 2:4 * k + 4]) == serial
 
 
 def test_high_cap_stops_at_the_budget_without_enumerating_the_cap():

@@ -1,0 +1,36 @@
+"""Smoke tests for the scripts under scripts/, run in process."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from magnuslie import WeightScheme, ideal_component, leading_lie_form, parse_word
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [name] + args)
+    with pytest.raises(SystemExit) as ex:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return ex.value.code
+
+
+def test_run_corpus_meets_every_expected_exit(monkeypatch, capsys):
+    assert run_script("run_corpus.py", ["--samples", "20"], monkeypatch) == 0
+    assert "UNEXPECTED" not in capsys.readouterr().out
+
+
+def test_dumped_matrices_match_ideal_components(tmp_path, monkeypatch, capsys):
+    args = ["--m", "2", "--n", "1", "--e", "3", "--relator", "[x1,x2]",
+            "--max-degree", "7", "--dump-matrices", str(tmp_path)]
+    assert run_script("dimension_table.py", args, monkeypatch) == 0
+    capsys.readouterr()
+    scheme = WeightScheme(2, 1, 3)
+    degree, rho = leading_lie_form(parse_word("[x1,x2]", scheme), scheme, 7)
+    for n in range(degree, 8):
+        dumped = (tmp_path / f"ideal_degree_{n}.txt").read_text()
+        assert dumped == ideal_component(rho, n, scheme).matrix_text() + "\n"
+    assert len(list(tmp_path.iterdir())) == 8 - degree

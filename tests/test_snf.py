@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from magnuslie import (WeightScheme, bracket, fp_rank, generator_element,
                        integer_row_space, smith_normal_form, snf)
-from magnuslie.quotient import DEFAULT_BUDGET, _sparse_degree_rows
+from magnuslie.quotient import DEFAULT_BUDGET, _IdealSweep, _sparse_degree_rows
 
 S213 = WeightScheme(2, 1, 3)
 
@@ -204,8 +204,9 @@ def sparse_cases():
 
 def ideal_cases():
     rho = bracket(generator_element(S213, 0), generator_element(S213, 1))
+    sweep = _IdealSweep(rho)
     for n in range(2, 11):
-        rows, dim = _sparse_degree_rows(rho, n, S213, DEFAULT_BUDGET)
+        _, rows, dim = _sparse_degree_rows(sweep, n, DEFAULT_BUDGET)
         yield rows, dim
 
 

@@ -174,6 +174,22 @@ def test_parse_word_bounds_powers_before_building_them():
     assert len(parse_word(f"x1^{MAX_POWER_LENGTH}", S213)) == MAX_POWER_LENGTH
 
 
+def test_parse_word_bounds_commutators_before_building_them():
+    depth = 25
+    inner, level = (1,), 0
+    while 2 * (len(inner) + 1) <= MAX_POWER_LENGTH:
+        inner, level = group_commutator(inner, (2,)), level + 1
+    allowed = "[" * level + "x1" + ",x2]" * level
+    assert parse_word(allowed, S213) == inner
+    start = time.perf_counter()
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("[" * depth + "x1" + ",x2]" * depth, S213)
+    assert time.perf_counter() - start < 1.0
+    # the first commutator over the limit is level + 1 deep; its '[' opens
+    # depth - (level + 1) characters into the text
+    assert err.value.column == depth - level - 1
+
+
 def test_parse_word_syntax_errors():
     for bad in ("[x1,x2", "x1^", "x1 )", "z1", "[x1;x2]"):
         with pytest.raises(WordSyntaxError):
