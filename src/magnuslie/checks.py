@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .liebasis import LieElement, bracket, generator_element, leading_lie_form, lyndon_words
+from .liebasis import (DegreeAboveCutoff, LieElement, bracket, generator_element,
+                       leading_lie_form, lyndon_words)
 from .quotient import ideal_component, ideal_component_alt
 from .series import Series, WeightScheme
 from .snf import integer_row_space
@@ -135,28 +136,27 @@ def magnus_e1_suite(scheme: WeightScheme, max_weight: int = 6,
     failures = 0
     counterexample = None
 
-    def fail(seq):
+    def fail(word):
         nonlocal failures, counterexample
         failures += 1
         if counterexample is None:
-            counterexample = word_to_text(_left_normed_word(seq), scheme)
+            counterexample = word_to_text(word, scheme)
 
     for seq in sequences:
         word = _left_normed_word(seq)
         length = len(seq)
-        e1_degree = filtration_degree(word, e1_scheme, length)
-        if not (e1_degree.exact and e1_degree.bound == length):
-            fail(seq)
+        try:
+            degree, form = leading_lie_form(word, e1_scheme, length)
+        except DegreeAboveCutoff:
+            fail(word)
             continue
-        degree, form = leading_lie_form(word, e1_scheme, length)
-        expected = _left_normed_bracket(e1_scheme, seq)
-        if degree != length or form != expected:
-            fail(seq)
+        if degree != length or form != _left_normed_bracket(e1_scheme, seq):
+            fail(word)
             continue
         weighted_total = sum(scheme.letter_weight(g) for g in seq)
         weighted = filtration_degree(word, scheme, weighted_total)
         if not weighted.at_least(weighted_total):
-            fail(seq)
+            fail(word)
     return SuiteResult(
         name="magnus_e1", cases=len(sequences), failures=failures,
         counterexample=counterexample,
@@ -298,9 +298,8 @@ def strategy_independence_suite(samples: int = 500, seed: int = 0,
         index = {w: i for i, w in enumerate(basis)}
         primary = ideal_component(rho, n, scheme)
         alt = ideal_component_alt(rho, n, scheme)
-        rows_primary = [dict(enumerate(row)) for row in primary.matrix]
         rows_alt = [{index[w]: c for w, c in elem.coords.items()} for elem in alt]
-        lhs = integer_row_space(rows_primary, len(basis))
+        lhs = integer_row_space(primary.matrix, len(basis))
         rhs = integer_row_space(rows_alt, len(basis))
         if lhs != rhs:
             failures += 1

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liebasis import LieElement, leading_lie_form
+from .liebasis import DegreeAboveCutoff, LieElement, leading_lie_form
 from .series import WeightScheme
-from .words import Word, filtration_degree, is_reduced, only_x_letters, only_y_letters
+from .words import Word, is_reduced, only_x_letters, only_y_letters
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,14 @@ def check_relator_hypotheses(pres: Presentation, cutoff: int) -> HypothesisRepor
         # x-only words never meet a y-letter, so any e gives the same
         # degree; this x-scheme degree is the lower central degree of u.
         x_scheme = WeightScheme(pres.m, 0, 1)
-        bound = filtration_degree(pres.u, x_scheme, cutoff)
-        if not bound.exact:
+        try:
+            d, rho_x = leading_lie_form(pres.u, x_scheme, cutoff)
+        except DegreeAboveCutoff:
             inconclusive = True
             failures.append(
                 f"degree of u not certified at cutoff {cutoff}: "
                 f"inconclusive, raise the cutoff")
         else:
-            d = bound.bound
-            _, rho_x = leading_lie_form(pres.u, x_scheme, cutoff)
             content = rho_x.content()
             if content != 1:
                 failures.append(

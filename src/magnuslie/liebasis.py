@@ -15,18 +15,13 @@ Lyndon word of length >= 2 comes from exactly one such pair, and
 [u, v] = [u1, [u2, v]] - [u2, [u1, v]], which recurses to the rule.
 
 Associative expansion serves only recognition of series components and
-the map back into series.  Two facts drive it:
-
-* Triangularity: expanding the standard bracketing of a Lyndon word in
-  the associative algebra gives the word itself with coefficient 1 plus
-  lexicographically larger words of the same length.  Back substitution
-  along increasing monomials therefore rewrites any Lie element into
-  integer Lyndon coordinates deterministically.
-* The left-to-right bracketing map D (z1 z2 .. zk goes to
-  [..[[z1,z2],z3]..,zk], extended linearly) fixes Lie elements up to
-  the factor k: a length-homogeneous p is a Lie element over the
-  rationals exactly when D(p) = k p.  Recognition runs this check per
-  word length and then demands integer Lyndon coordinates.
+the map back into series.  Recognition rests on triangularity: expanding
+the standard bracketing of a Lyndon word in the associative algebra
+gives the word itself with coefficient 1 plus lexicographically larger
+words of the same length.  So the least monomial of a Lie element is
+always a Lyndon word, and back substitution along increasing monomials
+rewrites a polynomial into Lyndon coordinates exactly when it lies in
+the Lie span, over the integers and over the rationals alike.
 """
 
 from __future__ import annotations
@@ -212,45 +207,6 @@ def _lyndon_rewrite(terms: dict) -> dict:
     return coords
 
 
-def _dynkin_expansion(mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Left-to-right bracketing of a single monomial, expanded."""
-    out = {mono[:1]: 1}
-    for z in mono[1:]:
-        nxt: dict[tuple[int, ...], int] = {}
-        suffix = (z,)
-        for m, c in out.items():
-            key = m + suffix
-            nxt[key] = nxt.get(key, 0) + c
-            key = suffix + m
-            nxt[key] = nxt.get(key, 0) - c
-        out = nxt
-    return out
-
-
-def _check_dynkin(terms: dict):
-    """Per-length Dynkin test: D(p_k) must equal k * p_k exactly."""
-    by_length: dict[int, dict] = {}
-    for mono, c in terms.items():
-        by_length.setdefault(len(mono), {})[mono] = c
-    for length, component in by_length.items():
-        if length == 0:
-            raise NotLieElement("constant terms are never Lie elements")
-        if length == 1:
-            continue
-        image: dict[tuple[int, ...], object] = {}
-        for mono, c in component.items():
-            for m2, c2 in _dynkin_expansion(mono).items():
-                value = image.get(m2, 0) + c * c2
-                if value:
-                    image[m2] = value
-                else:
-                    image.pop(m2, None)
-        expected = {mono: length * c for mono, c in component.items()}
-        if image != expected:
-            raise NotLieElement(
-                f"bracketing test fails on the length-{length} part")
-
-
 # -- Lie elements ---------------------------------------------------------
 
 
@@ -370,9 +326,10 @@ def generator_element(scheme: WeightScheme, letter: int) -> LieElement:
 def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
     """Recognize a homogeneous series component as a Lie element.
 
-    Runs the rational bracketing test first, then rewrites into Lyndon
-    coordinates and insists they are integers.  Raises NotLieElement or
-    NotIntegralCoordinates accordingly.
+    Rewrites into Lyndon coordinates by back substitution, which fails
+    with NotLieElement on a monomial that is not Lyndon (a constant term
+    included), then raises NotIntegralCoordinates unless every
+    coordinate is an integer.
     """
     if component.domain.kind == "Fp":
         raise ValueError("Lie recognition works over Z or Q coefficients")
@@ -382,9 +339,7 @@ def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
     if len(weights) != 1:
         raise ValueError(f"component is not homogeneous: weights {sorted(weights)}")
     degree = weights.pop()
-    terms = dict(component.terms())
-    _check_dynkin(terms)
-    coords = _lyndon_rewrite(terms)
+    coords = _lyndon_rewrite(dict(component.terms()))
     out: dict[tuple[int, ...], int] = {}
     for word, c in coords.items():
         if isinstance(c, Fraction):

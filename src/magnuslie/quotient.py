@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import truncpoly
 from .liebasis import (LieElement, _add_bracket, bracket, generator_element,
-                       lyndon_basis, lyndon_words, witt_dimensions)
+                       lyndon_words, witt_dimensions)
 from .series import WeightScheme, _is_prime
 from .snf import fp_rank, smith_normal_form
 
@@ -220,8 +220,8 @@ def ideal_component_alt(rho: LieElement, n: int, scheme: WeightScheme) -> tuple[
             if key not in seen:
                 seen[key] = elem
 
-        for basis_elem in lyndon_basis(scheme, k - d):
-            push(bracket(LieElement(scheme, k - d, {basis_elem.word: 1}), rho))
+        for word in lyndon_words(scheme, k - d):
+            push(bracket(LieElement(scheme, k - d, {word: 1}), rho))
         for letter in range(scheme.letters):
             source = k - scheme.letter_weight(letter)
             if source >= d:

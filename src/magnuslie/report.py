@@ -58,6 +58,8 @@ class RunConfig:
             raise ValueError("max_degree must be positive")
         if self.samples < 0:
             raise ValueError("sample count must be nonnegative")
+        if self.max_word_len < 0:
+            raise ValueError("max word length must be nonnegative")
         for p in self.primes:
             if not _is_prime(p):
                 raise ValueError(f"{p} is not a prime")

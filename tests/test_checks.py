@@ -1,7 +1,9 @@
-from magnuslie import (WeightScheme, homomorphism_suite, jacobi_suite,
-                       left_normed_basic_sequences, floor_bound_suite,
-                       magnus_e1_suite, strategy_independence_suite,
-                       valuation_mult_suite)
+from magnuslie import (DegreeAboveCutoff, WeightScheme, homomorphism_suite,
+                       jacobi_suite, left_normed_basic_sequences,
+                       floor_bound_suite, magnus_e1_suite,
+                       strategy_independence_suite, valuation_mult_suite,
+                       word_to_text)
+from magnuslie import checks
 from magnuslie.report import algebra_law_suites
 
 S20 = WeightScheme(2, 0, 1)
@@ -39,6 +41,21 @@ def test_magnus_e1_suite_passes():
 def test_magnus_e1_suite_mixed_letters():
     result = magnus_e1_suite(WeightScheme(1, 1, 3), max_weight=6)
     assert result.passed
+
+
+def test_magnus_e1_suite_counts_an_uncertified_degree_as_failure(monkeypatch):
+    target = checks._left_normed_word((1, 0, 0))
+    real = checks.leading_lie_form
+
+    def leading_lie_form(word, scheme, cutoff):
+        if word == target:
+            raise DegreeAboveCutoff("simulated")
+        return real(word, scheme, cutoff)
+
+    monkeypatch.setattr(checks, "leading_lie_form", leading_lie_form)
+    result = magnus_e1_suite(S20, max_weight=6)
+    assert result.failures == 1
+    assert result.counterexample == word_to_text(target, S20)
 
 
 def test_floor_bound_suite_passes_and_is_deterministic():

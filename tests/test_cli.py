@@ -292,3 +292,18 @@ def test_bad_config_values(tmp_path):
         RunConfig(input_path=ok, checks=("nope",))
     with pytest.raises(ValueError):
         RunConfig(input_path=ok, max_degree=0)
+    with pytest.raises(ValueError, match="word length"):
+        RunConfig(input_path=ok, max_word_len=-5)
+    assert RunConfig(input_path=ok, max_word_len=0).max_word_len == 0
+
+
+def test_negative_word_length_is_rejected_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("run_report must not be reached")
+
+    monkeypatch.setattr(cli, "run_report", never)
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    assert main(["--input", ok, "--max-word-len", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "word length" in captured.err

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from magnuslie import (HypothesisReport, Presentation, WeightScheme,
-                       check_relator_hypotheses, free_reduce,
+                       check_relator_hypotheses, filtration_degree, free_reduce,
                        group_commutator, leading_lie_form, parse_word,
                        random_word, word_multiply, invert_word)
 
@@ -126,6 +126,33 @@ def test_stability_on_random_accepted_inputs():
         relator = word_multiply(u, invert_word(v))
         d, form = leading_lie_form(relator, report.rho.scheme, 8)
         assert (d, form) == (report.d, report.rho)
+
+
+def test_one_embedding_matches_degree_then_leading_form():
+    # oracle: d from filtration_degree, the form from a second embedding
+    rng = Random(5)
+    x_scheme = WeightScheme(2, 0, 1)
+    nested = [COMM]
+    while len(nested) < 3:
+        nested.append(group_commutator(nested[-1], (1 + len(nested) % 2,)))
+    words = nested + [random_word(rng, x_scheme, 10) for _ in range(40)]
+    conclusive = inconclusive = 0
+    for u in words:
+        if not u:
+            continue
+        for cutoff in range(1, 7):
+            report = check_relator_hypotheses(Presentation(m=2, n=1, u=u, v=(3,)), cutoff)
+            bound = filtration_degree(u, x_scheme, cutoff)
+            assert report.inconclusive == (not bound.exact)
+            if report.inconclusive:
+                inconclusive += 1
+                assert report.d is None and report.rho is None
+                continue
+            conclusive += 1
+            _, rho_x = leading_lie_form(u, x_scheme, cutoff)
+            assert report.d == bound.bound
+            assert report.rho == rho_x.with_scheme(WeightScheme(2, 1, bound.bound + 1))
+    assert conclusive and inconclusive
 
 
 def test_determinism():

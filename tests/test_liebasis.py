@@ -7,13 +7,14 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from magnuslie import (DegreeAboveCutoff, LieElement, NotIntegralCoordinates,
-                       NotLieElement, RATIONALS, Series, WeightScheme,
+from magnuslie import (DegreeAboveCutoff, INTEGERS, LieElement,
+                       NotIntegralCoordinates, NotLieElement, RATIONALS, Series, WeightScheme,
                        ad_generator, bracket, filtration_degree,
                        generator_element, group_commutator, leading_lie_form,
                        lyndon_basis, lyndon_words, to_lyndon_coords,
                        witt_dimensions)
 from magnuslie import free_reduce, standard_factorization, word_multiply
+from magnuslie.checks import random_lie_element
 from magnuslie.liebasis import _lyndon_bucket, _lyndon_rewrite
 from magnuslie.truncpoly import product_of_powers
 
@@ -109,6 +110,87 @@ def test_non_integral_coordinates():
     p = Series(S20, 2, {(0, 1): half, (1, 0): -half}, RATIONALS)
     with pytest.raises(NotIntegralCoordinates):
         to_lyndon_coords(p, S20)
+
+
+# -- recognition against the Dynkin criterion -------------------------------
+
+
+def left_normed_expansion(mono):
+    """[..[[z1, z2], z3].., zk] expanded in the associative algebra."""
+    out = {mono[:1]: 1}
+    for z in mono[1:]:
+        nxt = {}
+        for m, c in out.items():
+            nxt[m + (z,)] = nxt.get(m + (z,), 0) + c
+            nxt[(z,) + m] = nxt.get((z,) + m, 0) - c
+        out = nxt
+    return out
+
+
+def dynkin_accepts(terms):
+    """Dynkin-Specht-Wever: p is a Lie element over Q exactly when each
+    length-k part p_k has D(p_k) = k p_k; constants are never Lie."""
+    by_length = {}
+    for mono, c in terms.items():
+        if c:
+            by_length.setdefault(len(mono), {})[mono] = c
+    for length, part in by_length.items():
+        if length == 0:
+            return False
+        image = {}
+        for mono, c in part.items():
+            for m2, c2 in left_normed_expansion(mono).items():
+                image[m2] = image.get(m2, 0) + c * c2
+        if {m: c for m, c in image.items() if c} != {m: length * c for m, c in part.items()}:
+            return False
+    return True
+
+
+def _change_one_coefficient(rng, terms):
+    changed = dict(terms)
+    longer = [m for m in changed if len(m) > 1]
+    mono = rng.choice(sorted(longer or changed))
+    changed[mono] += 1 if changed[mono] != -1 else 2
+    return changed
+
+
+@pytest.mark.parametrize("scheme, seed", [(S20, 1), (S212, 2), (S213, 3)])
+def test_recognition_agrees_with_the_dynkin_oracle(scheme, seed):
+    rng = Random(seed)
+    half = Fraction(1, 2)
+    verdicts = {"lie": 0, "not lie": 0, "integral half": 0, "non-integral half": 0}
+    for _ in range(60):
+        degree = rng.randrange(1, 7)
+        elem = random_lie_element(rng, scheme, degree)
+        if elem.is_zero():
+            continue
+        lie = elem.expansion()
+        cases = []
+        for domain in (INTEGERS, RATIONALS):
+            cases.append((lie, domain))
+            cases.append((_change_one_coefficient(rng, lie), domain))
+        for terms, domain in cases:
+            series = Series(scheme, degree, terms, domain)
+            if not dynkin_accepts(terms):
+                verdicts["not lie"] += 1
+                with pytest.raises(NotLieElement):
+                    to_lyndon_coords(series, scheme)
+                continue
+            verdicts["lie"] += 1
+            got = to_lyndon_coords(series, scheme)
+            assert got.expansion() == terms
+            if terms is lie:
+                assert got == elem
+        halved = Series(scheme, degree, {m: c * half for m, c in lie.items()}, RATIONALS)
+        if all(c % 2 == 0 for c in elem.coords.values()):
+            verdicts["integral half"] += 1
+            assert to_lyndon_coords(halved, scheme) == LieElement(
+                scheme, degree, {w: c // 2 for w, c in elem.coords.items()})
+        else:
+            verdicts["non-integral half"] += 1
+            with pytest.raises(NotIntegralCoordinates):
+                to_lyndon_coords(halved, scheme)
+    assert all(verdicts.values()), verdicts
 
 
 def test_bracket_examples():
