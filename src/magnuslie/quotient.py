@@ -4,9 +4,13 @@ Given a homogeneous relator rho of degree d, the degree-n piece of the
 two-sided ideal (rho) is spanned by the left-normed operators
 [g_1, [g_2, [... [g_k, rho]]]] over all sequences of generators with
 total added weight n - d; the Jacobi identity folds every other
-bracketing into these.  Each degree yields an integer matrix over the
-Lyndon basis whose Smith normal form certifies, exactly, the rank of
-the ideal and any torsion in the quotient component.
+bracketing into these.  So for n > d it is the span of [g, B_{n - w_g}]
+over the generators g, where B_k is any Z-basis of the degree-k piece:
+the sweep brackets each generator with the row-echelon basis of the
+degree below, and eliminates the resulting integer matrix over the
+Lyndon basis once.  That echelon basis yields the Smith normal form,
+which certifies, exactly, the rank of the ideal and any torsion in the
+quotient component, and it feeds the degrees above.
 
 Cross-checks on the same data:
 
@@ -28,7 +32,7 @@ from . import truncpoly
 from .liebasis import (LieElement, _add_bracket, bracket, generator_element,
                        lyndon_words, witt_dimensions)
 from .series import WeightScheme, _is_prime
-from .snf import fp_rank, smith_normal_form
+from .snf import _echelon, _smith_from_echelon, fp_rank
 
 DEFAULT_BUDGET = 8_000_000
 
@@ -75,7 +79,8 @@ class TorsionReport:
     torsion_free: bool
     aborted_degree: int | None
     note: str | None
-    # word-keyed ideal rows of degrees d, d + 1, ..., as the sweep made them
+    # word-keyed ideal rows of degrees d, d + 1, ..., the brackets the
+    # sweep made before eliminating them (the mod-p check reads these)
     rows: tuple[list[dict], ...] = field(default=(), compare=False, repr=False)
 
 
@@ -114,42 +119,63 @@ class ModpCheck:
     note: str | None
 
 
-# -- ad-monomial sweep ----------------------------------------------------
+# -- echelon-fed ideal sweep ----------------------------------------------
 
 
 class _IdealSweep:
-    """Levels of left-normed ad-monomials applied to a fixed relator.
+    """Generating rows of the ideal (rho) and their echelon bases, degree by
+    degree from the relator's degree up.
 
-    Level t holds the distinct nonzero values of added weight t, in the
-    order the lexicographic sequence enumeration first reaches them.
-    Deduplication is sound because equal inputs give equal brackets.
-    A sweep belongs to one computation and is never shared.
+    The rows of degree d are rho alone; those of degree n > d are
+    [g, e] for each generator g and each row e of the echelon basis of
+    degree n - w_g.  Bracketing is Z-linear and the echelon steps are
+    unimodular, so the rows span the degree-n piece of the ideal.  Only
+    the bases a later degree reads are kept: the last max-letter-weight
+    ones.  A sweep belongs to one computation and is never shared.
     """
 
-    def __init__(self, rho: LieElement):
+    def __init__(self, rho: LieElement, budget: int):
         self.rho = rho
         self.scheme = rho.scheme
-        self.levels: list[list[dict]] = [[dict(rho.coords)]]
+        self.budget = budget
+        self.degree = rho.degree - 1
+        # degree -> its echelon basis, word-keyed
+        self.bases: dict[int, list[dict]] = {}
 
-    def rows(self, degree: int) -> list[dict]:
-        scheme = self.scheme
-        added = degree - self.rho.degree
-        while len(self.levels) <= added:
-            t = len(self.levels)
-            fresh: dict[tuple, dict] = {}
-            for letter in range(scheme.letters):
-                source = t - scheme.letter_weight(letter)
-                if source < 0:
-                    continue
-                for coords in self.levels[source]:
-                    image = _add_bracket({}, {(letter,): 1}, coords)
-                    if not image:
-                        continue
-                    key = tuple(sorted(image.items()))
-                    if key not in fresh:
-                        fresh[key] = image
-            self.levels.append(list(fresh.values()))
-        return self.levels[added]
+    def next_rows(self) -> tuple[list[dict], list[tuple[int, ...]]]:
+        """The next degree's word-keyed rows and its Lyndon basis.
+
+        The row count is bounded by the kept bases before any bracket is
+        computed; BudgetExceeded when that bound times the columns
+        outgrows the budget.
+        """
+        n = self.degree + 1
+        basis = lyndon_words(self.scheme, n)
+        weights = self.scheme.letter_weights()
+        first = n == self.rho.degree
+        sources = [self.bases.get(n - w, ()) for w in weights]
+        bound = 1 if first else sum(map(len, sources))
+        if bound * max(len(basis), 1) > self.budget:
+            raise BudgetExceeded(n, bound, len(basis), self.budget)
+        if first:
+            rows = [dict(self.rho.coords)]
+        else:
+            rows = [image for letter, source in enumerate(sources)
+                    for coords in source
+                    if (image := _add_bracket({}, {(letter,): 1}, coords))]
+        return rows, basis
+
+    def advance(self) -> tuple[list[dict], dict[int, dict[int, int]], int]:
+        """Build the next degree: its word-keyed rows, their echelon basis
+        over the column indices of its Lyndon basis, and the column count."""
+        rows, basis = self.next_rows()
+        n = self.degree + 1
+        pivots = _echelon(_indexed(rows, basis))
+        self.bases[n] = [{basis[c]: v for c, v in row.items()}
+                         for row in pivots.values()]
+        self.bases.pop(n - max(self.scheme.letter_weights()), None)
+        self.degree = n
+        return rows, pivots, len(basis)
 
 
 def _check_relator(rho: LieElement, n: int, scheme: WeightScheme) -> LieElement:
@@ -168,28 +194,26 @@ def _indexed(rows: list[dict], basis: list[tuple[int, ...]]) -> list[dict[int, i
     return [{index[w]: c for w, c in coords.items()} for coords in rows]
 
 
-def _sparse_degree_rows(sweep: _IdealSweep, n: int, budget: int
-                        ) -> tuple[list[dict], list[dict[int, int]], int]:
-    """The degree-n rows over Lyndon words and over column indices, and
-    the column count; BudgetExceeded when the matrix outgrows the budget."""
-    basis = lyndon_words(sweep.scheme, n)
-    rows = sweep.rows(n)
-    if len(rows) * max(len(basis), 1) > budget:
-        raise BudgetExceeded(n, len(rows), len(basis), budget)
-    return rows, _indexed(rows, basis), len(basis)
+def _sweep_below(rho: LieElement, n: int, budget: int) -> _IdealSweep:
+    """A sweep of (rho) that has built every degree below n."""
+    sweep = _IdealSweep(rho, budget)
+    while sweep.degree < n - 1:
+        sweep.advance()
+    return sweep
 
 
 def ideal_component(rho: LieElement, n: int, scheme: WeightScheme,
                     budget: int = DEFAULT_BUDGET) -> IdealComponent:
     """Generators and coordinate matrix of the degree-n piece of (rho).
 
-    Generators are the distinct nonzero ad-monomial values, columns run
+    Generators are the sweep's rows: the nonzero brackets of each
+    generator with the echelon basis of the degree below it.  Columns run
     over the Lyndon basis of the degree in lexicographic order.
     """
     rho = _check_relator(rho, n, scheme)
-    rows, indexed, ncols = _sparse_degree_rows(_IdealSweep(rho), n, budget)
+    rows, basis = _sweep_below(rho, n, budget).next_rows()
     generators = tuple(LieElement(scheme, n, coords) for coords in rows)
-    matrix = tuple(tuple(row.get(i, 0) for i in range(ncols)) for row in indexed)
+    matrix = tuple(tuple(row.get(w, 0) for w in basis) for row in rows)
     return IdealComponent(degree=n, generators=generators, matrix=matrix)
 
 
@@ -198,8 +222,8 @@ def ideal_component_alt(rho: LieElement, n: int, scheme: WeightScheme) -> tuple[
 
     Brackets rho directly with every Lyndon basis element of the needed
     intermediate weights and closes with one more round of generator
-    brackets at each step.  Spans the same row space as the ad-monomial
-    enumeration; small-instance tests compare the two.
+    brackets at each step.  Spans the same row space as the echelon-fed
+    sweep; small-instance tests compare the two.
     """
     rho = _check_relator(rho, n, scheme)
     d = rho.degree
@@ -233,8 +257,9 @@ def ideal_component_alt(rho: LieElement, n: int, scheme: WeightScheme) -> tuple[
     return tuple(level(n))
 
 
-def _degree_report(n: int, indexed: list[dict[int, int]], ncols: int) -> DegreeReport:
-    result = smith_normal_form(indexed)
+def _degree_report(n: int, pivots: dict[int, dict[int, int]], ncols: int
+                   ) -> DegreeReport:
+    result = _smith_from_echelon(pivots)
     return DegreeReport(
         degree=n,
         dim_free=ncols,
@@ -249,8 +274,8 @@ def quotient_degree_report(rho: LieElement, n: int, scheme: WeightScheme,
                            budget: int = DEFAULT_BUDGET) -> DegreeReport:
     """Exact rank, divisor chain, and quotient data at one degree."""
     rho = _check_relator(rho, n, scheme)
-    _, indexed, ncols = _sparse_degree_rows(_IdealSweep(rho), n, budget)
-    return _degree_report(n, indexed, ncols)
+    _, pivots, ncols = _sweep_below(rho, n, budget).advance()
+    return _degree_report(n, pivots, ncols)
 
 
 def torsion_free_certificate(rho: LieElement, max_degree: int,
@@ -262,7 +287,8 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
     when every elementary divisor equals 1.  A relator of content
     greater than 1 is allowed, the certificate then legitimately fails
     and the note records the violated expectation.  One sweep serves
-    every degree; its rows stay on the report for the mod-p check.
+    every degree, one elimination per degree; the bracket rows stay on
+    the report for the mod-p check.
     """
     rho = _check_relator(rho, rho.degree, scheme)
     if max_degree < 1:
@@ -274,7 +300,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
     if content != 1:
         note = (f"relator content is {content}, not 1; "
                 "torsion in the quotient is expected")
-    sweep = _IdealSweep(rho)
+    sweep = _IdealSweep(rho, budget)
     reports: list[DegreeReport] = []
     rows: list[list[dict]] = []
     aborted: int | None = None
@@ -284,11 +310,11 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
             reports.append(DegreeReport(n, dim_free, 0, (), dim_free, ()))
             continue
         try:
-            level, indexed, ncols = _sparse_degree_rows(sweep, n, budget)
+            level, pivots, ncols = sweep.advance()
         except BudgetExceeded:
             aborted = n
             break
-        reports.append(_degree_report(n, indexed, ncols))
+        reports.append(_degree_report(n, pivots, ncols))
         rows.append(level)
     torsion_free = all(not r.torsion for r in reports)
     return TorsionReport(

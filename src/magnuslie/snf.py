@@ -6,10 +6,14 @@ its sorted columns with a cursor; a column added by fill-in lies past
 the cursor and is inserted by bisection.  Over Z (``_echelon``) a row is
 reduced by exact division when the kept row's lead divides its lead and
 by a unimodular Bezout step otherwise, so the echelon basis spans the
-input lattice; ``fp_rank`` runs the same loop mod p.  The Smith routine
-starts from that basis.  When every lead is +-1, as for the usual ideal
-matrices of the torsion certificates, the basis column-reduces to [I 0]
-and every divisor is 1.  Otherwise the general minimal-pivot loop runs
+input lattice; a pivot row made by a Bezout step or kept with a lead
+other than +-1 has its later entries reduced by the pivots of their
+columns, which keeps the entries small.  ``fp_rank`` runs the same loop
+mod p.  The Smith routine starts from that basis
+(``_smith_from_echelon``, which the ideal sweep calls on the echelon it
+feeds to the next degree).  When every lead is +-1, as for the usual
+ideal matrices of the torsion certificates, the basis column-reduces to
+[I 0] and every divisor is 1.  Otherwise the general minimal-pivot loop runs
 on the echelon rows alone; equal lattices have equal divisors.  Only the
 rank and the divisor chain are returned.  Everything is
 arbitrary-precision, no modular shortcuts.
@@ -85,19 +89,12 @@ def _echelon(mat: list[dict[int, int]]) -> dict[int, dict[int, int]]:
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = current
+                if abs(b) != 1:
+                    _reduce_past_lead(current, pivots)
                 break
             a = pivot[lead]
             if b % a == 0:
-                q = b // a
-                for c, v in pivot.items():
-                    old = current.get(c)
-                    if old is None:
-                        current[c] = -q * v
-                        insort(leads, c, i)
-                    elif old == q * v:
-                        del current[c]
-                    else:
-                        current[c] = old - q * v
+                _subtract(current, b // a, pivot, leads, i)
                 continue
             # unimodular 2x2 combination: new pivot has entry gcd(a, b) at lead
             g = gcd(a, b)
@@ -114,10 +111,47 @@ def _echelon(mat: list[dict[int, int]]) -> dict[int, dict[int, int]]:
                 if value:
                     reduced[c] = value
             pivots[lead] = combo
+            _reduce_past_lead(combo, pivots)
             current = reduced
             leads = sorted(current)
             i = 0
     return pivots
+
+
+def _subtract(row: dict[int, int], q: int, pivot: dict[int, int],
+              cols: list[int], i: int) -> None:
+    """row -= q * pivot; a column the row gains is inserted into the
+    sorted ``cols`` at or past position i."""
+    for c, v in pivot.items():
+        old = row.get(c)
+        if old is None:
+            row[c] = -q * v
+            insort(cols, c, i)
+        elif old == q * v:
+            del row[c]
+        else:
+            row[c] = old - q * v
+
+
+def _reduce_past_lead(row: dict[int, int], pivots: dict[int, dict[int, int]]
+                      ) -> None:
+    """Reduce each entry of a pivot row past its lead by the kept pivot of
+    that column, to at most half that pivot's lead.  Without this, the
+    rows of an elimination with many non-unit leads grow to entries of
+    hundreds of thousands of digits."""
+    cols = sorted(row)
+    i = 1
+    while i < len(cols):
+        c = cols[i]
+        i += 1
+        v = row.get(c)
+        pivot = pivots.get(c)
+        if v is None or pivot is None:
+            continue
+        a = pivot[c]
+        q = _rounded_quotient(v, a) if a > 0 else _rounded_quotient(-v, -a)
+        if q:
+            _subtract(row, q, pivot, cols, i)
 
 
 def _smith_diagonal(mat: list[dict[int, int]]) -> list[int]:
@@ -222,7 +256,12 @@ def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
         for row in mat:
             if row and max(row) >= ncols:
                 raise ValueError("column index beyond the declared width")
-    pivots = _echelon(mat)
+    return _smith_from_echelon(_echelon(mat))
+
+
+def _smith_from_echelon(pivots: dict[int, dict[int, int]]) -> SmithResult:
+    """Rank and elementary divisors of the lattice an ``_echelon`` basis
+    spans; its rows are destroyed when a lead is not +-1."""
     if all(abs(row[lead]) == 1 for lead, row in pivots.items()):
         diagonal = [1] * len(pivots)
     else:

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +308,22 @@ def test_negative_word_length_is_rejected_before_the_run(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "word length" in captured.err
+
+
+def test_commutator_basic_is_certified_through_degree_13(tmp_path, capsys):
+    # degree 13 is 2291 x 2248 rows x columns, inside the default budget
+    root = Path(__file__).resolve().parent.parent
+    pres = root / "presentations" / "commutator_basic.pres"
+    out_path = tmp_path / "report.json"
+    code = main(["--input", str(pres), "--max-degree", "13", "--check", "torsion",
+                 "--check", "hilbert", "--check", "modp", "--json-out", str(out_path)])
+    assert code == EXIT_OK
+    payload = json.loads(out_path.read_text())
+    assert payload["torsion"]["torsion_free"] is True
+    assert payload["torsion"]["aborted_degree"] is None
+    assert [d["degree"] for d in payload["torsion"]["degrees"]] \
+        == [str(n) for n in range(1, 14)]
+    assert payload["hilbert"]["all_match"] is True
+    assert payload["hilbert"]["max_degree"] == "13"
+    assert payload["modp"]["all_match"] is True
+    assert payload["modp"]["aborted_degree"] is None

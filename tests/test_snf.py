@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from magnuslie import (WeightScheme, bracket, fp_rank, generator_element,
-                       integer_row_space, smith_normal_form, snf)
-from magnuslie.quotient import DEFAULT_BUDGET, _IdealSweep, _sparse_degree_rows
+                       ideal_component, integer_row_space, smith_normal_form,
+                       snf)
 
 S213 = WeightScheme(2, 1, 3)
 
@@ -204,10 +204,10 @@ def sparse_cases():
 
 def ideal_cases():
     rho = bracket(generator_element(S213, 0), generator_element(S213, 1))
-    sweep = _IdealSweep(rho)
     for n in range(2, 11):
-        _, rows, dim = _sparse_degree_rows(sweep, n, DEFAULT_BUDGET)
-        yield rows, dim
+        matrix = ideal_component(rho, n, S213).matrix
+        yield ([{c: v for c, v in enumerate(row) if v} for row in matrix],
+               len(matrix[0]))
 
 
 def test_planted_divisors_are_recovered():
