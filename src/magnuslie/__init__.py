@@ -7,10 +7,10 @@ __version__ = "0.1.0"
 from .series import (INFINITY, INTEGERS, RATIONALS, Domain, Series,
                      WeightScheme, inverse, monomial_weight, mul,
                      prime_field, series_from_text, valuation)
-from .words import (DegreeBound, Word, WordSyntaxError, filtration_degree,
-                    free_reduce, generator, group_commutator, invert_word,
-                    magnus_embed, parse_word, random_word, word_multiply,
-                    word_to_text)
+from .words import (DegreeBound, EmbeddingTooLarge, Word, WordSyntaxError,
+                    filtration_degree, free_reduce, generator,
+                    group_commutator, invert_word, magnus_embed, parse_word,
+                    random_word, word_multiply, word_to_text)
 from .liebasis import (DegreeAboveCutoff, LieElement, LyndonBasisElement,
                        NotIntegralCoordinates, NotLieElement, ad_generator,
                        bracket, generator_element, leading_lie_form,

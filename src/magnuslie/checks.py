@@ -170,7 +170,12 @@ def magnus_e1_suite(scheme: WeightScheme, max_weight: int = 6,
 def homomorphism_suite(scheme: WeightScheme, samples: int = 500,
                        max_len: int = 6, seed: int = 0,
                        cutoff: int = 5) -> SuiteResult:
-    """Embedding of a product equals the product of the embeddings."""
+    """Embedding of a product equals the product of the embeddings.
+
+    The two sides take different code paths: the left one is the
+    embedding's in-place letter steps alone, the right one multiplies two
+    images with the general truncated product, Series.__mul__.
+    """
     rng = Random(seed)
     failures = 0
     counterexample = None

@@ -2,8 +2,9 @@
 
 Exit codes: 0 all selected checks pass, 1 gate rejection, 2 check
 failure (torsion found, series mismatch, suite violation), 3
-inconclusive, budget exceeded, or the run ran out of memory or
-recursion depth, 4 usage or parse error.
+inconclusive, budget exceeded, an embedding projected past
+words.MAX_EMBED_LETTERS, or the run ran out of memory or recursion
+depth, 4 usage or parse error.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from .presentation_io import PresentationSyntaxError
 from .report import (ALL_CHECKS, EXIT_INCONCLUSIVE, EXIT_USAGE, RunConfig,
                      report_to_json, run_report)
+from .words import EmbeddingTooLarge
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,6 +139,9 @@ def main(argv=None) -> int:
     except (OSError, PresentationSyntaxError, ValueError) as ex:
         print(f"magnuslie: error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except EmbeddingTooLarge as ex:
+        print(f"magnuslie: inconclusive: {ex}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (MemoryError, RecursionError) as ex:
         print(f"magnuslie: inconclusive: the run hit {type(ex).__name__}",
               file=sys.stderr)

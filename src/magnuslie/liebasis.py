@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import gcd
 
 from .series import INFINITY, Series, WeightScheme
-from .words import Word, magnus_embed
+from .words import Word, _image_valuation, magnus_embed
 
 
 class NotLieElement(ValueError):
@@ -406,10 +406,8 @@ def leading_lie_form(word: Word, scheme: WeightScheme, cutoff: int) -> tuple[int
     if not word:
         raise ValueError("the identity word has no leading form")
     f = magnus_embed(word, scheme, cutoff)
-    delta = f - Series.one(scheme, cutoff)
-    v = delta.valuation()
+    v = _image_valuation(f)
     if v is INFINITY:
         raise DegreeAboveCutoff(
             f"degree of the word exceeds the cutoff {cutoff}")
-    component = delta.homogeneous_component(v)
-    return v, to_lyndon_coords(component, scheme)
+    return v, to_lyndon_coords(f.homogeneous_component(v), scheme)

@@ -4,7 +4,13 @@ A word is a tuple of signed letters: +k stands for generator k-1 and -k
 for its inverse (k runs from 1 to m+n).  Words are kept freely reduced;
 anything unreduced enters only through free_reduce.  The embedding into
 the unit group of the series algebra sends x_i to 1+X_i and y_j to
-1+Y_j, inverses going to the geometric series.  The filtration degree
+1+Y_j, inverses going to the geometric series.  It is built one letter
+at a time, in place on the image's weight buckets: a letter of weight w
+adds (or, inverted, subtracts) bucket[wt]·A into bucket[wt + w], so no
+letter image and no general product is formed.  Before each step the
+letters it could store are projected from the bucket sizes, and a step
+projected past MAX_EMBED_LETTERS raises EmbeddingTooLarge before it
+allocates.  The filtration degree
 of a word w is the valuation of (image of w) - 1, reported as an exact
 value when it fits under the cutoff and as an explicit lower bound
 otherwise; the truncation window cannot tell deep elements from the
@@ -14,6 +20,7 @@ identity, so no finite claim is made beyond it.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
 from random import Random
 
@@ -106,30 +113,119 @@ def only_y_letters(word: Word, scheme: WeightScheme) -> bool:
     return all(abs(s) - 1 >= scheme.m for s in word)
 
 
-def _letter_image(scheme: WeightScheme, cutoff: int, letter: int,
-                  positive: bool, domain: Domain) -> Series:
-    w = scheme.letter_weight(letter)
-    terms = {(): 1}
-    if positive:
-        if w <= cutoff:
-            terms[(letter,)] = 1
-    else:
-        sign = -1
-        for k in range(1, cutoff // w + 1):
-            terms[(letter,) * k] = sign
-            sign = -sign
-    return Series(scheme, cutoff, terms, domain)
+class EmbeddingTooLarge(RuntimeError):
+    """A letter step of the embedding would store too many letters.
+
+    Raised before the step allocates; ``projected`` is the step's
+    projected count of stored letters and ``limit`` is MAX_EMBED_LETTERS.
+    """
+
+    def __init__(self, projected: int, limit: int, cutoff: int):
+        super().__init__(
+            f"the Magnus embedding at cutoff {cutoff} would store up to "
+            f"{projected} letters (limit {limit})")
+        self.projected = projected
+        self.limit = limit
+        self.cutoff = cutoff
+
+
+# Most letters an embedding may store; a letter step projected past it
+# raises EmbeddingTooLarge before it allocates.  No embedding that the
+# test suite, the corpus or the benchmark builds projects past 50,000.
+MAX_EMBED_LETTERS = 2_000_000
+
+
+def _projected_letters(buckets, w: int, cutoff: int, positive: bool) -> int:
+    """Upper bound on the letters stored after one letter step.
+
+    A term of weight wt has at most wt letters.  A positive letter adds
+    mono·A to each term with wt + w <= cutoff; an inverse letter turns a
+    term into mono·A^k for k = 0 .. (cutoff - wt) // w.
+    """
+    total = 0
+    for wt, bucket in buckets.items():
+        steps = (cutoff - wt) // w
+        if positive:
+            total += len(bucket) * (wt + (wt + w if steps else 0))
+        else:
+            total += len(bucket) * ((steps + 1) * wt + w * steps * (steps + 1) // 2)
+    return total
 
 
 def magnus_embed(word: Word, scheme: WeightScheme, cutoff: int,
                  domain: Domain = INTEGERS) -> Series:
-    """Image of a word in the unit group of the truncated algebra."""
-    acc = Series.one(scheme, cutoff, domain)
+    """Image of a word in the unit group of the truncated algebra.
+
+    Each letter multiplies the image on the right in place, one weight
+    bucket at a time.  For 1 + A the walk runs down the weights and adds
+    bucket[wt]·A into bucket[wt + w]; for (1 + A)^-1 it runs up and
+    subtracts the already final bucket[wt]·A, solving r = acc - r·A.
+    Either walk costs time in proportion to the terms it writes.
+    """
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
+    p = domain.p if domain.kind == "Fp" else None
+    buckets = {0: {(): domain.one}}
     for signed in word:
         _check_letter(signed, scheme)
-        img = _letter_image(scheme, cutoff, abs(signed) - 1, signed > 0, domain)
-        acc = acc * img
-    return acc
+        letter = abs(signed) - 1
+        w = scheme.letter_weight(letter)
+        positive = signed > 0
+        projected = _projected_letters(buckets, w, cutoff, positive)
+        if projected > MAX_EMBED_LETTERS:
+            raise EmbeddingTooLarge(projected, MAX_EMBED_LETTERS, cutoff)
+        suffix = (letter,)
+        if positive:
+            for wt in sorted(buckets, reverse=True):
+                if wt + w <= cutoff:
+                    _add_times_letter(buckets, wt, wt + w, suffix, p, True)
+            continue
+        weights = sorted(buckets)
+        i = 0
+        while i < len(weights) and weights[i] + w <= cutoff:
+            wt = weights[i]
+            i += 1
+            if wt in buckets and _add_times_letter(buckets, wt, wt + w, suffix, p, False):
+                insort(weights, wt + w, i)
+    return Series._raw(scheme, cutoff, domain, buckets)
+
+
+def _add_times_letter(buckets, source_wt, target, suffix, p, positive) -> bool:
+    """Add (or subtract) bucket[source_wt]·A into bucket[target].
+
+    Returns True when the target bucket did not exist before.
+    """
+    source = buckets[source_wt]
+    dest = buckets.get(target)
+    if dest is None:
+        if positive:
+            buckets[target] = {mono + suffix: c for mono, c in source.items()}
+        else:
+            buckets[target] = {mono + suffix: p - c if p else -c
+                               for mono, c in source.items()}
+        return True
+    get = dest.get
+    for mono, c in source.items():
+        key = mono + suffix
+        value = get(key, 0) + c if positive else get(key, 0) - c
+        if p:
+            value %= p
+        if value:
+            dest[key] = value
+        else:
+            del dest[key]
+    if not dest:
+        del buckets[target]
+    return False
+
+
+def _image_valuation(image: Series):
+    """Valuation of image - 1 for a Magnus image.
+
+    The constant term is exactly 1 and is the only term of weight 0, so
+    the valuation is the least positive weight present.
+    """
+    return min((wt for wt in image._buckets if wt), default=INFINITY)
 
 
 def filtration_degree(word: Word, scheme: WeightScheme, cutoff: int) -> DegreeBound:
@@ -140,9 +236,7 @@ def filtration_degree(word: Word, scheme: WeightScheme, cutoff: int) -> DegreeBo
     yields the lower bound at every cutoff; only callers who know the
     word is syntactically trivial may render that as infinity.
     """
-    f = magnus_embed(word, scheme, cutoff)
-    delta = f - Series.one(scheme, cutoff)
-    v = delta.valuation()
+    v = _image_valuation(magnus_embed(word, scheme, cutoff))
     if v is INFINITY:
         return DegreeBound(cutoff + 1, exact=False)
     return DegreeBound(v, exact=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -327,3 +331,25 @@ def test_commutator_basic_is_certified_through_degree_13(tmp_path, capsys):
     assert payload["hilbert"]["max_degree"] == "13"
     assert payload["modp"]["all_match"] is True
     assert payload["modp"]["aborted_degree"] is None
+
+
+def _limit_address_space():
+    # a regression then dies with MemoryError instead of exhausting the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_huge_y_weight_stops_the_embedding_before_it_allocates():
+    # the floor-bound suite embeds at cutoff e + 3; two inverse x letters
+    # there would store about 2.8 million letters
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "magnuslie", "--input",
+         str(root / "presentations" / "commutator_basic.pres"), "--e", "200"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
+    assert time.perf_counter() - start < 30
+    assert "MemoryError" not in done.stderr
+    assert "would store up to 2829820 letters (limit 2000000)" in done.stderr

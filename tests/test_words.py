@@ -5,11 +5,12 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from magnuslie import (Series, WeightScheme, WordSyntaxError, filtration_degree,
+from magnuslie import (INTEGERS, RATIONALS, EmbeddingTooLarge, Series,
+                       WeightScheme, WordSyntaxError, filtration_degree,
                        free_reduce, group_commutator, inverse, invert_word,
-                       magnus_embed, mul, parse_word, random_word,
-                       word_multiply, word_to_text)
-from magnuslie.words import MAX_POWER_LENGTH
+                       leading_lie_form, magnus_embed, mul, parse_word,
+                       prime_field, random_word, word_multiply, word_to_text)
+from magnuslie.words import MAX_EMBED_LETTERS, MAX_POWER_LENGTH
 
 S213 = WeightScheme(2, 1, 3)
 S212 = WeightScheme(2, 1, 2)
@@ -56,6 +57,92 @@ def test_embed_product_of_letters():
     x1 = Series.letter(S213, 4, 0)
     x2 = Series.letter(S213, 4, 1)
     assert f == (one + x1) * (one + x2)
+
+
+def _reference_embed(word, scheme, cutoff, domain=INTEGERS):
+    """The letter-image times general product embedding, as an oracle."""
+    acc = Series.one(scheme, cutoff, domain)
+    for signed in word:
+        letter = abs(signed) - 1
+        w = scheme.letter_weight(letter)
+        terms = {(): 1}
+        if signed > 0:
+            if w <= cutoff:
+                terms[(letter,)] = 1
+        else:
+            for k in range(1, cutoff // w + 1):
+                terms[(letter,) * k] = (-1) ** k
+        acc = acc * Series(scheme, cutoff, terms, domain)
+    return acc
+
+
+def _assert_same_embedding(word, scheme, cutoff, domain=INTEGERS):
+    got = magnus_embed(word, scheme, cutoff, domain)
+    want = _reference_embed(word, scheme, cutoff, domain)
+    assert got.terms() == want.terms()
+    assert got._buckets == want._buckets
+    assert got.cutoff == cutoff and got.domain == domain
+
+
+def test_embedding_matches_the_product_oracle_on_random_words():
+    rng = Random(29)
+    domains = (INTEGERS, RATIONALS, prime_field(2), prime_field(3), prime_field(7))
+    schemes = (WeightScheme(2, 0, 1), WeightScheme(1, 1, 1), S212, S213,
+               WeightScheme(2, 1, 4), WeightScheme(3, 1, 2))
+    for _ in range(400):
+        scheme = rng.choice(schemes)
+        word = tuple(rng.choice((1, -1)) * rng.randrange(1, scheme.letters + 1)
+                     for _ in range(rng.randrange(9)))
+        _assert_same_embedding(word, scheme, rng.randrange(9), rng.choice(domains))
+
+
+def test_embedding_matches_the_oracle_on_edge_cases():
+    words = ((), (1,), (-1,), (1, -1, 2), (-2, 2, -2), (1, 1, -1, -1),
+             (1, 2, -1, -2), (-3, -3, 3))
+    for domain in (INTEGERS, RATIONALS, prime_field(2), prime_field(3)):
+        for scheme in (WeightScheme(2, 0, 1), S213):
+            for word in words:
+                if any(abs(s) > scheme.letters for s in word):
+                    continue
+                for cutoff in (0, 1, 3, 7):
+                    _assert_same_embedding(word, scheme, cutoff, domain)
+
+
+def test_embedding_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError):
+        magnus_embed((1,), S213, -1)
+    with pytest.raises(ValueError):
+        magnus_embed((), S213, -1)
+
+
+def test_embedding_paths_need_no_general_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("general product used")
+
+    monkeypatch.setattr(Series, "__mul__", refuse)
+    word = group_commutator((1,), (-2,))
+    assert magnus_embed(word, S213, 5).coefficient((0, 1)) == -1
+    assert filtration_degree(word, S213, 5).bound == 2
+    degree, form = leading_lie_form(word, WeightScheme(2, 0, 1), 4)
+    assert degree == 2 and form.coords == {(0, 1): -1}
+
+
+def test_embedding_bound_stops_before_allocating():
+    scheme = WeightScheme(2, 1, 200)
+    start = time.perf_counter()
+    with pytest.raises(EmbeddingTooLarge) as err:
+        magnus_embed((-1, -2, -1, -2), scheme, 203)
+    assert time.perf_counter() - start < 2.0
+    assert err.value.projected > MAX_EMBED_LETTERS == err.value.limit
+    assert str(err.value.projected) in str(err.value)
+
+
+def test_embedding_bound_spares_a_large_allowed_image():
+    # one inverse letter at cutoff 1000 stores 1000 * 1001 / 2 letters
+    f = magnus_embed((-1,), WeightScheme(2, 0, 1), 1000)
+    assert len(f) == 1001
+    with pytest.raises(EmbeddingTooLarge):
+        magnus_embed((-1,), WeightScheme(2, 0, 1), 2500)
 
 
 def test_degree_of_y_is_e():
