@@ -8,18 +8,43 @@ the bracket grammar of the CLI, e.g. "[[x1,x2],x1]".
 
     python scripts/dimension_table.py --m 2 --n 1 --e 3 \
         --relator "[x1,x2]" --max-degree 8 [--dump-matrices DIR]
+
+Exit codes follow the magnuslie CLI: 0 torsion-free through the cap, 2
+torsion found, 3 inconclusive (the relator's degree is above the cap,
+its embedding is too large, the ideal budget stopped the table early,
+or the run ran out of memory or recursion depth), 4 a bad scheme,
+relator or output directory.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from magnuslie import (WeightScheme, hilbert_crosscheck, leading_lie_form,
+from magnuslie import (EXIT_CHECK_FAILED, EXIT_INCONCLUSIVE, EXIT_OK,
+                       EXIT_USAGE, DegreeAboveCutoff, EmbeddingTooLarge,
+                       WeightScheme, hilbert_crosscheck, leading_lie_form,
                        lyndon_words, parse_word, torsion_free_certificate,
                        witt_dimensions)
 
+PROG = "dimension_table.py"
+
 
 def main() -> int:
+    try:
+        return table()
+    except (DegreeAboveCutoff, EmbeddingTooLarge) as ex:
+        print(f"{PROG}: inconclusive: {ex}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (MemoryError, RecursionError) as ex:
+        print(f"{PROG}: inconclusive: the run hit {type(ex).__name__}",
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (OSError, ValueError) as ex:
+        print(f"{PROG}: error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def table() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--n", type=int, default=0)
@@ -38,7 +63,7 @@ def main() -> int:
         print(f"free Lie ring dimensions for scheme {scheme}:")
         for k, dim in enumerate(dims, 1):
             print(f"  degree {k}: {dim}")
-        return 0
+        return EXIT_OK
 
     word = parse_word(args.relator, scheme)
     degree, rho = leading_lie_form(word, scheme, cap)
@@ -67,7 +92,13 @@ def main() -> int:
             path.write_text("\n".join(" ".join(str(row.get(w, 0)) for w in basis)
                                       for row in rows) + "\n")
             print(f"wrote {path} ({len(rows)} rows)")
-    return 0 if cert.torsion_free else 2
+    if not cert.torsion_free:
+        return EXIT_CHECK_FAILED
+    if cert.aborted_degree is not None:
+        print(f"{PROG}: inconclusive: budget exceeded at degree "
+              f"{cert.aborted_degree}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

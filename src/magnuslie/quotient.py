@@ -372,42 +372,36 @@ def hilbert_crosscheck(report: TorsionReport, scheme: WeightScheme | None = None
         max_degree = min(report.max_degree, covered)
     max_degree = min(max_degree, covered)
     dims = [r.dim_quotient for r in report.degrees[:max_degree]]
+    return _hilbert_table(scheme, d, dims, max_degree)
+
+
+def pbw_sanity_table(scheme: WeightScheme, max_degree: int) -> HilbertTable:
+    """Relator-free variant: the graded product of the free dimensions
+    must reproduce 1/(1 - m t - n t^e)."""
+    return _hilbert_table(scheme, None, witt_dimensions(scheme, max_degree),
+                          max_degree, status="relator-free sanity variant")
+
+
+def _hilbert_table(scheme: WeightScheme, d: int | None, dims: list[int],
+                   max_degree: int, status: str | None = None) -> HilbertTable:
+    """The candidate series against the graded product of dims, degree by
+    degree; without a status, one that names the degrees that differ."""
     candidate = candidate_series(scheme.m, scheme.n, scheme.e, d, max_degree)
     pbw = pbw_series(dims, max_degree)
     matches = tuple(candidate[k] == pbw[k] for k in range(max_degree + 1))
-    all_match = all(matches)
-    if all_match:
-        status = ("closed form imported from the literature, "
-                  "validated degree by degree against the certified dimensions")
-    else:
+    if status is None:
         bad = [k for k, ok in enumerate(matches) if not ok]
-        status = f"formula import suspect: mismatch at degrees {bad}"
+        status = (f"formula import suspect: mismatch at degrees {bad}" if bad
+                  else "closed form imported from the literature, "
+                       "validated degree by degree against the certified dimensions")
     return HilbertTable(
         relator_degree=d,
         max_degree=max_degree,
         candidate=tuple(candidate),
         pbw=tuple(pbw),
         matches=matches,
-        all_match=all_match,
-        formula_status=status,
-    )
-
-
-def pbw_sanity_table(scheme: WeightScheme, max_degree: int) -> HilbertTable:
-    """Relator-free variant: the graded product of the free dimensions
-    must reproduce 1/(1 - m t - n t^e)."""
-    dims = witt_dimensions(scheme, max_degree)
-    candidate = candidate_series(scheme.m, scheme.n, scheme.e, None, max_degree)
-    pbw = pbw_series(dims, max_degree)
-    matches = tuple(candidate[k] == pbw[k] for k in range(max_degree + 1))
-    return HilbertTable(
-        relator_degree=None,
-        max_degree=max_degree,
-        candidate=tuple(candidate),
-        pbw=tuple(pbw),
-        matches=matches,
         all_match=all(matches),
-        formula_status="relator-free sanity variant",
+        formula_status=status,
     )
 
 

@@ -2,18 +2,25 @@
 
 The fixed check order is gate, torsion, hilbert, mod-p, floor-bound,
 magnus-e1.  A gate rejection stops the quotient checks unless forced,
-in which case their sections carry hypotheses_met = false.  Reports
-serialize with sorted keys and every mathematical integer rendered as a
-decimal string, so consumers never face precision loss; repeated runs
-with the same configuration produce identical JSON except for the
-wall-clock block under meta.timings.
+in which case their sections carry hypotheses_met = false.
+
+The result dataclasses are the report schema: each check's block holds
+its result's fields plus "skipped" (and "hypotheses_met" for the
+quotient checks, "passed" for the suites), or "skipped" and "reason".
+Only a few renderings are spelled out here: the gate's rho as text,
+mod-p's reports under "tables", torsion without its scheme and raw rows,
+and meta.  Reports serialize with sorted keys and every mathematical
+integer rendered as a decimal string, so consumers never face precision
+loss; repeated runs with the same configuration produce identical JSON
+except for the wall-clock block under meta.timings, so nothing timed may
+become a result field.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from . import __version__
 from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
@@ -80,7 +87,6 @@ class RunReport:
     config: RunConfig
     presentation_file: PresentationFile
     gate: HypothesisReport
-    gate_cutoff: int
     max_degree: int | None
     torsion: TorsionReport | None = None
     hilbert: HilbertTable | None = None
@@ -125,7 +131,6 @@ def run_report(config: RunConfig) -> RunReport:
         config=config,
         presentation_file=parsed,
         gate=gate,
-        gate_cutoff=gate.cutoff,
         max_degree=max_degree,
     )
 
@@ -229,14 +234,21 @@ def _exit_code(report: RunReport, selected) -> int:
 # -- JSON serialization -----------------------------------------------------
 
 
+def _fields(result) -> dict:
+    """A dataclass's fields by name.  The values are not copied, unlike in
+    dataclasses.asdict, so TorsionReport.rows is never walked."""
+    return {f.name: getattr(result, f.name) for f in fields(result)}
+
+
 def _stringify(value):
-    """Recursively render integers as decimal strings; bools stay bools."""
-    if isinstance(value, bool):
+    """Recursively render integers as decimal strings and dataclasses as
+    their fields; bools and floats stay as they are."""
+    if isinstance(value, (bool, float)):
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return value
+    if is_dataclass(value):
+        value = _fields(value)
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -244,120 +256,36 @@ def _stringify(value):
     return value
 
 
+def _block(result, reason: str | None, **extra) -> dict:
+    """A check's block: why it was skipped, or its result's fields plus extra."""
+    if result is None:
+        return {"skipped": True, "reason": reason}
+    return {"skipped": False, **_fields(result), **extra}
+
+
 def report_to_json_dict(report: RunReport, include_timings: bool = True) -> dict:
     pres = report.presentation_file.presentation
-    scheme_echo = WeightScheme(pres.m, pres.n, 1)
     gate = report.gate
+    config = report.config
+    reason = report.skip_reasons.get
 
-    gate_block = {
-        "accepted": gate.accepted,
-        "inconclusive": gate.inconclusive,
-        "d": gate.d,
-        "rho": None if gate.rho is None else gate.rho.to_text(),
-        "content": gate.content,
-        "chosen_e": gate.chosen_e,
-        "failures": list(gate.failures),
-        "cutoff": gate.cutoff,
-    }
-
-    if report.torsion is None:
-        torsion_block = {"skipped": True,
-                         "reason": report.skip_reasons.get("torsion")}
-    else:
-        t = report.torsion
-        torsion_block = {
-            "skipped": False,
-            "hypotheses_met": gate.accepted,
-            "relator_degree": t.relator_degree,
-            "max_degree": t.max_degree,
-            "torsion_free": t.torsion_free,
-            "aborted_degree": t.aborted_degree,
-            "note": t.note,
-            "degrees": [
-                {
-                    "degree": r.degree,
-                    "dim_free": r.dim_free,
-                    "rank": r.rank,
-                    "divisors": list(r.divisors),
-                    "dim_quotient": r.dim_quotient,
-                    "torsion": list(r.torsion),
-                }
-                for r in t.degrees
-            ],
-        }
-
-    if report.hilbert is None:
-        hilbert_block = {"skipped": True,
-                         "reason": report.skip_reasons.get("hilbert")}
-    else:
-        h = report.hilbert
-        hilbert_block = {
-            "skipped": False,
-            "hypotheses_met": gate.accepted,
-            "relator_degree": h.relator_degree,
-            "max_degree": h.max_degree,
-            "candidate": list(h.candidate),
-            "pbw": list(h.pbw),
-            "matches": list(h.matches),
-            "all_match": h.all_match,
-            "formula_status": h.formula_status,
-        }
-
-    if report.modp is None:
-        modp_block = {"skipped": True, "reason": report.skip_reasons.get("modp")}
-    else:
-        mp = report.modp
-        modp_block = {
-            "skipped": False,
-            "hypotheses_met": gate.accepted,
-            "primes": list(mp.primes),
-            "all_match": mp.all_match,
-            "aborted_degree": mp.aborted_degree,
-            "note": mp.note,
-            "tables": [
-                {
-                    "prime": table.prime,
-                    "all_match": table.all_match,
-                    "rows": [
-                        {
-                            "degree": row.degree,
-                            "rank_mod_p": row.rank_mod_p,
-                            "rank_integer": row.rank_integer,
-                            "match": row.match,
-                        }
-                        for row in table.rows
-                    ],
-                }
-                for table in mp.reports
-            ],
-        }
-
-    def suite_block(suite: SuiteResult | None, skip_key: str) -> dict:
-        if suite is None:
-            return {"skipped": True, "reason": report.skip_reasons.get(skip_key)}
-        return {
-            "skipped": False,
-            "name": suite.name,
-            "cases": suite.cases,
-            "applicable": suite.applicable,
-            "failures": suite.failures,
-            "seed": suite.seed,
-            "counterexample": suite.counterexample,
-            "passed": suite.passed,
-            "detail": dict(suite.detail),
-        }
+    torsion = _block(report.torsion, reason("torsion"),
+                     hypotheses_met=gate.accepted)
+    # the scheme is the gate's; the raw bracket rows feed mod-p only
+    torsion.pop("scheme", None)
+    torsion.pop("rows", None)
+    modp = _block(report.modp, reason("modp"), hypotheses_met=gate.accepted)
+    if "reports" in modp:
+        modp["tables"] = modp.pop("reports")
 
     meta = {
         "version": __version__,
-        "seed": report.config.seed,
-        "samples": report.config.samples,
-        "max_word_len": report.config.max_word_len,
-        "primes": list(report.config.primes),
-        "checks": list(report.config.selected()),
-        "cutoffs": {
-            "gate": report.gate_cutoff,
-            "quotient": report.max_degree,
-        },
+        "seed": config.seed,
+        "samples": config.samples,
+        "max_word_len": config.max_word_len,
+        "primes": config.primes,
+        "checks": config.selected(),
+        "cutoffs": {"gate": gate.cutoff, "quotient": report.max_degree},
         "exit_code": report.exit_code,
     }
     if include_timings:
@@ -365,19 +293,21 @@ def report_to_json_dict(report: RunReport, include_timings: bool = True) -> dict
 
     payload = {
         "presentation": {
-            "m": pres.m,
-            "n": pres.n,
-            "u": word_to_text(pres.u, scheme_echo),
-            "v": word_to_text(pres.v, scheme_echo),
-            "e": pres.e,
+            **_fields(pres),
+            "u": word_to_text(pres.u, pres.scheme_bounds),
+            "v": word_to_text(pres.v, pres.scheme_bounds),
             "file_max_degree": report.presentation_file.max_degree,
         },
-        "gate": gate_block,
-        "torsion": torsion_block,
-        "hilbert": hilbert_block,
-        "modp": modp_block,
-        "floor_bound": suite_block(report.floor_bound, "floor-bound"),
-        "magnus_e1": suite_block(report.magnus_e1, "magnus-e1"),
+        "gate": {**_fields(gate),
+                 "rho": None if gate.rho is None else gate.rho.to_text()},
+        "torsion": torsion,
+        "hilbert": _block(report.hilbert, reason("hilbert"),
+                          hypotheses_met=gate.accepted),
+        "modp": modp,
+        "floor_bound": _block(report.floor_bound, reason("floor-bound"),
+                              passed=getattr(report.floor_bound, "passed", None)),
+        "magnus_e1": _block(report.magnus_e1, reason("magnus-e1"),
+                            passed=getattr(report.magnus_e1, "passed", None)),
         "meta": meta,
     }
     return _stringify(payload)

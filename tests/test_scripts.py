@@ -34,3 +34,23 @@ def test_dumped_matrices_match_ideal_components(tmp_path, monkeypatch, capsys):
         dumped = (tmp_path / f"ideal_degree_{n}.txt").read_text()
         assert dumped == ideal_component(rho, n, scheme).matrix_text() + "\n"
     assert len(list(tmp_path.iterdir())) == 8 - degree
+
+
+@pytest.mark.parametrize("args, exit_code, message", [
+    # the embedding of the relator trips words.MAX_EMBED_LETTERS
+    (["--m", "2", "--relator", "x1^-1 x2^-1 x1^-1 x2^-1",
+      "--max-degree", "2000"], 3, "would store up to"),
+    # the relator's degree 3 lies above the cap
+    (["--m", "2", "--relator", "[[x1,x2],x1]", "--max-degree", "2"], 3,
+     "exceeds the cutoff 2"),
+    (["--m", "2", "--relator", "[x1,x3"], 4, "x3 out of range"),
+    # the ideal budget stops the table after degree 13
+    (["--m", "2", "--n", "1", "--e", "3", "--relator", "[x1,x2]",
+      "--max-degree", "16"], 3, "budget exceeded at degree 14"),
+])
+def test_dimension_table_ends_in_one_line_and_an_exit_code(
+        args, exit_code, message, monkeypatch, capsys):
+    assert run_script("dimension_table.py", args, monkeypatch) == exit_code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("dimension_table.py: ")
+    assert message in err
