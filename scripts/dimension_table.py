@@ -13,10 +13,9 @@ Exit codes follow the magnuslie CLI: 0 torsion-free through the cap, 2
 torsion found, 3 inconclusive (the relator's degree is above the cap,
 its embedding is too large, the ideal budget stopped the table early,
 or the run ran out of memory or recursion depth), 4 a bad scheme,
-relator or output directory.
+relator or output directory, or a usage error.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from magnuslie import (EXIT_CHECK_FAILED, EXIT_INCONCLUSIVE, EXIT_OK,
                        WeightScheme, hilbert_crosscheck, leading_lie_form,
                        lyndon_words, parse_word, torsion_free_certificate,
                        witt_dimensions)
+from magnuslie.cli import _Parser
 
 PROG = "dimension_table.py"
 
@@ -45,7 +45,7 @@ def main() -> int:
 
 
 def table() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(prog=PROG, description=__doc__)
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--n", type=int, default=0)
     parser.add_argument("--e", type=int, default=1)
@@ -68,7 +68,7 @@ def table() -> int:
     word = parse_word(args.relator, scheme)
     degree, rho = leading_lie_form(word, scheme, cap)
     print(f"relator leading form at degree {degree}: {rho.to_text()}")
-    cert = torsion_free_certificate(rho, cap, scheme)
+    cert = torsion_free_certificate(rho, cap)
     table = hilbert_crosscheck(cert)
     print(f"{'deg':>4} {'dimL':>6} {'rank':>6} {'dimQ':>6} "
           f"{'torsion':>12} {'candidate':>10} {'match':>6}")
@@ -84,8 +84,8 @@ def table() -> int:
     if args.dump_matrices:
         out_dir = Path(args.dump_matrices)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # the certificate's own rows, one matrix row per line over the
-        # degree's Lyndon basis, as IdealComponent.matrix_text spells them
+        # the certificate's own rows (those ideal_component(rho, n)
+        # returns), one matrix row per line over the degree's Lyndon basis
         for n, rows in enumerate(cert.rows, degree):
             basis = lyndon_words(scheme, n)
             path = out_dir / f"ideal_degree_{n}.txt"

@@ -1,18 +1,28 @@
 #!/usr/bin/env python3
 """Run the bundled presentation corpus through the full pipeline.
 
-Prints one block per presentation file and exits nonzero if any file
-that is expected to pass does not.  Useful as a quick end-to-end sweep:
+Prints one block per presentation file.  Useful as a quick end-to-end
+sweep:
 
-    python scripts/run_corpus.py [--samples N] [--seed K]
+    python scripts/run_corpus.py [--samples N] [--seed K] [--directory DIR]
+
+Exit codes follow the magnuslie CLI: 0 every file gave its expected
+exit code, 2 some file did not, 3 inconclusive (an embedding past its
+letter bound, or the run ran out of memory or recursion depth), 4 a
+usage error, a negative sample count, or a missing or malformed
+presentation file; these end in one stderr line.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
-from magnuslie import EXIT_GATE_REJECTED, EXIT_OK, RunConfig, run_report
+from magnuslie import (EXIT_CHECK_FAILED, EXIT_GATE_REJECTED,
+                       EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE,
+                       EmbeddingTooLarge, RunConfig, run_report)
+from magnuslie.cli import _Parser
+
+PROG = "run_corpus.py"
 
 EXPECTED = {
     "commutator_basic.pres": EXIT_OK,
@@ -24,7 +34,22 @@ EXPECTED = {
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    try:
+        return sweep()
+    except EmbeddingTooLarge as ex:
+        print(f"{PROG}: inconclusive: {ex}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (MemoryError, RecursionError) as ex:
+        print(f"{PROG}: inconclusive: the run hit {type(ex).__name__}",
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (OSError, ValueError) as ex:
+        print(f"{PROG}: error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def sweep() -> int:
+    parser = _Parser(prog=PROG, description=__doc__)
     parser.add_argument("--samples", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--directory", default=None,
@@ -61,7 +86,7 @@ def main() -> int:
         print()
         if not ok:
             failures += 1
-    return 1 if failures else 0
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 if __name__ == "__main__":

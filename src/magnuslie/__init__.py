@@ -20,11 +20,10 @@ from .liebasis import (DegreeAboveCutoff, LieElement, LyndonBasisElement,
 from .snf import SmithResult, fp_rank, integer_row_space, smith_normal_form
 from .gate import HypothesisReport, Presentation, check_relator_hypotheses
 from .quotient import (DEFAULT_BUDGET, BudgetExceeded, DegreeReport,
-                       HilbertTable, IdealComponent, ModpCheck, ModpReport,
-                       TorsionReport, candidate_series, hilbert_crosscheck,
-                       ideal_component, ideal_component_alt,
-                       modp_dimension_check, pbw_sanity_table, pbw_series,
-                       quotient_degree_report, torsion_free_certificate)
+                       HilbertTable, ModpCheck, ModpReport, TorsionReport,
+                       candidate_series, hilbert_crosscheck, ideal_component,
+                       ideal_component_alt, modp_dimension_check,
+                       pbw_sanity_table, pbw_series, torsion_free_certificate)
 from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
                      left_normed_basic_sequences, floor_bound_suite,
                      magnus_e1_suite, strategy_independence_suite,

@@ -286,6 +286,13 @@ _STRATEGY_SCHEMES = (
 )
 
 
+def _row_space(rows, basis) -> tuple[tuple[int, ...], ...]:
+    """The integer row space of word-keyed rows over the basis."""
+    index = {w: i for i, w in enumerate(basis)}
+    return integer_row_space([{index[w]: c for w, c in row.items()} for row in rows],
+                             len(basis))
+
+
 def strategy_independence_suite(samples: int = 500, seed: int = 0,
                                 max_extra: int = 3) -> SuiteResult:
     """Both ideal generation strategies span the same integer row space."""
@@ -300,13 +307,9 @@ def strategy_independence_suite(samples: int = 500, seed: int = 0,
         rho = random_lie_element(rng, scheme, d)
         n = d + rng.randrange(1, max_extra + 1)
         basis = lyndon_words(scheme, n)
-        index = {w: i for i, w in enumerate(basis)}
-        primary = ideal_component(rho, n, scheme)
-        alt = ideal_component_alt(rho, n, scheme)
-        rows_alt = [{index[w]: c for w, c in elem.coords.items()} for elem in alt]
-        lhs = integer_row_space(primary.matrix, len(basis))
-        rhs = integer_row_space(rows_alt, len(basis))
-        if lhs != rhs:
+        primary = _row_space(ideal_component(rho, n), basis)
+        alt = _row_space((e.coords for e in ideal_component_alt(rho, n)), basis)
+        if primary != alt:
             failures += 1
             if counterexample is None:
                 counterexample = f"scheme {scheme}, rho = {rho}, degree {n}"

@@ -12,16 +12,21 @@ Lyndon basis once.  That echelon basis yields the Smith normal form,
 which certifies, exactly, the rank of the ideal and any torsion in the
 quotient component, and it feeds the degrees above.
 
-Cross-checks on the same data:
+The certificate (``torsion_free_certificate``) carries its relator, its
+per-degree reports and the sweep's rows, and it is the only input of the
+two cross-checks of it:
 
-* an independent generation strategy (direct brackets with basis
-  elements plus one round of generator brackets) that must produce the
-  same integer row space,
 * the candidate enveloping-algebra series 1/(1 - m t - n t^e + t^d),
   imported from the literature on one-relator graded Lie algebras and
-  always validated against the certified dimensions, never assumed,
-* ranks over small prime fields, which agree with the integer ranks
-  exactly when no p-torsion exists.
+  always validated against the certified dimensions, never assumed
+  (``hilbert_crosscheck``),
+* ranks of the certificate's rows over small prime fields, which agree
+  with the integer ranks exactly when no p-torsion exists
+  (``modp_dimension_check``).
+
+An independent generation strategy (direct brackets with basis elements
+plus one round of generator brackets, ``ideal_component_alt``) must span
+the same integer row space as the sweep's rows (``ideal_component``).
 """
 
 from __future__ import annotations
@@ -50,17 +55,6 @@ class BudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IdealComponent:
-    degree: int
-    generators: tuple[LieElement, ...]
-    matrix: tuple[tuple[int, ...], ...]
-
-    def matrix_text(self) -> str:
-        """One row per line, space-separated integers, for external tools."""
-        return "\n".join(" ".join(str(v) for v in row) for row in self.matrix)
-
-
-@dataclass(frozen=True)
 class DegreeReport:
     degree: int
     dim_free: int
@@ -72,7 +66,9 @@ class DegreeReport:
 
 @dataclass(frozen=True)
 class TorsionReport:
-    scheme: WeightScheme
+    # rho and -rho generate the same ideal: certificates compare by what
+    # they certify, not by the relator that was given
+    relator: LieElement = field(compare=False)
     relator_degree: int
     max_degree: int
     degrees: tuple[DegreeReport, ...]
@@ -178,14 +174,11 @@ class _IdealSweep:
         return rows, pivots, len(basis)
 
 
-def _check_relator(rho: LieElement, n: int, scheme: WeightScheme) -> LieElement:
-    if scheme != rho.scheme:
-        rho = rho.with_scheme(scheme)
+def _check_relator(rho: LieElement, n: int) -> None:
     if rho.is_zero():
         raise ValueError("the relator must be nonzero")
     if n < rho.degree:
         raise ValueError(f"degree {n} is below the relator degree {rho.degree}")
-    return rho
 
 
 def _indexed(rows: list[dict], basis: list[tuple[int, ...]]) -> list[dict[int, int]]:
@@ -194,30 +187,20 @@ def _indexed(rows: list[dict], basis: list[tuple[int, ...]]) -> list[dict[int, i
     return [{index[w]: c for w, c in coords.items()} for coords in rows]
 
 
-def _sweep_below(rho: LieElement, n: int, budget: int) -> _IdealSweep:
-    """A sweep of (rho) that has built every degree below n."""
+def ideal_component(rho: LieElement, n: int, *,
+                    budget: int = DEFAULT_BUDGET) -> list[dict]:
+    """Generating rows of the degree-n piece of (rho), word-keyed like
+    TorsionReport.rows: rho itself at its own degree, above it the
+    nonzero brackets of each generator with the echelon basis of the
+    degree below it."""
+    _check_relator(rho, n)
     sweep = _IdealSweep(rho, budget)
     while sweep.degree < n - 1:
         sweep.advance()
-    return sweep
+    return sweep.next_rows()[0]
 
 
-def ideal_component(rho: LieElement, n: int, scheme: WeightScheme,
-                    budget: int = DEFAULT_BUDGET) -> IdealComponent:
-    """Generators and coordinate matrix of the degree-n piece of (rho).
-
-    Generators are the sweep's rows: the nonzero brackets of each
-    generator with the echelon basis of the degree below it.  Columns run
-    over the Lyndon basis of the degree in lexicographic order.
-    """
-    rho = _check_relator(rho, n, scheme)
-    rows, basis = _sweep_below(rho, n, budget).next_rows()
-    generators = tuple(LieElement(scheme, n, coords) for coords in rows)
-    matrix = tuple(tuple(row.get(w, 0) for w in basis) for row in rows)
-    return IdealComponent(degree=n, generators=generators, matrix=matrix)
-
-
-def ideal_component_alt(rho: LieElement, n: int, scheme: WeightScheme) -> tuple[LieElement, ...]:
+def ideal_component_alt(rho: LieElement, n: int) -> tuple[LieElement, ...]:
     """Alternative generating set for the degree-n ideal piece.
 
     Brackets rho directly with every Lyndon basis element of the needed
@@ -225,7 +208,8 @@ def ideal_component_alt(rho: LieElement, n: int, scheme: WeightScheme) -> tuple[
     brackets at each step.  Spans the same row space as the echelon-fed
     sweep; small-instance tests compare the two.
     """
-    rho = _check_relator(rho, n, scheme)
+    _check_relator(rho, n)
+    scheme = rho.scheme
     d = rho.degree
     memo: dict[int, list[LieElement]] = {}
 
@@ -270,16 +254,7 @@ def _degree_report(n: int, pivots: dict[int, dict[int, int]], ncols: int
     )
 
 
-def quotient_degree_report(rho: LieElement, n: int, scheme: WeightScheme,
-                           budget: int = DEFAULT_BUDGET) -> DegreeReport:
-    """Exact rank, divisor chain, and quotient data at one degree."""
-    rho = _check_relator(rho, n, scheme)
-    _, pivots, ncols = _sweep_below(rho, n, budget).advance()
-    return _degree_report(n, pivots, ncols)
-
-
-def torsion_free_certificate(rho: LieElement, max_degree: int,
-                             scheme: WeightScheme,
+def torsion_free_certificate(rho: LieElement, max_degree: int, *,
                              budget: int = DEFAULT_BUDGET) -> TorsionReport:
     """Per-degree divisor chains for all degrees up to max_degree.
 
@@ -287,14 +262,14 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
     when every elementary divisor equals 1.  A relator of content
     greater than 1 is allowed, the certificate then legitimately fails
     and the note records the violated expectation.  One sweep serves
-    every degree, one elimination per degree; the bracket rows stay on
-    the report for the mod-p check.
+    every degree, one elimination per degree; the relator and the
+    bracket rows stay on the report for the cross-checks.
     """
-    rho = _check_relator(rho, rho.degree, scheme)
+    _check_relator(rho, rho.degree)
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
     d = rho.degree
-    dims = witt_dimensions(scheme, max_degree)
+    dims = witt_dimensions(rho.scheme, max_degree)
     note = None
     content = rho.content()
     if content != 1:
@@ -318,7 +293,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int,
         rows.append(level)
     torsion_free = all(not r.torsion for r in reports)
     return TorsionReport(
-        scheme=scheme,
+        relator=rho,
         relator_degree=d,
         max_degree=max_degree,
         degrees=tuple(reports),
@@ -356,23 +331,18 @@ def pbw_series(dimensions: list[int], order: int) -> list[int]:
         ((k, -g) for k, g in enumerate(dimensions, start=1)), order)
 
 
-def hilbert_crosscheck(report: TorsionReport, scheme: WeightScheme | None = None,
-                       d: int | None = None, max_degree: int | None = None) -> HilbertTable:
-    """Compare certified quotient dimensions against the imported series.
+def hilbert_crosscheck(report: TorsionReport) -> HilbertTable:
+    """Compare the certified quotient dimensions against the imported series.
 
     The closed form 1/(1 - m t - n t^e + t^d) comes from the cited
     literature on graded algebras with one defining relator; it is
-    validated against the independent Smith-form dimensions here and a
-    mismatch flags the import as suspect instead of trusting either side.
+    validated against the independent Smith-form dimensions of every
+    degree the certificate reached, and a mismatch flags the import as
+    suspect instead of trusting either side.
     """
-    scheme = report.scheme if scheme is None else scheme
-    d = report.relator_degree if d is None else d
-    covered = len(report.degrees)
-    if max_degree is None:
-        max_degree = min(report.max_degree, covered)
-    max_degree = min(max_degree, covered)
-    dims = [r.dim_quotient for r in report.degrees[:max_degree]]
-    return _hilbert_table(scheme, d, dims, max_degree)
+    dims = [r.dim_quotient for r in report.degrees]
+    return _hilbert_table(report.relator.scheme, report.relator_degree,
+                          dims, len(dims))
 
 
 def pbw_sanity_table(scheme: WeightScheme, max_degree: int) -> HilbertTable:
@@ -405,32 +375,20 @@ def _hilbert_table(scheme: WeightScheme, d: int | None, dims: list[int],
     )
 
 
-def modp_dimension_check(rho: LieElement, max_degree: int, scheme: WeightScheme,
-                         primes, report: TorsionReport | None = None,
-                         budget: int = DEFAULT_BUDGET) -> ModpCheck:
-    """Ranks of the ideal components over each F_p against integer ranks.
+def modp_dimension_check(report: TorsionReport, primes) -> ModpCheck:
+    """Ranks of the certificate's ideal rows over each F_p against its
+    integer ranks.
 
     Equality in every degree for every prime is exactly the absence of
     p-torsion there.  A relator whose content is divisible by one of
     the primes is expected to mismatch; the note says so.  The rows,
-    integer ranks and budget abort come from ``report``, the certificate
-    of the same relator to at least ``max_degree``; without one, a
-    certificate is computed under ``budget``.
+    integer ranks, relator and budget abort all come from ``report``.
     """
-    rho = _check_relator(rho, rho.degree, scheme)
     primes = tuple(primes)
     for p in primes:
         if not _is_prime(p):
             raise ValueError(f"{p} is not a prime")
-    d = rho.degree
-    if report is None:
-        report = torsion_free_certificate(rho, max_degree, scheme, budget)
-    elif (report.scheme != scheme or report.relator_degree != d
-          or report.max_degree < max_degree
-          or len(report.rows) != max(len(report.degrees) - d + 1, 0)
-          or (report.rows and report.rows[0] != [rho.coords])):
-        raise ValueError("the report is not a certificate of this relator "
-                         f"up to degree {max_degree}")
+    rho = report.relator
     note = None
     content = rho.content()
     divisible = [p for p in primes if content % p == 0]
@@ -439,8 +397,8 @@ def modp_dimension_check(rho: LieElement, max_degree: int, scheme: WeightScheme,
                 "mismatches are expected for those primes")
 
     tables: list[list[ModpDegreeRow]] = [[] for _ in primes]
-    for n, rows in zip(range(d, max_degree + 1), report.rows):
-        indexed = _indexed(rows, lyndon_words(scheme, n))
+    for n, rows in enumerate(report.rows, report.relator_degree):
+        indexed = _indexed(rows, lyndon_words(rho.scheme, n))
         rank_z = report.degrees[n - 1].rank
         for table, p in zip(tables, primes):
             rank_p = fp_rank(indexed, p)
@@ -450,11 +408,10 @@ def modp_dimension_check(rho: LieElement, max_degree: int, scheme: WeightScheme,
     reports = [ModpReport(prime=p, rows=tuple(table),
                           all_match=all(r.match for r in table))
                for p, table in zip(primes, tables)]
-    aborted = report.aborted_degree
     return ModpCheck(
         primes=primes,
         reports=tuple(reports),
         all_match=all(r.all_match for r in reports),
-        aborted_degree=aborted if aborted is not None and aborted <= max_degree else None,
+        aborted_degree=report.aborted_degree,
         note=note,
     )

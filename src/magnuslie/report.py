@@ -8,7 +8,7 @@ The result dataclasses are the report schema: each check's block holds
 its result's fields plus "skipped" (and "hypotheses_met" for the
 quotient checks, "passed" for the suites), or "skipped" and "reason".
 Only a few renderings are spelled out here: the gate's rho as text,
-mod-p's reports under "tables", torsion without its scheme and raw rows,
+mod-p's reports under "tables", torsion without its relator and raw rows,
 and meta.  Reports serialize with sorted keys and every mathematical
 integer rendered as a decimal string, so consumers never face precision
 loss; repeated runs with the same configuration produce identical JSON
@@ -137,9 +137,6 @@ def run_report(config: RunConfig) -> RunReport:
     quotient_ok = gate.rho is not None and max_degree is not None \
         and max_degree >= gate.d
     run_quotient = (gate.accepted or config.force_downstream) and quotient_ok
-    scheme_full = gate.scheme
-    if scheme_full is None and gate.chosen_e is not None:
-        scheme_full = WeightScheme(pres.m, pres.n, gate.chosen_e)
 
     for name in ("torsion", "hilbert", "modp"):
         if name not in selected:
@@ -156,7 +153,7 @@ def run_report(config: RunConfig) -> RunReport:
         if "torsion" in selected or "hilbert" in selected or "modp" in selected:
             start = time.perf_counter()
             report.torsion = torsion_free_certificate(
-                gate.rho, max_degree, scheme_full, budget=config.budget)
+                gate.rho, max_degree, budget=config.budget)
             timings["torsion"] = time.perf_counter() - start
         if "hilbert" in selected and report.torsion is not None:
             start = time.perf_counter()
@@ -164,14 +161,11 @@ def run_report(config: RunConfig) -> RunReport:
             timings["hilbert"] = time.perf_counter() - start
         if "modp" in selected and report.torsion is not None:
             start = time.perf_counter()
-            report.modp = modp_dimension_check(
-                gate.rho, max_degree, scheme_full, config.primes,
-                report=report.torsion, budget=config.budget)
+            report.modp = modp_dimension_check(report.torsion, config.primes)
             timings["modp"] = time.perf_counter() - start
 
-    suites_scheme = scheme_full
-    if suites_scheme is None:
-        suites_scheme = WeightScheme(pres.m, pres.n, pres.e or 1)
+    # the relator's scheme when the gate found one; else the file's e, if any
+    suites_scheme = WeightScheme(pres.m, pres.n, gate.chosen_e or 1)
     if "floor-bound" in selected:
         start = time.perf_counter()
         report.floor_bound = floor_bound_suite(
@@ -271,8 +265,8 @@ def report_to_json_dict(report: RunReport, include_timings: bool = True) -> dict
 
     torsion = _block(report.torsion, reason("torsion"),
                      hypotheses_met=gate.accepted)
-    # the scheme is the gate's; the raw bracket rows feed mod-p only
-    torsion.pop("scheme", None)
+    # the relator is the gate's rho; the raw bracket rows feed mod-p only
+    torsion.pop("relator", None)
     torsion.pop("rows", None)
     modp = _block(report.modp, reason("modp"), hypotheses_met=gate.accepted)
     if "reports" in modp:

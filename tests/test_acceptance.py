@@ -47,7 +47,7 @@ def _corpus_certificates():
     for label, scheme, rho in _corpus():
         cap = rho.degree + 6
         start = time.perf_counter()
-        cert = torsion_free_certificate(rho, cap, scheme)
+        cert = torsion_free_certificate(rho, cap)
         elapsed = time.perf_counter() - start
         out.append((label, scheme, rho, cert, elapsed))
     return out
@@ -101,7 +101,7 @@ def test_torsion_free_certificates_for_corpus():
 def test_negative_control_detects_torsion():
     scheme = WeightScheme(1, 1, 2)
     rho = LieElement(scheme, 1, {(0,): 2})
-    cert = torsion_free_certificate(rho, 3, scheme)
+    cert = torsion_free_certificate(rho, 3)
     assert not cert.torsion_free
     assert cert.degrees[0].divisors == (2,)
     assert cert.degrees[0].torsion == (2,)
@@ -136,7 +136,7 @@ def test_modp_consistency_for_corpus():
     primes = (2, 3, 5, 7)
     for label, scheme, rho, cert, _ in _corpus_certificates():
         cap = rho.degree + 6
-        check = modp_dimension_check(rho, cap, scheme, primes, report=cert)
+        check = modp_dimension_check(cert, primes)
         assert check.all_match, f"mod-p mismatch for {label}"
         for table in check.reports:
             assert len(table.rows) == cap - rho.degree + 1

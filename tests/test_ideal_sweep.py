@@ -116,8 +116,8 @@ def test_echelon_entries_stay_small_where_leads_are_not_units():
 @pytest.mark.parametrize("scheme, make, top_z, top_p", TORSION_CASES)
 def test_divisors_and_fp_ranks_equal_the_dedup_sweep(scheme, make, top_z, top_p):
     rho = make(scheme)
-    cert = torsion_free_certificate(rho, top_p, scheme)
-    check = modp_dimension_check(rho, top_p, scheme, PRIMES, report=cert)
+    cert = torsion_free_certificate(rho, top_p)
+    check = modp_dimension_check(cert, PRIMES)
     assert cert.aborted_degree is None
     for n, old in zip(range(rho.degree, top_p + 1), dedup_sweep_rows(rho, top_p)):
         rows = indexed(old, scheme, n)
@@ -178,9 +178,9 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
 def test_budget_abort_degree_follows_the_bound():
     rho = comm(S213)
     # degree 10 is 267 x 267 = 71289 entries, degree 11 is 539 x 546
-    cert = torsion_free_certificate(rho, 24, S213, budget=71289)
+    cert = torsion_free_certificate(rho, 24, budget=71289)
     assert cert.aborted_degree == 11
     assert [r.degree for r in cert.degrees] == list(range(1, 11))
     with pytest.raises(BudgetExceeded) as err:
-        quotient.quotient_degree_report(rho, 11, S213, budget=71289)
+        quotient.ideal_component(rho, 11, budget=71289)
     assert (err.value.rows, err.value.cols) == (539, 546)

@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 import pytest
@@ -7,8 +8,7 @@ from magnuslie import (BudgetExceeded, LieElement, WeightScheme, bracket,
                        candidate_series, generator_element, hilbert_crosscheck,
                        ideal_component, ideal_component_alt, integer_row_space,
                        lyndon_words, modp_dimension_check, pbw_sanity_table,
-                       pbw_series, quotient_degree_report,
-                       torsion_free_certificate, witt_dimensions)
+                       pbw_series, torsion_free_certificate, witt_dimensions)
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
@@ -21,6 +21,11 @@ def xi(scheme, i):
 
 def rho_comm(scheme):
     return bracket(xi(scheme, 0), xi(scheme, 1))
+
+
+def dense(rows, scheme, n):
+    """Word-keyed rows as a matrix over the Lyndon basis of degree n."""
+    return tuple(tuple(row.get(w, 0) for w in lyndon_words(scheme, n)) for row in rows)
 
 
 # -- independent dimension oracles -----------------------------------------
@@ -90,50 +95,50 @@ def test_free_dims_oracle_matches_witt():
 
 
 def test_ideal_component_base_degree():
-    comp = ideal_component(rho_comm(S20), 2, S20)
-    assert len(comp.generators) == 1
-    assert comp.matrix == ((1,),)
+    rows = ideal_component(rho_comm(S20), 2)
+    assert len(rows) == 1
+    assert dense(rows, S20, 2) == ((1,),)
 
 
 def test_ideal_component_next_degree():
-    comp = ideal_component(rho_comm(S20), 3, S20)
-    assert len(comp.generators) == 2
-    report = quotient_degree_report(rho_comm(S20), 3, S20)
+    rows = ideal_component(rho_comm(S20), 3)
+    assert len(rows) == 2
+    report = torsion_free_certificate(rho_comm(S20), 3).degrees[2]
     assert report.rank == 2 and report.dim_free == 2
 
 
 def test_ideal_component_scalar_relator():
     rho = LieElement(S20, 1, {(0,): 2})
-    comp = ideal_component(rho, 1, S20)
-    assert comp.matrix == ((2, 0),)
+    rows = ideal_component(rho, 1)
+    assert dense(rows, S20, 1) == ((2, 0),)
 
 
 def test_ideal_component_rejects_low_degree():
     with pytest.raises(ValueError):
-        ideal_component(rho_comm(S20), 1, S20)
+        ideal_component(rho_comm(S20), 1)
     with pytest.raises(ValueError):
-        ideal_component(LieElement.zero(S20, 2), 2, S20)
+        ideal_component(LieElement.zero(S20, 2), 2)
 
 
 def test_degree_reports_abelian_quotient():
     rho = rho_comm(S20)
-    r2 = quotient_degree_report(rho, 2, S20)
+    r2 = torsion_free_certificate(rho, 2).degrees[1]
     assert (r2.rank, r2.divisors, r2.dim_quotient) == (1, (1,), 0)
-    r3 = quotient_degree_report(rho, 3, S20)
+    r3 = torsion_free_certificate(rho, 3).degrees[2]
     assert (r3.rank, r3.divisors, r3.dim_quotient) == (2, (1, 1), 0)
     for n in (4, 5, 6):
-        rn = quotient_degree_report(rho, n, S20)
+        rn = torsion_free_certificate(rho, n).degrees[n - 1]
         assert rn.dim_quotient == 0 and not rn.torsion
 
 
 def test_degree_report_torsion():
     rho = LieElement(S20, 1, {(0,): 2})
-    r1 = quotient_degree_report(rho, 1, S20)
+    r1 = torsion_free_certificate(rho, 1).degrees[0]
     assert r1.divisors == (2,) and r1.torsion == (2,)
 
 
 def test_certificate_accepted_corpus_member():
-    cert = torsion_free_certificate(rho_comm(S213), 8, S213)
+    cert = torsion_free_certificate(rho_comm(S213), 8)
     assert cert.torsion_free
     assert cert.note is None
     assert cert.aborted_degree is None
@@ -145,23 +150,35 @@ def test_certificate_accepted_corpus_member():
 
 def test_certificate_negative_control():
     rho = LieElement(S112, 1, {(0,): 2})
-    cert = torsion_free_certificate(rho, 3, S112)
+    cert = torsion_free_certificate(rho, 3)
     assert not cert.torsion_free
     assert cert.degrees[0].divisors == (2,)
     assert cert.note is not None and "content is 2" in cert.note
 
 
 def test_certificate_budget_abort():
-    cert = torsion_free_certificate(rho_comm(S213), 8, S213, budget=10)
+    cert = torsion_free_certificate(rho_comm(S213), 8, budget=10)
     assert cert.aborted_degree is not None
     assert cert.aborted_degree <= 8
     with pytest.raises(BudgetExceeded):
-        ideal_component(rho_comm(S213), 8, S213, budget=10)
+        ideal_component(rho_comm(S213), 8, budget=10)
+
+
+def test_budget_abort_at_the_relator_degree():
+    # the budget refuses the relator's own degree, so the certificate
+    # holds no rows; mod-p still reads the relator's content from it
+    rho = rho_comm(S213).scale(2)
+    cert = torsion_free_certificate(rho, 4, budget=0)
+    assert cert.aborted_degree == 2 and cert.rows == ()
+    check = modp_dimension_check(cert, (2,))
+    assert check.aborted_degree == 2
+    assert check.reports[0].rows == ()
+    assert check.note.startswith("relator content 2 is divisible by [2]")
 
 
 def test_hilbert_abelian_example():
     # rank-2 abelian quotient: both sides are 1/(1-t)^2
-    cert = torsion_free_certificate(rho_comm(S20), 6, S20)
+    cert = torsion_free_certificate(rho_comm(S20), 6)
     table = hilbert_crosscheck(cert)
     assert table.all_match
     assert table.candidate == tuple(k + 1 for k in range(7))
@@ -176,7 +193,7 @@ def test_hilbert_relator_free_sanity():
 
 
 def test_hilbert_corpus_match():
-    cert = torsion_free_certificate(rho_comm(S213), 8, S213)
+    cert = torsion_free_certificate(rho_comm(S213), 8)
     table = hilbert_crosscheck(cert)
     assert table.all_match
     assert table.candidate == (1, 2, 3, 5, 9, 16, 28, 49, 86)
@@ -184,17 +201,17 @@ def test_hilbert_corpus_match():
 
 
 def test_hilbert_mismatch_is_flagged():
-    cert = torsion_free_certificate(rho_comm(S213), 6, S213)
+    cert = torsion_free_certificate(rho_comm(S213), 6)
     # sabotage: a wrong relator degree shifts the candidate series
-    table = hilbert_crosscheck(cert, d=3)
+    table = hilbert_crosscheck(dataclasses.replace(cert, relator_degree=3))
     assert not table.all_match
     assert "suspect" in table.formula_status
 
 
 def test_modp_matches_on_accepted_input():
     rho = rho_comm(S213)
-    cert = torsion_free_certificate(rho, 8, S213)
-    check = modp_dimension_check(rho, 8, S213, (2, 3, 5, 7), report=cert)
+    cert = torsion_free_certificate(rho, 8)
+    check = modp_dimension_check(cert, (2, 3, 5, 7))
     assert check.all_match
     assert check.note is None
     for table in check.reports:
@@ -205,7 +222,7 @@ def test_modp_matches_on_accepted_input():
 
 def test_modp_flags_two_torsion():
     rho = LieElement(S112, 1, {(0,): 2})
-    check = modp_dimension_check(rho, 1, S112, (2,))
+    check = modp_dimension_check(torsion_free_certificate(rho, 1), (2,))
     assert not check.all_match
     assert check.note is not None
     row = check.reports[0].rows[0]
@@ -215,48 +232,34 @@ def test_modp_flags_two_torsion():
 @pytest.mark.parametrize("primes", [(4,), (2, 9), (1,)])
 def test_modp_rejects_non_primes(primes):
     with pytest.raises(ValueError, match="not a prime"):
-        modp_dimension_check(rho_comm(S213), 4, S213, primes)
+        modp_dimension_check(torsion_free_certificate(rho_comm(S213), 4), primes)
 
 
 def test_modp_reuses_the_certificate_rows(monkeypatch):
     rho = rho_comm(S213)
-    cert = torsion_free_certificate(rho, 8, S213)
-    expected = modp_dimension_check(rho, 8, S213, (2, 3))
+    cert = torsion_free_certificate(rho, 8)
+    expected = modp_dimension_check(torsion_free_certificate(rho, 8), (2, 3))
+    lower = torsion_free_certificate(rho, 6)
 
     def unused(*args, **kwargs):
         raise AssertionError("mod-p recomputed what the certificate holds")
 
     monkeypatch.setattr(quotient, "_IdealSweep", unused)
     monkeypatch.setattr(quotient, "_echelon", unused)
-    assert modp_dimension_check(rho, 8, S213, (2, 3), report=cert) == expected
-    assert modp_dimension_check(rho, 6, S213, (2, 3), report=cert).reports[0].rows \
+    assert modp_dimension_check(cert, (2, 3)) == expected
+    assert modp_dimension_check(lower, (2, 3)).reports[0].rows \
         == expected.reports[0].rows[:5]
 
 
 def test_modp_reads_the_abort_from_the_certificate():
     rho = rho_comm(S213)
-    cert = torsion_free_certificate(rho, 8, S213, budget=200)
-    check = modp_dimension_check(rho, 8, S213, (2,), report=cert)
+    cert = torsion_free_certificate(rho, 8, budget=200)
+    check = modp_dimension_check(cert, (2,))
     assert check.aborted_degree == cert.aborted_degree
     assert [r.degree for r in check.reports[0].rows] \
         == list(range(2, cert.aborted_degree))
-    assert check == modp_dimension_check(rho, 8, S213, (2,), budget=200)
-    assert modp_dimension_check(rho, cert.aborted_degree - 1, S213, (2,),
-                                report=cert).aborted_degree is None
-
-
-def test_modp_rejects_a_foreign_certificate():
-    rho = rho_comm(S213)
-    cert = torsion_free_certificate(rho, 6, S213)
-    other = LieElement(S213, 3, {(0, 0, 1): 1})
-    with pytest.raises(ValueError):
-        modp_dimension_check(rho, 6, WeightScheme(2, 1, 4), (2,), report=cert)
-    with pytest.raises(ValueError):
-        modp_dimension_check(other, 6, S213, (2,), report=cert)
-    with pytest.raises(ValueError):
-        modp_dimension_check(rho, 7, S213, (2,), report=cert)
-    with pytest.raises(ValueError):
-        modp_dimension_check(rho.scale(3), 6, S213, (2,), report=cert)
+    below = torsion_free_certificate(rho, cert.aborted_degree - 1, budget=200)
+    assert modp_dimension_check(below, (2,)).aborted_degree is None
 
 
 def _fresh_relators(scheme, degree, count, seed):
@@ -275,14 +278,14 @@ def test_concurrent_certificates_match_serial_ones(on_four_threads):
     relators = _fresh_relators(scheme, 2, 20, seed=53)
     calls = []
     for rho in relators:
-        calls += [(quotient_degree_report, rho, 6, scheme),
-                  (torsion_free_certificate, rho, 6, scheme)] * 2
+        calls += [(lambda rho: torsion_free_certificate(rho, 6).degrees[5], rho),
+                  (torsion_free_certificate, rho, 6)] * 2
     results = on_four_threads(calls)
     # the serial reference runs on -rho: the same ideal, hence equal
     # reports, computed from nothing the threaded calls made
     for k, rho in enumerate(relators):
-        serial = (quotient_degree_report(-rho, 6, scheme),
-                  torsion_free_certificate(-rho, 6, scheme))
+        serial = (torsion_free_certificate(-rho, 6).degrees[5],
+                  torsion_free_certificate(-rho, 6))
         assert tuple(results[4 * k:4 * k + 2]) == serial
         assert tuple(results[4 * k + 2:4 * k + 4]) == serial
 
@@ -290,7 +293,7 @@ def test_concurrent_certificates_match_serial_ones(on_four_threads):
 def test_high_cap_stops_at_the_budget_without_enumerating_the_cap():
     # the free dimensions up to the cap are counted, so only the degrees
     # the sweep reaches are ever enumerated
-    cert = torsion_free_certificate(rho_comm(S213), 24, S213)
+    cert = torsion_free_certificate(rho_comm(S213), 24)
     assert cert.aborted_degree == 14
     assert cert.torsion_free
     assert [r.degree for r in cert.degrees] == list(range(1, 14))
@@ -299,18 +302,18 @@ def test_high_cap_stops_at_the_budget_without_enumerating_the_cap():
 def test_modp_generator_relator_gives_smaller_free_ring():
     scheme = WeightScheme(2, 1, 2)
     rho = generator_element(scheme, 0)
-    cert = torsion_free_certificate(rho, 6, scheme)
+    cert = torsion_free_certificate(rho, 6)
     assert cert.torsion_free
     smaller = witt_dimensions(S112, 6)
     assert [r.dim_quotient for r in cert.degrees] == smaller
-    check = modp_dimension_check(rho, 6, scheme, (3,), report=cert)
+    check = modp_dimension_check(cert, (3,))
     assert check.all_match
 
 
-def _row_space(elements, scheme, degree):
+def _row_space(rows, scheme, degree):
     basis = lyndon_words(scheme, degree)
     index = {w: i for i, w in enumerate(basis)}
-    rows = [{index[w]: c for w, c in e.coords.items()} for e in elements]
+    rows = [{index[w]: c for w, c in row.items()} for row in rows]
     return integer_row_space(rows, len(basis))
 
 
@@ -320,8 +323,8 @@ def _row_space(elements, scheme, degree):
 def test_strategy_independence_small(scheme, d_rho, extra):
     rho = rho_comm(scheme) if scheme.m >= 2 else bracket(xi(scheme, 0), xi(scheme, 1))
     for n in range(rho.degree, rho.degree + extra + 1):
-        primary = ideal_component(rho, n, scheme).generators
-        alt = ideal_component_alt(rho, n, scheme)
+        primary = ideal_component(rho, n)
+        alt = [e.coords for e in ideal_component_alt(rho, n)]
         assert _row_space(primary, scheme, n) == _row_space(alt, scheme, n)
 
 
@@ -338,13 +341,13 @@ def test_strategy_independence_random_relators():
             coords = {basis[0]: 1}
         rho = LieElement(scheme, degree, coords)
         n = degree + rng.randrange(1, 3)
-        primary = ideal_component(rho, n, scheme).generators
-        alt = ideal_component_alt(rho, n, scheme)
+        primary = ideal_component(rho, n)
+        alt = [e.coords for e in ideal_component_alt(rho, n)]
         assert _row_space(primary, scheme, n) == _row_space(alt, scheme, n)
 
 
 def test_quotient_dims_bounds():
-    cert = torsion_free_certificate(rho_comm(S213), 8, S213)
+    cert = torsion_free_certificate(rho_comm(S213), 8)
     for r in cert.degrees:
         assert 0 <= r.dim_quotient <= r.dim_free
         assert r.rank + r.dim_quotient == r.dim_free

@@ -1,14 +1,17 @@
 """Smoke tests for the scripts under scripts/, run in process."""
 
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from magnuslie import WeightScheme, ideal_component, leading_lie_form, parse_word
+from magnuslie import (WeightScheme, ideal_component, leading_lie_form,
+                       lyndon_words, parse_word)
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, args, monkeypatch):
@@ -32,7 +35,9 @@ def test_dumped_matrices_match_ideal_components(tmp_path, monkeypatch, capsys):
     degree, rho = leading_lie_form(parse_word("[x1,x2]", scheme), scheme, 7)
     for n in range(degree, 8):
         dumped = (tmp_path / f"ideal_degree_{n}.txt").read_text()
-        assert dumped == ideal_component(rho, n, scheme).matrix_text() + "\n"
+        basis = lyndon_words(scheme, n)
+        assert dumped == "\n".join(" ".join(str(row.get(w, 0)) for w in basis)
+                                   for row in ideal_component(rho, n)) + "\n"
     assert len(list(tmp_path.iterdir())) == 8 - degree
 
 
@@ -54,3 +59,35 @@ def test_dimension_table_ends_in_one_line_and_an_exit_code(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("dimension_table.py: ")
     assert message in err
+
+
+@pytest.mark.parametrize("name, args", [
+    ("dimension_table.py", ["--m", "x"]),
+    ("run_corpus.py", ["--bogus"]),
+])
+def test_usage_errors_exit_4(name, args, monkeypatch, capsys):
+    assert run_script(name, args, monkeypatch) == 4
+    assert f"{name}: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    # RunConfig refuses the sample count
+    (["--samples", "-1"], "sample count must be nonnegative"),
+    (["--directory", "/nonexistent", "--samples", "1"], "No such file"),
+])
+def test_run_corpus_errors_end_in_one_line_and_exit_4(
+        args, message, monkeypatch, capsys):
+    assert run_script("run_corpus.py", args, monkeypatch) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("run_corpus.py: error: ")
+    assert message in err
+
+
+def test_run_corpus_unexpected_exit_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # a corpus whose first file is the rejected square power
+    directory = tmp_path / "presentations"
+    shutil.copytree(ROOT / "presentations", directory)
+    shutil.copy(directory / "square_power.pres", directory / "commutator_basic.pres")
+    args = ["--samples", "1", "--directory", str(directory)]
+    assert run_script("run_corpus.py", args, monkeypatch) == 2
+    assert "exit 1 (expected 0) UNEXPECTED" in capsys.readouterr().out

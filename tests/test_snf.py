@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from magnuslie import (WeightScheme, bracket, fp_rank, generator_element,
-                       ideal_component, integer_row_space, smith_normal_form,
-                       snf)
+                       ideal_component, integer_row_space, lyndon_words,
+                       smith_normal_form, snf)
 
 S213 = WeightScheme(2, 1, 3)
 
@@ -205,9 +205,10 @@ def sparse_cases():
 def ideal_cases():
     rho = bracket(generator_element(S213, 0), generator_element(S213, 1))
     for n in range(2, 11):
-        matrix = ideal_component(rho, n, S213).matrix
-        yield ([{c: v for c, v in enumerate(row) if v} for row in matrix],
-               len(matrix[0]))
+        rows = ideal_component(rho, n)
+        basis = lyndon_words(S213, n)
+        yield ([{c: row[w] for c, w in enumerate(basis) if w in row} for row in rows],
+               len(basis))
 
 
 def test_planted_divisors_are_recovered():
