@@ -22,6 +22,12 @@ words of the same length.  So the least monomial of a Lie element is
 always a Lyndon word, and back substitution along increasing monomials
 rewrites a polynomial into Lyndon coordinates exactly when it lies in
 the Lie span, over the integers and over the rationals alike.
+
+Every LieElement checks each nonzero coordinate when it is built: an
+integer coefficient, integer letters, and a Lyndon word of the element's
+degree.  The word check is one lookup per word in a memo keyed on the
+letter weights and the word; only a word that fails it is walked letter
+by letter, to name the error.
 """
 
 from __future__ import annotations
@@ -60,6 +66,17 @@ def _is_lyndon(word: tuple[int, ...]) -> bool:
         if word[i:] + word[:i] <= word:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _lyndon_weight(weights: tuple[int, ...], word: tuple[int, ...]) -> int | None:
+    """Weight of a Lyndon word whose letters all index ``weights``; None
+    for any other word, the empty one included (min and max never see
+    it).  Integer letters only: a float letter hashes like the integer
+    it equals."""
+    if not _is_lyndon(word) or not 0 <= min(word) <= max(word) < len(weights):
+        return None
+    return sum([weights[z] for z in word])
 
 
 @lru_cache(maxsize=None)
@@ -220,17 +237,24 @@ class LieElement:
 
     def __post_init__(self):
         clean = {}
+        weights = self.scheme.letter_weights()
         for word, c in self.coords.items():
             word = tuple(word)
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"integer coordinate expected, got {c!r}")
             if not c:
                 continue
-            if self.scheme.monomial_weight(word) != self.degree:
-                raise ValueError(f"basis word {word} is not homogeneous of "
-                                 f"degree {self.degree}")
-            if not _is_lyndon(word):
-                raise ValueError(f"{word} is not a Lyndon word")
+            # one C-level pass; a float or Fraction letter makes a float or
+            # Fraction sum, and the memo cannot tell (0.0, 1.0) from (0, 1)
+            if sum(word).__class__ is not int:
+                raise TypeError(f"integer letters expected, got {word!r}")
+            if _lyndon_weight(weights, word) != self.degree:
+                # the per-letter checks name what is wrong
+                if self.scheme.monomial_weight(word) != self.degree:
+                    raise ValueError(f"basis word {word} is not homogeneous of "
+                                     f"degree {self.degree}")
+                if not _is_lyndon(word):
+                    raise ValueError(f"{word} is not a Lyndon word")
             clean[word] = c
         object.__setattr__(self, "coords", clean)
 

@@ -254,7 +254,7 @@ def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
     mat = _sparse_rows(rows)
     if ncols is not None:
         for row in mat:
-            if row and max(row) >= ncols:
+            if row and (min(row) < 0 or max(row) >= ncols):
                 raise ValueError("column index beyond the declared width")
     return _smith_from_echelon(_echelon(mat))
 
@@ -330,9 +330,12 @@ def integer_row_space(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for lead in sorted(pivots):
         row = pivots[lead]
-        if row and max(row) >= ncols:
+        if min(row) < 0 or max(row) >= ncols:
             raise ValueError("column index beyond the declared width")
-        out.append(tuple(row.get(c, 0) for c in range(ncols)))
+        dense = [0] * ncols
+        for c, v in row.items():
+            dense[c] = v
+        out.append(tuple(dense))
     return tuple(out)
 
 

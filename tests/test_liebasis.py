@@ -15,13 +15,15 @@ from magnuslie import (DegreeAboveCutoff, INTEGERS, LieElement,
                        witt_dimensions)
 from magnuslie import free_reduce, standard_factorization, word_multiply
 from magnuslie.checks import random_lie_element
-from magnuslie.liebasis import _lyndon_bucket, _lyndon_rewrite
+from magnuslie.liebasis import (_is_lyndon, _lyndon_bucket, _lyndon_rewrite,
+                                _lyndon_weight)
 from magnuslie.truncpoly import product_of_powers
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
 S213 = WeightScheme(2, 1, 3)
 S212 = WeightScheme(2, 1, 2)
+S211 = WeightScheme(2, 1, 1)
 
 
 # -- brute force oracle: Lyndon = strictly smaller than all rotations ------
@@ -394,6 +396,124 @@ def test_jacobi_and_antisymmetry(data):
     total = (bracket(bracket(a, b), c) + bracket(bracket(b, c), a)
              + bracket(bracket(c, a), b))
     assert total.is_zero()
+
+
+# -- construction validates every nonzero coordinate -----------------------
+
+
+@pytest.mark.parametrize("scheme, degree, coords, error, message", [
+    (S20, 2, {(1, 0): 1}, ValueError, "(1, 0) is not a Lyndon word"),
+    (S20, 2, {(0, 0): 1}, ValueError, "(0, 0) is not a Lyndon word"),
+    (S20, 3, {(0, 1): 1}, ValueError,
+     "basis word (0, 1) is not homogeneous of degree 3"),
+    # the degree is checked before the Lyndon property
+    (S20, 3, {(1, 0): 1}, ValueError,
+     "basis word (1, 0) is not homogeneous of degree 3"),
+    (S20, 1, {(): 1}, ValueError, "basis word () is not homogeneous of degree 1"),
+    (S20, 0, {(): 1}, ValueError, "() is not a Lyndon word"),
+    (S20, 2, {(0, 2): 1}, ValueError,
+     "letter index 2 out of range for (m=2, n=0, e=1)"),
+    (S20, 2, {(-1, 0): 1}, ValueError,
+     "letter index -1 out of range for (m=2, n=0, e=1)"),
+    (S20, 2, {(0, 1): True}, TypeError, "integer coordinate expected, got True"),
+    (S20, 2, {(0, 1): 1.0}, TypeError, "integer coordinate expected, got 1.0"),
+    # coordinates are checked in order: the first bad one names the error
+    (S20, 2, {(0, 1): 1, (1, 0): 2, (0, 5): 3}, ValueError,
+     "(1, 0) is not a Lyndon word"),
+])
+def test_construction_rejects_bad_coordinates(scheme, degree, coords, error,
+                                              message):
+    with pytest.raises(error) as caught:
+        LieElement(scheme, degree, coords)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_zero_coordinates_are_dropped_unchecked():
+    elem = LieElement(S20, 2, {(1, 0): 0, (7,): 0, (): 0, (0, 1): 2})
+    assert elem.coords == {(0, 1): 2}
+    assert LieElement(S20, 5, {(-1, 1): 0}).is_zero()
+
+
+def test_one_word_under_two_weightings():
+    # (0, 2) has degree 2 when y1 has weight 1 and degree 4 when it has weight 3
+    low = LieElement(S211, 2, {(0, 2): 1})
+    high = LieElement(S213, 4, {(0, 2): 1})
+    assert low.coords == high.coords == {(0, 2): 1}
+    for scheme, degree in ((S213, 2), (S211, 4)):
+        with pytest.raises(ValueError) as caught:
+            LieElement(scheme, degree, {(0, 2): 1})
+        assert str(caught.value) == f"basis word (0, 2) is not homogeneous of degree {degree}"
+    with pytest.raises(ValueError) as caught:
+        low.with_scheme(S213)
+    assert str(caught.value) == "basis word (0, 2) is not homogeneous of degree 2"
+    assert low.with_scheme(S211) == low
+
+
+def test_with_scheme_into_a_smaller_alphabet():
+    elem = LieElement(S211, 2, {(0, 2): 1, (0, 1): -1})
+    with pytest.raises(ValueError) as caught:
+        elem.with_scheme(S20)
+    assert str(caught.value) == "letter index 2 out of range for (m=2, n=0, e=1)"
+    assert LieElement(S211, 2, {(0, 1): -1}).with_scheme(S20) == LieElement(S20, 2, {(0, 1): -1})
+
+
+@pytest.mark.parametrize("word", [(0.0, 1.0), (0, 1.0), (Fraction(0), 1)])
+def test_non_integer_letters_are_rejected(word):
+    # (0.0, 1.0) equals and hashes like (0, 1), which this memoizes first
+    LieElement(S20, 2, {(0, 1): 1})
+    with pytest.raises(TypeError) as caught:
+        LieElement(S20, 2, {word: 1})
+    assert str(caught.value) == f"integer letters expected, got {word!r}"
+
+
+def test_bool_letters_are_the_integers_they_equal():
+    # bool subclasses int, and (False, True) == (0, 1) with the same hash:
+    # such a word is accepted and names the basis word (0, 1)
+    elem = LieElement(S20, 2, {(False, True): 3})
+    assert elem == LieElement(S20, 2, {(0, 1): 3})
+    assert elem.to_text() == "3*L[x1 x2]"
+    with pytest.raises(ValueError) as caught:
+        LieElement(S20, 2, {(True, False): 1})
+    assert str(caught.value) == "(True, False) is not a Lyndon word"
+
+
+@pytest.mark.parametrize("scheme", [S20, S112, S211, S213, WeightScheme(3, 1, 4)])
+def test_lyndon_weight_memo_agrees_with_the_per_letter_checks(scheme):
+    rng = Random(10 * scheme.letters + scheme.e)
+    words = [()] + lyndon_words(scheme, 5) + [
+        tuple(rng.randrange(-2, scheme.letters + 2) for _ in range(rng.randrange(1, 8)))
+        for _ in range(3000)]
+    weights = scheme.letter_weights()
+    for word in words:
+        try:
+            weight = scheme.monomial_weight(word)
+        except ValueError:  # a letter out of range
+            weight = None
+        memo = _lyndon_weight(weights, word)
+        for degree in range(9):
+            assert (memo == degree) == (weight == degree and _is_lyndon(word))
+
+
+def _build_each(scheme, degree, words):
+    out = []
+    for word in words:
+        try:
+            out.append(LieElement(scheme, degree, {word: 1}).coords)
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_construction_on_four_threads_matches_a_serial_run(on_four_threads):
+    words = [w for n in range(1, 5) for w in product(range(-1, 4), repeat=n)]
+    calls = [(_build_each, scheme, degree, words)
+             for scheme, degree in ((S211, 2), (S213, 4), (S211, 4), (S213, 2))]
+    _lyndon_weight.cache_clear()
+    serial = [fn(*args) for fn, *args in calls]
+    assert all({(0, 2): 1} in out and "(2, 0) is not a Lyndon word" in out
+               for out in serial[:2])
+    _lyndon_weight.cache_clear()
+    assert on_four_threads(calls) == serial
 
 
 def test_lie_element_text():

@@ -121,6 +121,26 @@ def test_row_space_distinguishes_index_two_subgroup():
     assert full != doubled
 
 
+@pytest.mark.parametrize("rows", [
+    [{-1: 1}],
+    [{-1: 1, 0: 2}],
+    [{0: 1}, {0: 1, -3: 4}],
+    [{2: 1}],
+    [{0: 1, 5: 1}],
+])
+def test_column_outside_the_width_is_rejected(rows):
+    # a negative index once densified to a zero row, or vanished from one
+    for kernel in (integer_row_space, smith_normal_form):
+        with pytest.raises(ValueError) as caught:
+            kernel(rows, 2)
+        assert str(caught.value) == "column index beyond the declared width"
+
+
+def test_row_space_pads_unused_columns_with_zeros():
+    rows = [{3: -4, 1: 2}, {0: 3, 3: 1}]
+    assert integer_row_space(rows, 5) == ((3, 0, 0, 1, 0), (0, 2, 0, -4, 0))
+
+
 # -- echelon-first Smith form against the general loop it bypasses ---------
 #
 # smith_normal_form reduces to a row-echelon basis first and runs the
