@@ -17,7 +17,8 @@ from .liebasis import (DegreeAboveCutoff, LieElement, LyndonBasisElement,
                        lyndon_basis, lyndon_words, standard_bracketing,
                        standard_factorization, to_lyndon_coords,
                        witt_dimensions)
-from .snf import SmithResult, fp_rank, integer_row_space, smith_normal_form
+from .snf import SmithResult, integer_row_space, smith_normal_form
+from .fprank import fp_rank, fp_ranks
 from .gate import HypothesisReport, Presentation, check_relator_hypotheses
 from .quotient import (DEFAULT_BUDGET, BudgetExceeded, DegreeReport,
                        HilbertTable, ModpCheck, ModpReport, TorsionReport,

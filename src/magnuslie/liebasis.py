@@ -256,6 +256,12 @@ class LieElement:
                 if not _is_lyndon(word):
                     raise ValueError(f"{word} is not a Lyndon word")
             clean[word] = c
+        # after the coordinates, so a bad word is named first; a bool
+        # degree is not int
+        if self.degree.__class__ is not int or self.degree < 1:
+            if self.degree.__class__ is not int:
+                raise TypeError(f"integer degree expected, got {self.degree!r}")
+            raise ValueError(f"degree must be positive, got {self.degree}")
         object.__setattr__(self, "coords", clean)
 
     @classmethod

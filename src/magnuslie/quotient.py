@@ -22,7 +22,9 @@ two cross-checks of it:
   (``hilbert_crosscheck``),
 * ranks of the certificate's rows over small prime fields, which agree
   with the integer ranks exactly when no p-torsion exists
-  (``modp_dimension_check``).
+  (``modp_dimension_check``); the ranks for all the primes come from one
+  elimination per degree modulo their product, which splits the modulus
+  only at a zero-divisor lead (``fprank.fp_ranks``).
 
 An independent generation strategy (direct brackets with basis elements
 plus one round of generator brackets, ``ideal_component_alt``) must span
@@ -34,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import truncpoly
+from .fprank import _distinct_primes, fp_ranks
 from .liebasis import (LieElement, _add_bracket, bracket, generator_element,
                        lyndon_words, witt_dimensions)
-from .series import WeightScheme, _is_prime
-from .snf import _echelon, _smith_from_echelon, fp_rank
+from .series import WeightScheme
+from .snf import _echelon, _smith_from_echelon
 
 DEFAULT_BUDGET = 8_000_000
 
@@ -382,12 +385,11 @@ def modp_dimension_check(report: TorsionReport, primes) -> ModpCheck:
     Equality in every degree for every prime is exactly the absence of
     p-torsion there.  A relator whose content is divisible by one of
     the primes is expected to mismatch; the note says so.  The rows,
-    integer ranks, relator and budget abort all come from ``report``.
+    integer ranks, relator and budget abort all come from ``report``;
+    each degree's rows are eliminated once for all the primes, which
+    must be distinct and at least one.
     """
-    primes = tuple(primes)
-    for p in primes:
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not a prime")
+    primes = _distinct_primes(primes)
     rho = report.relator
     note = None
     content = rho.content()
@@ -398,13 +400,14 @@ def modp_dimension_check(report: TorsionReport, primes) -> ModpCheck:
 
     tables: list[list[ModpDegreeRow]] = [[] for _ in primes]
     for n, rows in enumerate(report.rows, report.relator_degree):
-        indexed = _indexed(rows, lyndon_words(rho.scheme, n))
+        index = {word: i for i, word in enumerate(lyndon_words(rho.scheme, n))}
+        ranks = fp_ranks(({index[w]: c for w, c in coords.items()} for coords in rows),
+                         primes)
         rank_z = report.degrees[n - 1].rank
         for table, p in zip(tables, primes):
-            rank_p = fp_rank(indexed, p)
             table.append(ModpDegreeRow(
-                degree=n, rank_mod_p=rank_p, rank_integer=rank_z,
-                match=rank_p == rank_z))
+                degree=n, rank_mod_p=ranks[p], rank_integer=rank_z,
+                match=ranks[p] == rank_z))
     reports = [ModpReport(prime=p, rows=tuple(table),
                           all_match=all(r.match for r in table))
                for p, table in zip(primes, tables)]

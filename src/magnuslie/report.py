@@ -26,12 +26,13 @@ from . import __version__
 from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
                      floor_bound_suite, magnus_e1_suite,
                      strategy_independence_suite, valuation_mult_suite)
+from .fprank import _distinct_primes
 from .gate import HypothesisReport, check_relator_hypotheses
 from .presentation_io import PresentationFile, parse_presentation_file
 from .quotient import (DEFAULT_BUDGET, HilbertTable, ModpCheck, TorsionReport,
                        hilbert_crosscheck, modp_dimension_check,
                        torsion_free_certificate)
-from .series import WeightScheme, _is_prime
+from .series import WeightScheme
 from .words import word_to_text
 
 EXIT_OK = 0
@@ -67,9 +68,7 @@ class RunConfig:
             raise ValueError("sample count must be nonnegative")
         if self.max_word_len < 0:
             raise ValueError("max word length must be nonnegative")
-        for p in self.primes:
-            if not _is_prime(p):
-                raise ValueError(f"{p} is not a prime")
+        _distinct_primes(self.primes)
         for name in self.checks:
             if name not in ALL_CHECKS + ("all",):
                 raise ValueError(f"unknown check {name!r}")

@@ -1,22 +1,22 @@
-"""Exact integer matrix kernels: Smith elementary divisors, prime-field
-ranks, and canonical integer row-space bases.
+"""Exact integer matrix kernels: Smith elementary divisors and canonical
+integer row-space bases.
 
-All three eliminate row by row in lead-column order.  Each row walks
-its sorted columns with a cursor; a column added by fill-in lies past
-the cursor and is inserted by bisection.  Over Z (``_echelon``) a row is
+Both eliminate row by row in lead-column order.  Each row walks its
+sorted columns with a cursor; a column added by fill-in lies past the
+cursor and is inserted by bisection.  Over Z (``_echelon``) a row is
 reduced by exact division when the kept row's lead divides its lead and
 by a unimodular Bezout step otherwise, so the echelon basis spans the
 input lattice; a pivot row made by a Bezout step or kept with a lead
 other than +-1 has its later entries reduced by the pivots of their
-columns, which keeps the entries small.  ``fp_rank`` runs the same loop
-mod p.  The Smith routine starts from that basis
-(``_smith_from_echelon``, which the ideal sweep calls on the echelon it
-feeds to the next degree).  When every lead is +-1, as for the usual
-ideal matrices of the torsion certificates, the basis column-reduces to
-[I 0] and every divisor is 1.  Otherwise the general minimal-pivot loop runs
-on the echelon rows alone; equal lattices have equal divisors.  Only the
-rank and the divisor chain are returned.  Everything is
-arbitrary-precision, no modular shortcuts.
+columns, which keeps the entries small.  The Smith routine starts from
+that basis (``_smith_from_echelon``, which the ideal sweep calls on the
+echelon it feeds to the next degree).  When every lead is +-1, as for
+the usual ideal matrices of the torsion certificates, the basis
+column-reduces to [I 0] and every divisor is 1.  Otherwise the general
+minimal-pivot loop runs on the echelon rows alone; equal lattices have
+equal divisors.  Only the rank and the divisor chain are returned.
+Everything is arbitrary-precision, no modular shortcuts; ranks over
+prime fields are in ``fprank``.
 """
 
 from __future__ import annotations
@@ -267,41 +267,6 @@ def _smith_from_echelon(pivots: dict[int, dict[int, int]]) -> SmithResult:
     else:
         diagonal = _smith_diagonal(list(pivots.values()))
     return SmithResult(rank=len(diagonal), divisors=_divisor_chain(diagonal))
-
-
-def fp_rank(rows, p: int) -> int:
-    """Rank over the field with p elements, by Gaussian elimination."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        current = {int(c): r for c, v in items if (r := int(v) % p)}
-        leads = sorted(current)
-        i = 0
-        while current:
-            lead = leads[i]
-            i += 1
-            factor = current.get(lead)
-            if factor is None:
-                continue
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(factor, -1, p)
-                pivots[lead] = {c: (v * inv) % p for c, v in current.items()}
-                break
-            for c, v in pivot.items():
-                old = current.get(c)
-                if old is None:
-                    current[c] = (-factor * v) % p
-                    insort(leads, c, i)
-                else:
-                    value = (old - factor * v) % p
-                    if value:
-                        current[c] = value
-                    else:
-                        del current[c]
-    return len(pivots)
 
 
 def integer_row_space(rows, ncols: int) -> tuple[tuple[int, ...], ...]:

@@ -302,6 +302,27 @@ def test_bad_config_values(tmp_path):
     assert RunConfig(input_path=ok, max_word_len=0).max_word_len == 0
 
 
+@pytest.mark.parametrize("primes, message", [
+    ("", "no primes given"),
+    (" , ", "no primes given"),
+    ("2,2", "the prime 2 is repeated"),
+    ("3,2,5,3", "the prime 3 is repeated"),
+])
+def test_cli_rejects_empty_or_repeated_primes(tmp_path, capsys, primes, message):
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    assert main(["--input", ok, "--samples", "10", "--primes", primes]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"magnuslie: error: {message}\n"
+
+
+@pytest.mark.parametrize("primes", [(), (2, 2), (7, 5, 7)])
+def test_config_rejects_empty_or_repeated_primes(tmp_path, primes):
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    with pytest.raises(ValueError):
+        RunConfig(input_path=ok, primes=primes)
+
+
 def test_negative_word_length_is_rejected_before_the_run(tmp_path, capsys, monkeypatch):
     def never(config):
         raise AssertionError("run_report must not be reached")

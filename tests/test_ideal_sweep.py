@@ -9,12 +9,13 @@ divisors and F_p ranks.
 
 import pytest
 
-from magnuslie import (BudgetExceeded, WeightScheme, bracket, fp_rank,
+from magnuslie import (BudgetExceeded, WeightScheme, bracket,
                        generator_element, integer_row_space, lyndon_words,
                        modp_dimension_check, smith_normal_form,
                        torsion_free_certificate)
 from magnuslie import quotient
 from magnuslie.liebasis import _add_bracket
+from test_snf import per_prime_rank
 
 S201 = WeightScheme(2, 0, 1)
 S213 = WeightScheme(2, 1, 3)
@@ -125,7 +126,8 @@ def test_divisors_and_fp_ranks_equal_the_dedup_sweep(scheme, make, top_z, top_p)
             assert cert.degrees[n - 1].divisors \
                 == smith_normal_form(rows).divisors, n
         for report, p in zip(check.reports, PRIMES):
-            assert report.rows[n - rho.degree].rank_mod_p == fp_rank(rows, p), n
+            assert report.rows[n - rho.degree].rank_mod_p \
+                == per_prime_rank(rows, p), n
 
 
 def test_non_unit_leads_are_fed_upward():

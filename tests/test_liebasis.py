@@ -428,6 +428,34 @@ def test_construction_rejects_bad_coordinates(scheme, degree, coords, error,
     assert type(caught.value) is error and str(caught.value) == message
 
 
+@pytest.mark.parametrize("degree, coords, error, message", [
+    (2.0, {(0, 1): 1}, TypeError, "integer degree expected, got 2.0"),
+    (Fraction(2), {(0, 1): 1}, TypeError,
+     "integer degree expected, got Fraction(2, 1)"),
+    (True, {(0,): 1}, TypeError, "integer degree expected, got True"),
+    (True, {}, TypeError, "integer degree expected, got True"),
+    ("2", {}, TypeError, "integer degree expected, got '2'"),
+    (0, {}, ValueError, "degree must be positive, got 0"),
+    (-3, {}, ValueError, "degree must be positive, got -3"),
+    (-3, {(0, 1): 0}, ValueError, "degree must be positive, got -3"),
+])
+def test_construction_rejects_a_degree_that_is_not_a_positive_int(
+        degree, coords, error, message):
+    with pytest.raises(error) as caught:
+        LieElement(S20, degree, coords)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_a_rejected_degree_never_reaches_a_bracket():
+    # a float degree once spread through bracket into to_series' cutoff
+    with pytest.raises(TypeError):
+        bracket(LieElement(S20, 2.0, {(0, 1): 1}), generator_element(S20, 0))
+    with pytest.raises(ValueError):
+        LieElement.zero(S20, 0)
+    assert bracket(LieElement(S20, 2, {(0, 1): 1}),
+                   generator_element(S20, 0)).degree.__class__ is int
+
+
 def test_zero_coordinates_are_dropped_unchecked():
     elem = LieElement(S20, 2, {(1, 0): 0, (7,): 0, (): 0, (0, 1): 2})
     assert elem.coords == {(0, 1): 2}

@@ -235,6 +235,21 @@ def test_modp_rejects_non_primes(primes):
         modp_dimension_check(torsion_free_certificate(rho_comm(S213), 4), primes)
 
 
+@pytest.mark.parametrize("primes, message", [
+    ((), "no primes given"),
+    (iter(()), "no primes given"),
+    ((2, 2), "the prime 2 is repeated"),
+    ((3, 2, 5, 3), "the prime 3 is repeated"),
+])
+def test_modp_rejects_empty_or_repeated_primes(primes, message):
+    # a check of no prime checked nothing, and tables of one prime twice
+    # say nothing new
+    cert = torsion_free_certificate(rho_comm(S213), 4)
+    with pytest.raises(ValueError) as caught:
+        modp_dimension_check(cert, primes)
+    assert str(caught.value) == message
+
+
 def test_modp_reuses_the_certificate_rows(monkeypatch):
     rho = rho_comm(S213)
     cert = torsion_free_certificate(rho, 8)

@@ -1,3 +1,4 @@
+from bisect import insort
 from itertools import combinations
 from math import gcd
 from random import Random
@@ -6,9 +7,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from magnuslie import (WeightScheme, bracket, fp_rank, generator_element,
-                       ideal_component, integer_row_space, lyndon_words,
-                       smith_normal_form, snf)
+from magnuslie import (WeightScheme, bracket, fp_rank, fp_ranks, fprank,
+                       generator_element, ideal_component, integer_row_space,
+                       lyndon_words, modp_dimension_check, quotient,
+                       smith_normal_form, snf, torsion_free_certificate)
 
 S213 = WeightScheme(2, 1, 3)
 
@@ -293,3 +295,245 @@ def test_fp_rank_counts_divisors_prime_to_p_at_scale(cases):
 ])
 def test_divisor_chain_sets_units_aside(diagonal, chain):
     assert snf._divisor_chain(list(diagonal)) == chain
+
+
+# -- fp_ranks: one elimination mod the product of the primes ---------------
+#
+# The reference is the per-prime loop fp_ranks replaced: Gaussian
+# elimination over F_p, run once for each prime.
+
+
+def per_prime_rank(rows, p):
+    """Rank over F_p, by Gaussian elimination mod p alone."""
+    pivots = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        current = {int(c): r for c, v in items if (r := int(v) % p)}
+        leads = sorted(current)
+        i = 0
+        while current:
+            lead = leads[i]
+            i += 1
+            factor = current.get(lead)
+            if factor is None:
+                continue
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(factor, -1, p)
+                pivots[lead] = {c: (v * inv) % p for c, v in current.items()}
+                break
+            for c, v in pivot.items():
+                old = current.get(c)
+                if old is None:
+                    current[c] = (-factor * v) % p
+                    insort(leads, c, i)
+                else:
+                    value = (old - factor * v) % p
+                    if value:
+                        current[c] = value
+                    else:
+                        del current[c]
+    return len(pivots)
+
+
+def sympy_rank(rows, p):
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix.from_list(rows, ZZ).convert_to(GF(p)).rank()
+
+
+def moduli_of_finish(monkeypatch):
+    """The moduli _finish runs under, in call order: one entry unless the
+    modulus split."""
+    seen = []
+    finish = fprank._finish
+
+    def recording(pivots, pending, modulus, primes, ranks):
+        seen.append(modulus)
+        return finish(pivots, pending, modulus, primes, ranks)
+
+    monkeypatch.setattr(fprank, "_finish", recording)
+    return seen
+
+
+PRIMES = (2, 3, 5, 7)
+# units, the primes, their products and 210 itself: zero divisors mod 210
+ZERO_DIVISOR_ENTRIES = st.sampled_from(
+    (0, 0, 0, 1, -1, 2, 3, 5, 7, -2, 6, 10, 14, 15, 21, 35, -30, 42, 70, 105,
+     210, -210, 420, 11))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+       st.data())
+def test_fp_ranks_equal_the_per_prime_loop_on_zero_divisor_entries(nrows, ncols, data):
+    rows = [[data.draw(ZERO_DIVISOR_ENTRIES) for _ in range(ncols)]
+            for _ in range(nrows)]
+    divisors = smith_normal_form(rows).divisors
+    ranks = fp_ranks(rows, PRIMES)
+    assert list(ranks) == list(PRIMES)
+    for p in PRIMES:
+        assert ranks[p] == per_prime_rank(rows, p)
+        assert ranks[p] == sum(1 for d in divisors if d % p)
+
+
+def random_zero_divisor_matrices(seed, count):
+    rng = Random(seed)
+    values = (0,) * 10 + (1, -1, 2, 3, 5, 7, 6, 10, 14, 15, 21, 35, 30, 42,
+                          70, 105, 210, -105, -6)
+    for _ in range(count):
+        nrows = rng.randrange(1, 13)
+        ncols = rng.randrange(1, 13)
+        yield [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_fp_ranks_equal_the_per_prime_loop_on_random_matrices():
+    for rows in random_zero_divisor_matrices(53, 1500):
+        ranks = fp_ranks(rows, PRIMES)
+        assert ranks == {p: per_prime_rank(rows, p) for p in PRIMES}, rows
+        # every subset of the primes, in any order, reads the same ranks
+        assert fp_ranks(rows, (7, 2)) == {7: ranks[7], 2: ranks[2]}
+
+
+def test_fp_ranks_equal_sympy_ranks_over_gf_p():
+    pytest.importorskip("sympy")
+    for rows in random_zero_divisor_matrices(59, 200):
+        ranks = fp_ranks(rows, PRIMES)
+        for p in PRIMES:
+            assert ranks[p] == sympy_rank(rows, p), (rows, p)
+
+
+@pytest.mark.parametrize("cases", [planted_cases, sparse_cases, ideal_cases])
+def test_fp_ranks_at_scale_equal_the_per_prime_loop(cases):
+    for rows, ncols in cases():
+        sparse = snf._sparse_rows(rows)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in sparse]
+        ranks = fp_ranks(sparse, PRIMES)
+        assert fp_ranks(dense, PRIMES) == ranks
+        assert ranks == {p: per_prime_rank(sparse, p) for p in PRIMES}
+
+
+def test_a_zero_divisor_lead_left_after_the_retry_splits_the_modulus(monkeypatch):
+    # mod 210 both leads are 0 mod 2: both rows are set aside, the retry
+    # splits 210 into 2 and 105, and mod 105 the second row stops at
+    # -6, a zero divisor, so 105 splits into 3 and 35; the determinant
+    # is -12
+    seen = moduli_of_finish(monkeypatch)
+    rows = [[2, 4], [4, 2]]
+    assert fp_ranks(rows, PRIMES) == {2: 0, 3: 1, 5: 2, 7: 2}
+    assert seen == [210, 2, 105, 3, 35]
+    assert fp_ranks(rows, PRIMES) == {p: per_prime_rank(rows, p) for p in PRIMES}
+
+
+def test_a_set_aside_row_a_later_pivot_clears_needs_no_split(monkeypatch):
+    # the first row's lead 2 is a zero divisor mod 6 when it is read; the
+    # second row pivots its column, and the retry reaches the unit lead 1
+    seen = moduli_of_finish(monkeypatch)
+    assert fp_ranks([[2, 1], [1, 0]], (2, 3)) == {2: 2, 3: 2}
+    assert fp_ranks([{0: 2, 1: 1}, {0: 3}, {0: 1}], (2, 3)) == {2: 2, 3: 2}
+    assert seen == [6, 6]
+
+
+def test_fp_ranks_reads_its_rows_once_from_an_iterator():
+    rows = [[2, 4, 0], [4, 2, 6], [1, 1, 1], [0, 35, 0]]
+    consumed = []
+
+    def stream():
+        for row in rows:
+            consumed.append(row)
+            yield row
+
+    ranks = fp_ranks(stream(), PRIMES)
+    assert consumed == rows
+    assert ranks == {p: per_prime_rank(rows, p) for p in PRIMES}
+    assert rows == [[2, 4, 0], [4, 2, 6], [1, 1, 1], [0, 35, 0]]
+
+
+def test_fp_ranks_with_a_mersenne_prime():
+    big = 2 ** 61 - 1
+    primes = (2, 3, big)
+    for rows in random_zero_divisor_matrices(61, 200):
+        rows = [[v * big if v % 7 == 0 else v for v in row] for row in rows]
+        ranks = fp_ranks(rows, primes)
+        assert ranks == {p: per_prime_rank(rows, p) for p in primes}, rows
+    assert fp_ranks([[big, 1], [2 * big, 3]], primes) == {2: 2, 3: 2, big: 1}
+    assert fp_rank([[big, 1], [2 * big, 3]], big) == 1
+
+
+S201 = WeightScheme(2, 0, 1)
+S214 = WeightScheme(2, 1, 4)
+
+
+def _comm(scheme):
+    return bracket(generator_element(scheme, 0), generator_element(scheme, 1))
+
+
+@pytest.mark.parametrize("scheme, rho, top, mod2_zero", [
+    # content 1, with leads 2 and 3 that are zero divisors mod 210
+    (S201, bracket(_comm(S201), generator_element(S201, 0)).scale(2)
+     + bracket(_comm(S201), generator_element(S201, 1)).scale(3), 9, False),
+    # content 2: every row is even, so the rank mod 2 is 0
+    (S214, bracket(_comm(S214), generator_element(S214, 0)).scale(6)
+     + bracket(_comm(S214), generator_element(S214, 1)).scale(10), 9, True),
+])
+def test_fp_ranks_on_content_divisible_relators(monkeypatch, scheme, rho, top,
+                                                mod2_zero):
+    cert = torsion_free_certificate(rho, top)
+    seen = moduli_of_finish(monkeypatch)
+    for n, rows in enumerate(cert.rows, rho.degree):
+        index = {w: i for i, w in enumerate(lyndon_words(scheme, n))}
+        indexed = [{index[w]: c for w, c in row.items()} for row in rows]
+        ranks = fp_ranks(indexed, PRIMES)
+        assert ranks == {p: per_prime_rank(indexed, p) for p in PRIMES}, n
+        divisors = cert.degrees[n - 1].divisors
+        assert ranks == {p: sum(1 for d in divisors if d % p) for p in PRIMES}, n
+        if mod2_zero:
+            assert ranks[2] == 0
+    # the split path ran on these rows
+    assert any(modulus != 210 for modulus in seen)
+
+
+@pytest.mark.parametrize("p", [4, 9, 15, 2 ** 31 * 3])
+def test_fp_rank_names_a_composite_modulus(p):
+    # mod 4 the identity once read rank 2; other composites failed in pow
+    with pytest.raises(ValueError) as caught:
+        fp_rank([[1, 0], [0, 1]], p)
+    assert str(caught.value) == f"{p} is not a prime"
+    with pytest.raises(ValueError) as caught:
+        fp_ranks([[2, 1]], (2, p))
+    assert str(caught.value) == f"{p} is not a prime"
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_fp_rank_keeps_its_small_modulus_error(p):
+    with pytest.raises(ValueError) as caught:
+        fp_rank([[1]], p)
+    assert str(caught.value) == "modulus must be at least 2"
+
+
+@pytest.mark.parametrize("primes, message", [
+    ((), "no primes given"),
+    ((2, 3, 2), "the prime 2 is repeated"),
+    ((5, 1), "1 is not a prime"),
+])
+def test_fp_ranks_needs_distinct_primes(primes, message):
+    with pytest.raises(ValueError) as caught:
+        fp_ranks([[1]], primes)
+    assert str(caught.value) == message
+
+
+def test_modp_check_eliminates_once_per_degree(monkeypatch):
+    rho = _comm(S213)
+    cert = torsion_free_certificate(rho, 9)
+    calls = []
+    kernel = quotient.fp_ranks
+
+    def counting(rows, primes):
+        calls.append(tuple(primes))
+        return kernel(rows, primes)
+
+    monkeypatch.setattr(quotient, "fp_ranks", counting)
+    check = modp_dimension_check(cert, PRIMES)
+    assert calls == [PRIMES] * len(cert.rows)
+    assert len(cert.rows) == 9 - rho.degree + 1
+    assert check.all_match
