@@ -19,7 +19,40 @@ from __future__ import annotations
 from bisect import insort
 from math import gcd, prod
 
-from .series import _is_prime
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound;
+# the first 12 are not, 318665857834031151167461 fools all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test; ValueError from _PRIME_LIMIT up."""
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"{p} is too large to test for primality "
+                         f"(limit {_PRIME_LIMIT})")
+    if p < 2:
+        return False
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _distinct_primes(primes) -> tuple[int, ...]:

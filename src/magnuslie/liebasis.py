@@ -21,7 +21,9 @@ gives the word itself with coefficient 1 plus lexicographically larger
 words of the same length.  So the least monomial of a Lie element is
 always a Lyndon word, and back substitution along increasing monomials
 rewrites a polynomial into Lyndon coordinates exactly when it lies in
-the Lie span, over the integers and over the rationals alike.
+the Lie span.  Each step subtracts an integer multiple of an expansion
+whose leading coefficient is 1, so integer input never leaves the
+integers.
 
 Every LieElement checks each nonzero coordinate when it is built: an
 integer coefficient, integer letters, and a Lyndon word of the element's
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -44,10 +45,6 @@ from .words import Word, _image_valuation, magnus_embed
 
 class NotLieElement(ValueError):
     """Raised when a homogeneous component fails Lie recognition."""
-
-
-class NotIntegralCoordinates(ValueError):
-    """Raised when rational Lyndon coordinates are not integers."""
 
 
 class DegreeAboveCutoff(ValueError):
@@ -144,38 +141,6 @@ def standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     return word[:best], word[best:]
 
 
-@lru_cache(maxsize=None)
-def standard_bracketing(word: tuple[int, ...]):
-    """Nested-pair bracketing from the standard factorization."""
-    if len(word) == 1:
-        return word[0]
-    left, right = standard_factorization(word)
-    return (standard_bracketing(left), standard_bracketing(right))
-
-
-def bracketing_text(bracketing, scheme: WeightScheme) -> str:
-    if isinstance(bracketing, int):
-        return scheme.generator_name(bracketing)
-    left, right = bracketing
-    return f"[{bracketing_text(left, scheme)}, {bracketing_text(right, scheme)}]"
-
-
-@dataclass(frozen=True)
-class LyndonBasisElement:
-    word: tuple[int, ...]
-    weight: int
-    bracketing: object
-
-    def text(self, scheme: WeightScheme) -> str:
-        return bracketing_text(self.bracketing, scheme)
-
-
-def lyndon_basis(scheme: WeightScheme, weight: int) -> list[LyndonBasisElement]:
-    """The weight-homogeneous basis, words in lexicographic order."""
-    return [LyndonBasisElement(w, weight, standard_bracketing(w))
-            for w in lyndon_words(scheme, weight)]
-
-
 # -- associative expansions ----------------------------------------------
 
 
@@ -207,7 +172,7 @@ def _lyndon_rewrite(terms: dict) -> dict:
     Lyndon (triangularity) or the input was not in the Lie span.
     """
     rem = {mono: c for mono, c in terms.items() if c}
-    coords: dict[tuple[int, ...], object] = {}
+    coords: dict[tuple[int, ...], int] = {}
     while rem:
         mono = min(rem)
         if not _is_lyndon(mono):
@@ -356,29 +321,17 @@ def generator_element(scheme: WeightScheme, letter: int) -> LieElement:
 def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
     """Recognize a homogeneous series component as a Lie element.
 
-    Rewrites into Lyndon coordinates by back substitution, which fails
-    with NotLieElement on a monomial that is not Lyndon (a constant term
-    included), then raises NotIntegralCoordinates unless every
-    coordinate is an integer.
+    Rewrites into integer Lyndon coordinates by back substitution, which
+    fails with NotLieElement on a monomial that is not Lyndon (a constant
+    term included).
     """
-    if component.domain.kind == "Fp":
-        raise ValueError("Lie recognition works over Z or Q coefficients")
     if component.is_zero():
         raise ValueError("the zero component has no defined degree")
     weights = {scheme.monomial_weight(mono) for mono, _ in component.terms()}
     if len(weights) != 1:
         raise ValueError(f"component is not homogeneous: weights {sorted(weights)}")
     degree = weights.pop()
-    coords = _lyndon_rewrite(dict(component.terms()))
-    out: dict[tuple[int, ...], int] = {}
-    for word, c in coords.items():
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise NotIntegralCoordinates(
-                    f"coordinate of {word} is the non-integer {c}")
-            c = c.numerator
-        out[word] = c
-    return LieElement(scheme, degree, out)
+    return LieElement(scheme, degree, _lyndon_rewrite(dict(component.terms())))
 
 
 @lru_cache(maxsize=None)

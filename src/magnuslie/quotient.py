@@ -144,18 +144,20 @@ class _IdealSweep:
     def next_rows(self) -> tuple[list[dict], list[tuple[int, ...]]]:
         """The next degree's word-keyed rows and its Lyndon basis.
 
-        The row count is bounded by the kept bases before any bracket is
-        computed; BudgetExceeded when that bound times the columns
+        The row count is bounded by the kept bases, and the columns are
+        counted, not enumerated, before the basis or any bracket is
+        computed; BudgetExceeded when the bound times the columns
         outgrows the budget.
         """
         n = self.degree + 1
-        basis = lyndon_words(self.scheme, n)
         weights = self.scheme.letter_weights()
         first = n == self.rho.degree
         sources = [self.bases.get(n - w, ()) for w in weights]
         bound = 1 if first else sum(map(len, sources))
-        if bound * max(len(basis), 1) > self.budget:
-            raise BudgetExceeded(n, bound, len(basis), self.budget)
+        cols = witt_dimensions(self.scheme, n)[-1]
+        if bound * max(cols, 1) > self.budget:
+            raise BudgetExceeded(n, bound, cols, self.budget)
+        basis = lyndon_words(self.scheme, n)
         if first:
             rows = [dict(self.rho.coords)]
         else:

@@ -24,7 +24,7 @@ from bisect import insort
 from dataclasses import dataclass
 from random import Random
 
-from .series import INFINITY, INTEGERS, Domain, Series, WeightScheme
+from .series import INFINITY, Series, WeightScheme, _check_cutoff
 
 Word = tuple[int, ...]
 
@@ -152,8 +152,7 @@ def _projected_letters(buckets, w: int, cutoff: int, positive: bool) -> int:
     return total
 
 
-def magnus_embed(word: Word, scheme: WeightScheme, cutoff: int,
-                 domain: Domain = INTEGERS) -> Series:
+def magnus_embed(word: Word, scheme: WeightScheme, cutoff: int) -> Series:
     """Image of a word in the unit group of the truncated algebra.
 
     Each letter multiplies the image on the right in place, one weight
@@ -162,10 +161,8 @@ def magnus_embed(word: Word, scheme: WeightScheme, cutoff: int,
     subtracts the already final bucket[wt]·A, solving r = acc - r·A.
     Either walk costs time in proportion to the terms it writes.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    p = domain.p if domain.kind == "Fp" else None
-    buckets = {0: {(): domain.one}}
+    _check_cutoff(cutoff)
+    buckets = {0: {(): 1}}
     for signed in word:
         _check_letter(signed, scheme)
         letter = abs(signed) - 1
@@ -178,19 +175,19 @@ def magnus_embed(word: Word, scheme: WeightScheme, cutoff: int,
         if positive:
             for wt in sorted(buckets, reverse=True):
                 if wt + w <= cutoff:
-                    _add_times_letter(buckets, wt, wt + w, suffix, p, True)
+                    _add_times_letter(buckets, wt, wt + w, suffix, True)
             continue
         weights = sorted(buckets)
         i = 0
         while i < len(weights) and weights[i] + w <= cutoff:
             wt = weights[i]
             i += 1
-            if wt in buckets and _add_times_letter(buckets, wt, wt + w, suffix, p, False):
+            if wt in buckets and _add_times_letter(buckets, wt, wt + w, suffix, False):
                 insort(weights, wt + w, i)
-    return Series._raw(scheme, cutoff, domain, buckets)
+    return Series._raw(scheme, cutoff, buckets)
 
 
-def _add_times_letter(buckets, source_wt, target, suffix, p, positive) -> bool:
+def _add_times_letter(buckets, source_wt, target, suffix, positive) -> bool:
     """Add (or subtract) bucket[source_wt]·A into bucket[target].
 
     Returns True when the target bucket did not exist before.
@@ -201,15 +198,12 @@ def _add_times_letter(buckets, source_wt, target, suffix, p, positive) -> bool:
         if positive:
             buckets[target] = {mono + suffix: c for mono, c in source.items()}
         else:
-            buckets[target] = {mono + suffix: p - c if p else -c
-                               for mono, c in source.items()}
+            buckets[target] = {mono + suffix: -c for mono, c in source.items()}
         return True
     get = dest.get
     for mono, c in source.items():
         key = mono + suffix
         value = get(key, 0) + c if positive else get(key, 0) - c
-        if p:
-            value %= p
         if value:
             dest[key] = value
         else:

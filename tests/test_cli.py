@@ -374,3 +374,21 @@ def test_a_huge_y_weight_stops_the_embedding_before_it_allocates():
     assert time.perf_counter() - start < 30
     assert "MemoryError" not in done.stderr
     assert "would store up to 2829820 letters (limit 2000000)" in done.stderr
+
+
+def test_many_generators_hit_the_budget_before_the_basis_is_enumerated(tmp_path):
+    # degree 3 over 400 x letters and y1 has 21,333,201 Lyndon words; they are
+    # counted, not enumerated, before the budget refuses the degree
+    root = Path(__file__).resolve().parent.parent
+    pres = _write(tmp_path, "wide.pres", ACCEPTED.replace("x: 2", "x: 400"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "magnuslie", "--input", pres, "--max-degree", "4",
+         "--check", "torsion"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
+    assert time.perf_counter() - start < 5
+    assert "MemoryError" not in done.stderr
+    assert "budget exceeded at degree 3" in done.stdout

@@ -177,6 +177,25 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
         assert len(rows) == err.value.rows
 
 
+def test_budget_counts_the_columns_before_enumerating_them(monkeypatch):
+    # degree 3 over 200 x letters has 2,666,600 Lyndon words and at most
+    # 200 rows: the budget refuses it from the count alone
+    scheme = WeightScheme(200, 0, 1)
+    enumerate_words = quotient.lyndon_words
+
+    def refuse_degree_3(scheme, n):
+        if n == 3:
+            raise AssertionError("degree 3 enumerated before the budget check")
+        return enumerate_words(scheme, n)
+
+    monkeypatch.setattr(quotient, "lyndon_words", refuse_degree_3)
+    cert = torsion_free_certificate(comm(scheme), 4)
+    assert cert.aborted_degree == 3
+    with pytest.raises(BudgetExceeded) as err:
+        quotient.ideal_component(comm(scheme), 3)
+    assert (err.value.rows, err.value.cols) == (200, 2666600)
+
+
 def test_budget_abort_degree_follows_the_bound():
     rho = comm(S213)
     # degree 10 is 267 x 267 = 71289 entries, degree 11 is 539 x 546
