@@ -22,8 +22,7 @@ from pathlib import Path
 from magnuslie import (EXIT_CHECK_FAILED, EXIT_INCONCLUSIVE, EXIT_OK,
                        EXIT_USAGE, DegreeAboveCutoff, EmbeddingTooLarge,
                        WeightScheme, hilbert_crosscheck, leading_lie_form,
-                       lyndon_words, parse_word, torsion_free_certificate,
-                       witt_dimensions)
+                       parse_word, torsion_free_certificate, witt_dimensions)
 from magnuslie.cli import _Parser
 
 PROG = "dimension_table.py"
@@ -84,12 +83,12 @@ def table() -> int:
     if args.dump_matrices:
         out_dir = Path(args.dump_matrices)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # the certificate's own rows (those ideal_component(rho, n)
-        # returns), one matrix row per line over the degree's Lyndon basis
+        # the certificate's own rows, already over the column indices of
+        # the degree's Lyndon basis, one matrix row per line
         for n, rows in enumerate(cert.rows, degree):
-            basis = lyndon_words(scheme, n)
+            ncols = dims[n - 1]
             path = out_dir / f"ideal_degree_{n}.txt"
-            path.write_text("\n".join(" ".join(str(row.get(w, 0)) for w in basis)
+            path.write_text("\n".join(" ".join(str(row.get(i, 0)) for i in range(ncols))
                                       for row in rows) + "\n")
             print(f"wrote {path} ({len(rows)} rows)")
     if not cert.torsion_free:

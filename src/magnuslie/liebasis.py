@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import gcd
 
 from .series import INFINITY, Series, WeightScheme
-from .words import Word, _image_valuation, magnus_embed
+from .words import Word, _decided_cutoff, _image_valuation, magnus_embed
 
 
 class NotLieElement(ValueError):
@@ -384,11 +384,13 @@ def leading_lie_form(word: Word, scheme: WeightScheme, cutoff: int) -> tuple[int
 
     The identity word has no leading form; a nontrivial word whose
     degree exceeds the cutoff raises DegreeAboveCutoff, since the
-    window certifies nothing there.
+    window certifies nothing there.  The word is embedded only up to
+    the least weight of a letter with a nonzero exponent sum, when that
+    is below the cutoff, as the degree is at most that weight.
     """
     if not word:
         raise ValueError("the identity word has no leading form")
-    f = magnus_embed(word, scheme, cutoff)
+    f = magnus_embed(word, scheme, _decided_cutoff(word, scheme, cutoff))
     v = _image_valuation(f)
     if v is INFINITY:
         raise DegreeAboveCutoff(

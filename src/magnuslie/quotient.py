@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from . import truncpoly
 from .fprank import _distinct_primes, fp_ranks
-from .liebasis import (LieElement, _add_bracket, bracket, generator_element,
+from .liebasis import (LieElement, _bracket_words, bracket, generator_element,
                        lyndon_words, witt_dimensions)
 from .series import WeightScheme
 from .snf import _echelon, _smith_from_echelon
@@ -78,8 +78,9 @@ class TorsionReport:
     torsion_free: bool
     aborted_degree: int | None
     note: str | None
-    # word-keyed ideal rows of degrees d, d + 1, ..., the brackets the
-    # sweep made before eliminating them (the mod-p check reads these)
+    # ideal rows of degrees d, d + 1, ..., each over the column indices
+    # of its degree's Lyndon words: the brackets the sweep made before
+    # eliminating them (the mod-p check reads these)
     rows: tuple[list[dict], ...] = field(default=(), compare=False, repr=False)
 
 
@@ -138,11 +139,13 @@ class _IdealSweep:
         self.scheme = rho.scheme
         self.budget = budget
         self.degree = rho.degree - 1
-        # degree -> its echelon basis, word-keyed
-        self.bases: dict[int, list[dict]] = {}
+        # degree -> its echelon basis as _echelon returns it, and its words
+        self.bases: dict[int, dict[int, dict[int, int]]] = {}
+        self.words: dict[int, list[tuple[int, ...]]] = {}
 
-    def next_rows(self) -> tuple[list[dict], list[tuple[int, ...]]]:
-        """The next degree's word-keyed rows and its Lyndon basis.
+    def next_rows(self) -> tuple[list[dict[int, int]], list[tuple[int, ...]]]:
+        """The next degree's rows over the column indices of its Lyndon
+        basis, and that basis.
 
         The row count is bounded by the kept bases, and the columns are
         counted, not enumerated, before the basis or any bracket is
@@ -152,29 +155,41 @@ class _IdealSweep:
         n = self.degree + 1
         weights = self.scheme.letter_weights()
         first = n == self.rho.degree
-        sources = [self.bases.get(n - w, ()) for w in weights]
-        bound = 1 if first else sum(map(len, sources))
+        bound = 1 if first else sum(len(self.bases.get(n - w, ())) for w in weights)
         cols = witt_dimensions(self.scheme, n)[-1]
         if bound * max(cols, 1) > self.budget:
             raise BudgetExceeded(n, bound, cols, self.budget)
         basis = lyndon_words(self.scheme, n)
+        index = {word: i for i, word in enumerate(basis)}
         if first:
-            rows = [dict(self.rho.coords)]
-        else:
-            rows = [image for letter, source in enumerate(sources)
-                    for coords in source
-                    if (image := _add_bracket({}, {(letter,): 1}, coords))]
+            return [{index[w]: c for w, c in self.rho.coords.items()}], basis
+        rows = []
+        for letter, w in enumerate(weights):
+            g, words = (letter,), self.words.get(n - w)
+            for coords in self.bases.get(n - w, {}).values():
+                row: dict[int, int] = {}
+                for j, c in coords.items():
+                    for word, b in _bracket_words(g, words[j]).items():
+                        i = index[word]
+                        if value := row.get(i, 0) + c * b:
+                            row[i] = value
+                        else:
+                            del row[i]
+                if row:
+                    rows.append(row)
         return rows, basis
 
-    def advance(self) -> tuple[list[dict], dict[int, dict[int, int]], int]:
-        """Build the next degree: its word-keyed rows, their echelon basis
-        over the column indices of its Lyndon basis, and the column count."""
+    def advance(self) -> tuple[list[dict[int, int]], dict[int, dict[int, int]], int]:
+        """Build the next degree: its rows, their echelon basis and the
+        column count, all over the column indices of its Lyndon basis."""
         rows, basis = self.next_rows()
         n = self.degree + 1
-        pivots = _echelon(_indexed(rows, basis))
-        self.bases[n] = [{basis[c]: v for c, v in row.items()}
-                         for row in pivots.values()]
-        self.bases.pop(n - max(self.scheme.letter_weights()), None)
+        # _echelon reduces its rows in place; the rows stay for mod-p
+        pivots = _echelon([dict(row) for row in rows])
+        self.bases[n], self.words[n] = pivots, basis
+        drop = n - max(self.scheme.letter_weights())
+        self.bases.pop(drop, None)
+        self.words.pop(drop, None)
         self.degree = n
         return rows, pivots, len(basis)
 
@@ -186,23 +201,18 @@ def _check_relator(rho: LieElement, n: int) -> None:
         raise ValueError(f"degree {n} is below the relator degree {rho.degree}")
 
 
-def _indexed(rows: list[dict], basis: list[tuple[int, ...]]) -> list[dict[int, int]]:
-    """Word-keyed rows over the column indices of the basis."""
-    index = {word: i for i, word in enumerate(basis)}
-    return [{index[w]: c for w, c in coords.items()} for coords in rows]
-
-
 def ideal_component(rho: LieElement, n: int, *,
                     budget: int = DEFAULT_BUDGET) -> list[dict]:
-    """Generating rows of the degree-n piece of (rho), word-keyed like
-    TorsionReport.rows: rho itself at its own degree, above it the
-    nonzero brackets of each generator with the echelon basis of the
-    degree below it."""
+    """Generating rows of the degree-n piece of (rho), word-keyed: rho
+    itself at its own degree, above it the nonzero brackets of each
+    generator with the echelon basis of the degree below it.  These are
+    TorsionReport.rows with each column index replaced by its word."""
     _check_relator(rho, n)
     sweep = _IdealSweep(rho, budget)
     while sweep.degree < n - 1:
         sweep.advance()
-    return sweep.next_rows()[0]
+    rows, basis = sweep.next_rows()
+    return [{basis[i]: c for i, c in row.items()} for row in rows]
 
 
 def ideal_component_alt(rho: LieElement, n: int) -> tuple[LieElement, ...]:
@@ -246,19 +256,6 @@ def ideal_component_alt(rho: LieElement, n: int) -> tuple[LieElement, ...]:
     return tuple(level(n))
 
 
-def _degree_report(n: int, pivots: dict[int, dict[int, int]], ncols: int
-                   ) -> DegreeReport:
-    result = _smith_from_echelon(pivots)
-    return DegreeReport(
-        degree=n,
-        dim_free=ncols,
-        rank=result.rank,
-        divisors=result.divisors,
-        dim_quotient=ncols - result.rank,
-        torsion=result.nontrivial,
-    )
-
-
 def torsion_free_certificate(rho: LieElement, max_degree: int, *,
                              budget: int = DEFAULT_BUDGET) -> TorsionReport:
     """Per-degree divisor chains for all degrees up to max_degree.
@@ -282,7 +279,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
                 "torsion in the quotient is expected")
     sweep = _IdealSweep(rho, budget)
     reports: list[DegreeReport] = []
-    rows: list[list[dict]] = []
+    rows: list[list[dict[int, int]]] = []
     aborted: int | None = None
     for n in range(1, max_degree + 1):
         dim_free = dims[n - 1]
@@ -294,7 +291,9 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
         except BudgetExceeded:
             aborted = n
             break
-        reports.append(_degree_report(n, pivots, ncols))
+        result = _smith_from_echelon(pivots)
+        reports.append(DegreeReport(n, ncols, result.rank, result.divisors,
+                                    ncols - result.rank, result.nontrivial))
         rows.append(level)
     torsion_free = all(not r.torsion for r in reports)
     return TorsionReport(
@@ -402,9 +401,7 @@ def modp_dimension_check(report: TorsionReport, primes) -> ModpCheck:
 
     tables: list[list[ModpDegreeRow]] = [[] for _ in primes]
     for n, rows in enumerate(report.rows, report.relator_degree):
-        index = {word: i for i, word in enumerate(lyndon_words(rho.scheme, n))}
-        ranks = fp_ranks(({index[w]: c for w, c in coords.items()} for coords in rows),
-                         primes)
+        ranks = fp_ranks(rows, primes)
         rank_z = report.degrees[n - 1].rank
         for table, p in zip(tables, primes):
             table.append(ModpDegreeRow(

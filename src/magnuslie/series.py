@@ -71,6 +71,11 @@ def _check_cutoff(cutoff) -> None:
         raise ValueError("cutoff must be nonnegative")
 
 
+# Most letters, m + n, a scheme may have: per-letter tuples and tables
+# grow with the count, so a larger alphabet is refused before any exists.
+MAX_LETTERS = 100_000
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Letter alphabet and weights: m letters of weight 1, n of weight e.
@@ -94,6 +99,9 @@ class WeightScheme:
             raise ValueError("Y letter count must be nonnegative")
         if self.e < 1:
             raise ValueError("Y letter weight e must be a positive integer")
+        if self.m + self.n > MAX_LETTERS:
+            raise ValueError(f"{self.m + self.n} letters exceed the limit of "
+                             f"{MAX_LETTERS}")
 
     @property
     def letters(self) -> int:

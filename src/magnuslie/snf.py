@@ -261,11 +261,11 @@ def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
 
 def _smith_from_echelon(pivots: dict[int, dict[int, int]]) -> SmithResult:
     """Rank and elementary divisors of the lattice an ``_echelon`` basis
-    spans; its rows are destroyed when a lead is not +-1."""
+    spans; the basis is left intact, as the ideal sweep feeds it upward."""
     if all(abs(row[lead]) == 1 for lead, row in pivots.items()):
         diagonal = [1] * len(pivots)
     else:
-        diagonal = _smith_diagonal(list(pivots.values()))
+        diagonal = _smith_diagonal([dict(row) for row in pivots.values()])
     return SmithResult(rank=len(diagonal), divisors=_divisor_chain(diagonal))
 
 

@@ -222,15 +222,31 @@ def _image_valuation(image: Series):
     return min((wt for wt in image._buckets if wt), default=INFINITY)
 
 
+def _decided_cutoff(word: Word, scheme: WeightScheme, cutoff: int) -> int:
+    """The cutoff, lowered to the least weight of a letter whose exponent
+    sum in the word is nonzero: that letter's linear term in image - 1
+    cannot cancel, so the valuation is at most its weight."""
+    _check_cutoff(cutoff)
+    sums: dict[int, int] = {}
+    for signed in word:
+        _check_letter(signed, scheme)
+        sums[abs(signed)] = sums.get(abs(signed), 0) + (1 if signed > 0 else -1)
+    return min([scheme.letter_weight(k - 1) for k, s in sums.items() if s] + [cutoff])
+
+
 def filtration_degree(word: Word, scheme: WeightScheme, cutoff: int) -> DegreeBound:
     """Valuation of (embedded word) - 1, windowed at the cutoff.
 
     Returns an exact DegreeBound when the valuation is at most the
-    cutoff and the lower bound cutoff+1 otherwise.  The identity word
-    yields the lower bound at every cutoff; only callers who know the
-    word is syntactically trivial may render that as infinity.
+    cutoff and the lower bound cutoff+1 otherwise.  The word is embedded
+    only up to the least weight of a letter with a nonzero exponent sum,
+    when that is below the cutoff: the valuation is at most that weight.
+    The identity word yields the lower bound at every cutoff; only
+    callers who know the word is syntactically trivial may render that
+    as infinity.
     """
-    v = _image_valuation(magnus_embed(word, scheme, cutoff))
+    v = _image_valuation(magnus_embed(word, scheme,
+                                      _decided_cutoff(word, scheme, cutoff)))
     if v is INFINITY:
         return DegreeBound(cutoff + 1, exact=False)
     return DegreeBound(v, exact=True)

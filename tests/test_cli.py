@@ -360,8 +360,9 @@ def _limit_address_space():
 
 
 def test_a_huge_y_weight_stops_the_embedding_before_it_allocates():
-    # the floor-bound suite embeds at cutoff e + 3; two inverse x letters
-    # there would store about 2.8 million letters
+    # the floor-bound suite embeds at cutoff e + 3 every sampled word whose
+    # exponent sums are all zero; the first, x1 y1 x2 x1^-1 y1 x2^-1 y1^-1,
+    # would store about 5.4 million letters there
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
@@ -373,7 +374,30 @@ def test_a_huge_y_weight_stops_the_embedding_before_it_allocates():
     assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
     assert time.perf_counter() - start < 30
     assert "MemoryError" not in done.stderr
-    assert "would store up to 2829820 letters (limit 2000000)" in done.stderr
+    assert ("at cutoff 200 would store up to 5373600 letters (limit 2000000)"
+            in done.stderr)
+
+
+@pytest.mark.parametrize("generators, exit_code, message", [
+    # m + n = series.MAX_LETTERS: the sweep's budget refuses degree 2
+    ("x: 99999", EXIT_INCONCLUSIVE, "budget exceeded at degree 2"),
+    # one letter more is refused with the scheme, before any per-letter table
+    ("x: 100000", EXIT_USAGE, "100001 letters exceed the limit of 100000"),
+])
+def test_the_letter_count_is_bounded(tmp_path, generators, exit_code, message):
+    root = Path(__file__).resolve().parent.parent
+    pres = _write(tmp_path, "wide.pres", ACCEPTED.replace("x: 2", generators))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "magnuslie", "--input", pres, "--max-degree", "4",
+         "--check", "torsion"],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == exit_code, done.stderr
+    assert time.perf_counter() - start < 5
+    assert "MemoryError" not in done.stderr
+    assert message in done.stdout + done.stderr
 
 
 def test_many_generators_hit_the_budget_before_the_basis_is_enumerated(tmp_path):

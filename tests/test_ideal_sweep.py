@@ -83,8 +83,38 @@ def test_row_space_equals_the_dedup_sweep_through_weight_9(scheme, make):
     got = sweep_rows(rho, 9)
     for n, old, new in zip(range(rho.degree, 10), expected, got):
         ncols = len(lyndon_words(scheme, n))
-        assert integer_row_space(indexed(new, scheme, n), ncols) \
+        assert integer_row_space(new, ncols) \
             == integer_row_space(indexed(old, scheme, n), ncols), n
+
+
+@pytest.mark.parametrize("scheme, make", ROW_SPACE_CASES)
+def test_certificate_rows_are_the_ideal_components_over_column_indices(scheme, make):
+    rho = make(scheme)
+    cert = torsion_free_certificate(rho, 9)
+    assert len(cert.rows) == 9 - rho.degree + 1
+    for n, rows in enumerate(cert.rows, rho.degree):
+        basis = lyndon_words(scheme, n)
+        assert [{basis[i]: c for i, c in row.items()} for row in rows] \
+            == quotient.ideal_component(rho, n), n
+    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    for n in range(rho.degree, 10):
+        sweep.advance()
+        for pivots in sweep.bases.values():
+            for lead, row in pivots.items():
+                assert lead.__class__ is int and row[lead], n
+                assert all(c.__class__ is int for c in row), n
+
+
+def test_modp_check_enumerates_no_lyndon_words(monkeypatch):
+    certs = [torsion_free_certificate(make(scheme), 9)
+             for scheme, make in ROW_SPACE_CASES]
+    expected = [modp_dimension_check(cert, PRIMES) for cert in certs]
+
+    def refuse(scheme, n):
+        raise AssertionError("the mod-p check enumerated Lyndon words")
+
+    monkeypatch.setattr(quotient, "lyndon_words", refuse)
+    assert [modp_dimension_check(cert, PRIMES) for cert in certs] == expected
 
 
 # (scheme, relator, top degree of the divisor comparison, of the mod-p one);
@@ -164,7 +194,7 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
 
     for n in range(2, 13):
         with monkeypatch.context() as patch:
-            patch.setattr(quotient, "_add_bracket", unused)
+            patch.setattr(quotient, "_bracket_words", unused)
             patch.setattr(quotient, "_echelon", unused)
             sweep.budget = 0
             with pytest.raises(BudgetExceeded) as err:

@@ -42,8 +42,9 @@ def test_dumped_matrices_match_ideal_components(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args, exit_code, message", [
-    # the embedding of the relator trips words.MAX_EMBED_LETTERS
-    (["--m", "2", "--relator", "x1^-1 x2^-1 x1^-1 x2^-1",
+    # the embedding of the relator trips words.MAX_EMBED_LETTERS; its
+    # exponent sums are all zero, so it is embedded at the full cap
+    (["--m", "2", "--relator", "[x1^-1,x2^-1]",
       "--max-degree", "2000"], 3, "would store up to"),
     # the relator's degree 3 lies above the cap
     (["--m", "2", "--relator", "[[x1,x2],x1]", "--max-degree", "2"], 3,
@@ -52,6 +53,10 @@ def test_dumped_matrices_match_ideal_components(tmp_path, monkeypatch, capsys):
     # the ideal budget stops the table after degree 13
     (["--m", "2", "--n", "1", "--e", "3", "--relator", "[x1,x2]",
       "--max-degree", "16"], 3, "budget exceeded at degree 14"),
+    # series.MAX_LETTERS bounds m + n: one letter fewer reaches the budget
+    (["--m", "99999", "--n", "1", "--e", "3", "--relator", "[x1,x2]",
+      "--max-degree", "4"], 3, "budget exceeded at degree 2"),
+    (["--m", "100000", "--n", "1"], 4, "100001 letters exceed the limit of 100000"),
 ])
 def test_dimension_table_ends_in_one_line_and_an_exit_code(
         args, exit_code, message, monkeypatch, capsys):

@@ -162,6 +162,17 @@ def test_weight_scheme_rejects_non_int_parameters(m, n, e, name):
         WeightScheme(m, n, e)
 
 
+def test_weight_scheme_bounds_the_letter_count():
+    from magnuslie.series import MAX_LETTERS
+    assert WeightScheme(MAX_LETTERS - 1, 1, 3).letters == MAX_LETTERS
+    assert WeightScheme(1, MAX_LETTERS - 1, 2).letters == MAX_LETTERS
+    for m, n in ((MAX_LETTERS, 1), (1, MAX_LETTERS), (MAX_LETTERS + 1, 0)):
+        with pytest.raises(ValueError) as caught:
+            WeightScheme(m, n, 3)
+        assert str(caught.value) \
+            == f"{MAX_LETTERS + 1} letters exceed the limit of {MAX_LETTERS}"
+
+
 def test_public_names():
     # submodules are left out: importing one (magnuslie.cli) adds its name
     names = sorted(n for n in dir(magnuslie) if not n.startswith("_")

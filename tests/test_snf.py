@@ -481,10 +481,8 @@ def test_fp_ranks_on_content_divisible_relators(monkeypatch, scheme, rho, top,
     cert = torsion_free_certificate(rho, top)
     seen = moduli_of_finish(monkeypatch)
     for n, rows in enumerate(cert.rows, rho.degree):
-        index = {w: i for i, w in enumerate(lyndon_words(scheme, n))}
-        indexed = [{index[w]: c for w, c in row.items()} for row in rows]
-        ranks = fp_ranks(indexed, PRIMES)
-        assert ranks == {p: per_prime_rank(indexed, p) for p in PRIMES}, n
+        ranks = fp_ranks(rows, PRIMES)
+        assert ranks == {p: per_prime_rank(rows, p) for p in PRIMES}, n
         divisors = cert.degrees[n - 1].divisors
         assert ranks == {p: sum(1 for d in divisors if d % p) for p in PRIMES}, n
         if mod2_zero:

@@ -5,12 +5,15 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from magnuslie import (EmbeddingTooLarge, Series, WeightScheme,
+from magnuslie import (INFINITY, DegreeAboveCutoff, DegreeBound,
+                       EmbeddingTooLarge, Series, WeightScheme,
                        WordSyntaxError, filtration_degree, free_reduce,
                        group_commutator, invert_word, leading_lie_form,
-                       magnus_embed, parse_word, random_word, word_multiply,
-                       word_to_text)
-from magnuslie.words import MAX_EMBED_LETTERS, MAX_POWER_LENGTH
+                       magnus_embed, parse_word, random_word,
+                       to_lyndon_coords, word_multiply, word_to_text)
+from magnuslie import liebasis as liebasis_module
+from magnuslie import words as words_module
+from magnuslie.words import MAX_EMBED_LETTERS, MAX_POWER_LENGTH, _image_valuation
 
 S213 = WeightScheme(2, 1, 3)
 S212 = WeightScheme(2, 1, 2)
@@ -302,3 +305,98 @@ def test_random_word_is_seeded_and_reduced():
     for _ in range(100):
         w = random_word(rng, S213, 12)
         assert free_reduce(w, S213) == w
+
+
+# -- the embedding window of filtration_degree and leading_lie_form -------
+
+ORACLE_SCHEMES = [WeightScheme(2, 0, 1), S213, WeightScheme(2, 2, 3),
+                  WeightScheme(3, 1, 4)]
+
+
+def _oracle_words(scheme, rng, count):
+    """The identity, then random words, commutators (every exponent sum
+    zero) and words in the y letters alone, in turn."""
+    y_letters = range(scheme.m + 1, scheme.letters + 1)
+    words = [()]
+    while len(words) < count:
+        kind = len(words) % 3
+        if kind == 1:
+            words.append(group_commutator(random_word(rng, scheme, 3),
+                                          random_word(rng, scheme, 3)))
+        elif kind == 2 and y_letters:
+            raw = [rng.choice(y_letters) * rng.choice((1, -1))
+                   for _ in range(rng.randrange(1, 6))]
+            words.append(free_reduce(raw, scheme))
+        else:
+            words.append(random_word(rng, scheme, 8))
+    return words
+
+
+def _full_window(word, scheme, cutoff):
+    """The degree bound and the leading form read from the embedding at
+    the whole cutoff; the form is None where the window sees nothing."""
+    image = magnus_embed(word, scheme, cutoff)
+    v = _image_valuation(image)
+    if v is INFINITY:
+        return DegreeBound(cutoff + 1, exact=False), None
+    return (DegreeBound(v, exact=True),
+            (v, to_lyndon_coords(image.homogeneous_component(v), scheme)))
+
+
+@pytest.mark.parametrize("scheme", ORACLE_SCHEMES, ids=str)
+def test_lowered_window_equals_the_full_window(scheme):
+    rng = Random(59)
+    words = _oracle_words(scheme, rng, 250)
+    assert any(word and all(word.count(s) == word.count(-s) for s in word)
+               for word in words)
+    for word in words:
+        for cutoff in range(9):
+            bound, form = _full_window(word, scheme, cutoff)
+            assert filtration_degree(word, scheme, cutoff) == bound, (word, cutoff)
+            if not word:
+                continue
+            if form is None:
+                with pytest.raises(DegreeAboveCutoff):
+                    leading_lie_form(word, scheme, cutoff)
+            else:
+                assert leading_lie_form(word, scheme, cutoff) == form, (word, cutoff)
+
+
+@pytest.mark.parametrize("word, window", [
+    ((1, 1, 2), 1),           # x1 has exponent sum 2
+    ((1, 2, -1), 1),          # x2 has exponent sum 1
+    ((3, 1, -3, -1), 8),      # a commutator: every sum is zero
+    ((3, 1, 3, -1), 3),       # only y1's sum is nonzero: its weight e = 3
+    ((-3, -3), 3),
+    ((), 8),
+])
+def test_the_window_is_the_least_weight_with_a_nonzero_exponent_sum(
+        monkeypatch, word, window):
+    cutoffs = []
+
+    def spy(word, scheme, cutoff):
+        cutoffs.append(cutoff)
+        return magnus_embed(word, scheme, cutoff)
+
+    monkeypatch.setattr(words_module, "magnus_embed", spy)
+    monkeypatch.setattr(liebasis_module, "magnus_embed", spy)
+    filtration_degree(word, S213, 8)
+    if word:
+        leading_lie_form(word, S213, 8)
+    assert cutoffs == [window] * len(cutoffs) and cutoffs
+
+
+@pytest.mark.parametrize("word, cutoff, error, message", [
+    ((1, 0), 4, ValueError, "signed letter expected, got 0"),
+    ((1, 1.0), 4, ValueError, "signed letter expected, got 1.0"),
+    ((1, -4), 4, ValueError, "generator index 4 out of range for (m=2, n=1, e=3)"),
+    ((1,), -1, ValueError, "cutoff must be nonnegative"),
+    ((1,), 2.0, TypeError, "integer cutoff expected, got 2.0"),
+    ((1,), True, TypeError, "integer cutoff expected, got True"),
+    ((1, 0), 2.5, TypeError, "integer cutoff expected, got 2.5"),
+])
+def test_window_keeps_the_embedding_errors(word, cutoff, error, message):
+    for call in (filtration_degree, leading_lie_form, magnus_embed):
+        with pytest.raises(error) as caught:
+            call(word, S213, cutoff)
+        assert str(caught.value) == message, call
