@@ -81,17 +81,24 @@ def fp_ranks(rows, primes) -> dict[int, int]:
     """Rank over F_p of the rows for each of the distinct primes, from one
     Gaussian elimination modulo their product N.
 
-    The rows are read once.  A row whose first unpivoted lead is a zero
-    divisor mod N is set aside and retried after all the others; if it
-    still stops at one, N splits (``_finish``).
+    The rows are read once, with the class test of ``snf._sparse_rows``:
+    TypeError for an entry or column index that is not an int.  A row
+    whose first unpivoted lead is a zero divisor mod N is set aside and
+    retried after all the others; if it still stops at one, N splits
+    (``_finish``).
     """
     primes = _distinct_primes(primes)
     modulus = prod(primes)
     pivots: dict[int, dict[int, int]] = {}
     pending: list[dict[int, int]] = []
     for row in rows:
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        current = {int(c): r for c, v in items if (r := int(v) % modulus)}
+        current = {}
+        for c, v in row.items() if isinstance(row, dict) else enumerate(row):
+            if c.__class__ is not int or v.__class__ is not int:
+                raise TypeError(f"integer entry and column expected, got {v!r} "
+                                f"in column {c!r}")
+            if r := v % modulus:
+                current[c] = r
         if current and _eliminate(current, pivots, modulus):
             pending.append(current)
     ranks: dict[int, int] = {}

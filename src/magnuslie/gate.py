@@ -72,6 +72,21 @@ class HypothesisReport:
         return None if self.rho is None else self.rho.scheme
 
 
+def _leading_form(word: Word, scheme: WeightScheme, cutoff: int
+                  ) -> tuple[int, LieElement]:
+    """``leading_lie_form`` at the first of the windows 4, 8, 16, ...,
+    cutoff that resolves the degree: the embedding grows fast with its
+    window, and a degree far below the cutoff shows in a small one."""
+    window = min(4, cutoff)
+    while True:
+        try:
+            return leading_lie_form(word, scheme, window)
+        except DegreeAboveCutoff:
+            if window == cutoff:
+                raise
+            window = min(2 * window, cutoff)
+
+
 def check_relator_hypotheses(pres: Presentation, cutoff: int) -> HypothesisReport:
     """Decide the gate conditions at the given certification cutoff.
 
@@ -105,7 +120,7 @@ def check_relator_hypotheses(pres: Presentation, cutoff: int) -> HypothesisRepor
         # degree; this x-scheme degree is the lower central degree of u.
         x_scheme = WeightScheme(pres.m, 0, 1)
         try:
-            d, rho_x = leading_lie_form(pres.u, x_scheme, cutoff)
+            d, rho_x = _leading_form(pres.u, x_scheme, cutoff)
         except DegreeAboveCutoff:
             inconclusive = True
             failures.append(

@@ -271,7 +271,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
     d = rho.degree
-    dims = witt_dimensions(rho.scheme, max_degree)
+    dims = witt_dimensions(rho.scheme, d)
     note = None
     content = rho.content()
     if content != 1:
@@ -282,9 +282,8 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
     rows: list[list[dict[int, int]]] = []
     aborted: int | None = None
     for n in range(1, max_degree + 1):
-        dim_free = dims[n - 1]
         if n < d:
-            reports.append(DegreeReport(n, dim_free, 0, (), dim_free, ()))
+            reports.append(DegreeReport(n, dims[n - 1], 0, (), dims[n - 1], ()))
             continue
         try:
             level, pivots, ncols = sweep.advance()

@@ -12,11 +12,12 @@ columns, which keeps the entries small.  The Smith routine starts from
 that basis (``_smith_from_echelon``, which the ideal sweep calls on the
 echelon it feeds to the next degree).  When every lead is +-1, as for
 the usual ideal matrices of the torsion certificates, the basis
-column-reduces to [I 0] and every divisor is 1.  Otherwise the general
-minimal-pivot loop runs on the echelon rows alone; equal lattices have
-equal divisors.  Only the rank and the divisor chain are returned.
-Everything is arbitrary-precision, no modular shortcuts; ranks over
-prime fields are in ``fprank``.
+column-reduces to [I 0] and every divisor is 1.  Otherwise its columns
+are reduced by ``_echelon`` on the transpose, alternating with the rows
+until the matrix is diagonal; equal lattices have equal divisors.  Only
+the rank and the divisor chain are returned.  Everything is
+arbitrary-precision, no modular shortcuts; ranks over prime fields are
+in ``fprank``.
 """
 
 from __future__ import annotations
@@ -26,13 +27,22 @@ from dataclasses import dataclass
 from math import gcd
 
 
-def _sparse_rows(rows) -> list[dict[int, int]]:
+def _sparse_rows(rows, ncols: int | None = None) -> list[dict[int, int]]:
+    """The rows as {column: nonzero entry} dicts, checked: TypeError for
+    an entry or column index that is not an int (a bool, float or
+    Fraction is not), ValueError for a column outside a given width."""
     out = []
     for row in rows:
-        if isinstance(row, dict):
-            out.append({int(c): int(v) for c, v in row.items() if v})
-        else:
-            out.append({c: int(v) for c, v in enumerate(row) if v})
+        sparse = {}
+        for c, v in row.items() if isinstance(row, dict) else enumerate(row):
+            if c.__class__ is not int or v.__class__ is not int:
+                raise TypeError(f"integer entry and column expected, got {v!r} "
+                                f"in column {c!r}")
+            if v:
+                sparse[c] = v
+        if ncols is not None and sparse and (min(sparse) < 0 or max(sparse) >= ncols):
+            raise ValueError("column index beyond the declared width")
+        out.append(sparse)
     return out
 
 
@@ -154,118 +164,38 @@ def _reduce_past_lead(row: dict[int, int], pivots: dict[int, dict[int, int]]
             _subtract(row, q, pivot, cols, i)
 
 
-def _smith_diagonal(mat: list[dict[int, int]]) -> list[int]:
-    """Diagonal of a Smith reduction of the sparse rows ``mat`` (destroyed).
-
-    Pivots have minimal absolute value, ties broken toward sparser rows
-    and columns; nearest-integer quotients keep entries small.
-    """
-    col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(mat):
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    live = {i for i, row in enumerate(mat) if row}
-    row_min: dict[int, int] = {i: min(abs(v) for v in mat[i].values()) for i in live}
-
-    def add_multiple(target: int, source: int, factor: int):
-        """row[target] += factor * row[source], keeping indexes in sync."""
-        trow = mat[target]
-        for c, v in mat[source].items():
-            value = trow.get(c, 0) + factor * v
-            if value:
-                if c not in trow:
-                    col_rows.setdefault(c, set()).add(target)
-                trow[c] = value
-            elif c in trow:
-                del trow[c]
-                col_rows[c].discard(target)
-        if trow:
-            row_min[target] = min(abs(v) for v in trow.values())
-        else:
-            live.discard(target)
-            row_min.pop(target, None)
-
-    diagonal: list[int] = []
-    while live:
-        pivot_row = min(live, key=lambda i: (row_min[i], len(mat[i])))
-        target = row_min[pivot_row]
-        candidates = [c for c, v in mat[pivot_row].items() if abs(v) == target]
-        pivot_col = min(candidates, key=lambda c: (len(col_rows[c]), c))
-
-        while True:
-            piv = mat[pivot_row][pivot_col]
-            if piv < 0:
-                for c in list(mat[pivot_row]):
-                    mat[pivot_row][c] = -mat[pivot_row][c]
-                piv = -piv
-
-            # clear the pivot column with row operations
-            smaller: int | None = None
-            for r in list(col_rows.get(pivot_col, ())):
-                if r == pivot_row or r not in live:
-                    continue
-                q = _rounded_quotient(mat[r][pivot_col], piv)
-                if q:
-                    add_multiple(r, pivot_row, -q)
-                if r in live and mat[r].get(pivot_col):
-                    smaller = r
-            if smaller is not None:
-                pivot_row = smaller
-                continue
-
-            # clear the pivot row with column operations; the pivot column
-            # holds only the pivot now, so each update touches one entry
-            leftover = False
-            prow = mat[pivot_row]
-            for c in [c for c in prow if c != pivot_col]:
-                q = _rounded_quotient(prow[c], piv)
-                if q:
-                    value = prow[c] - q * piv
-                    if value:
-                        prow[c] = value
-                    else:
-                        del prow[c]
-                        col_rows[c].discard(pivot_row)
-                if prow.get(c):
-                    leftover = True
-            if not leftover:
-                break
-            # a remainder smaller than the pivot appeared in this row
-            row_min[pivot_row] = min(abs(v) for v in prow.values())
-            target = row_min[pivot_row]
-            candidates = [c for c, v in prow.items() if abs(v) == target]
-            pivot_col = min(candidates,
-                            key=lambda c: (len(col_rows.get(c, ())), c))
-
-        diagonal.append(piv)
-        live.discard(pivot_row)
-        row_min.pop(pivot_row, None)
-        col_rows.get(pivot_col, set()).discard(pivot_row)
-        del mat[pivot_row][pivot_col]
-    return diagonal
-
-
 def smith_normal_form(rows, ncols: int | None = None) -> SmithResult:
     """Rank and elementary divisors of an integer matrix.
 
     ``rows`` is an iterable of dense sequences or sparse {col: value}
     dicts.  ``ncols`` is only used for validation when given.
     """
-    mat = _sparse_rows(rows)
-    if ncols is not None:
-        for row in mat:
-            if row and (min(row) < 0 or max(row) >= ncols):
-                raise ValueError("column index beyond the declared width")
-    return _smith_from_echelon(_echelon(mat))
+    return _smith_from_echelon(_echelon(_sparse_rows(rows, ncols)))
 
 
 def _smith_from_echelon(pivots: dict[int, dict[int, int]]) -> SmithResult:
     """Rank and elementary divisors of the lattice an ``_echelon`` basis
-    spans; the basis is left intact, as the ideal sweep feeds it upward."""
-    if all(abs(row[lead]) == 1 for lead, row in pivots.items()):
-        diagonal = [1] * len(pivots)
-    else:
-        diagonal = _smith_diagonal([dict(row) for row in pivots.values()])
+    spans; the basis is left intact, as the ideal sweep feeds it upward.
+
+    When every lead is +-1 the rows column-reduce to [I 0].  Otherwise
+    the columns are reduced by ``_echelon`` on the transpose, built in
+    fresh dicts, and the two alternate until every lead is +-1 or every
+    row is its lead alone (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    This ends because the rows are sorted by lead: the first row of the
+    transpose is {0: a}, where a is the first lead, so the first new lead
+    is the gcd of the old first row.  That is either a proper divisor of
+    a, or a itself, and then that row and column are cleared.  A cleared
+    row and column stay cleared in later passes, so each lead can shrink
+    only finitely often, and there are at most rank phases.
+    """
+    while (any(abs(row[lead]) != 1 for lead, row in pivots.items())
+           and any(len(row) > 1 for row in pivots.values())):
+        columns: dict[int, dict[int, int]] = {}
+        for i, lead in enumerate(sorted(pivots)):
+            for c, v in pivots[lead].items():
+                columns.setdefault(c, {})[i] = v
+        pivots = _echelon([columns[c] for c in sorted(columns)])
+    diagonal = [row[lead] for lead, row in pivots.items()]
     return SmithResult(rank=len(diagonal), divisors=_divisor_chain(diagonal))
 
 
@@ -275,7 +205,7 @@ def integer_row_space(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     Two generating sets span the same subgroup of Z^ncols exactly when
     this function returns identical tuples for both.
     """
-    pivots = _echelon(_sparse_rows(rows))
+    pivots = _echelon(_sparse_rows(rows, ncols))
     # normalize: positive pivots, entries above each pivot reduced into [0, pivot)
     for lead in sorted(pivots):
         row = pivots[lead]
@@ -295,8 +225,6 @@ def integer_row_space(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for lead in sorted(pivots):
         row = pivots[lead]
-        if min(row) < 0 or max(row) >= ncols:
-            raise ValueError("column index beyond the declared width")
         dense = [0] * ncols
         for c, v in row.items():
             dense[c] = v

@@ -378,6 +378,27 @@ def test_a_huge_y_weight_stops_the_embedding_before_it_allocates():
             in done.stderr)
 
 
+@pytest.mark.parametrize("cap", ["200", "100000"])
+def test_a_large_degree_cap_certifies_up_to_the_budget(cap):
+    # the gate once embedded u at the whole cap (5,373,400 letters at 200)
+    # and the certificate counted the free dimensions of every degree
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "magnuslie", "--input",
+         str(root / "presentations" / "commutator_basic.pres"),
+         "--max-degree", cap],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == EXIT_INCONCLUSIVE, done.stderr
+    assert time.perf_counter() - start < 10
+    assert f"gate: accepted (cutoff {cap})" in done.stdout
+    assert "torsion-free up to degree 13\n  budget exceeded at degree 14" \
+        in done.stdout
+    assert "hilbert: match through degree 13" in done.stdout
+
+
 @pytest.mark.parametrize("generators, exit_code, message", [
     # m + n = series.MAX_LETTERS: the sweep's budget refuses degree 2
     ("x: 99999", EXIT_INCONCLUSIVE, "budget exceeded at degree 2"),

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from magnuslie import gate
 from magnuslie import (HypothesisReport, Presentation, WeightScheme,
                        check_relator_hypotheses, filtration_degree, free_reduce,
                        group_commutator, leading_lie_form, parse_word,
@@ -169,3 +170,31 @@ def test_presentation_validation():
         Presentation(m=1, n=1, u=(5,), v=(2,))  # out of range
     with pytest.raises(ValueError):
         Presentation(m=1, n=1, u=(1,), v=(2,), e=0)
+
+
+@pytest.mark.parametrize("u, cutoff, windows, d", [
+    (COMM, 200, [4], 2),
+    # [[[[x1,x2],x1],x1],x1] has degree 5
+    (group_commutator(group_commutator(group_commutator(COMM, (1,)), (1,)),
+                      (1,)), 100, [4, 8], 5),
+    (group_commutator(group_commutator(group_commutator(COMM, (1,)), (1,)),
+                      (1,)), 6, [4, 6], 5),
+    (group_commutator(group_commutator(group_commutator(COMM, (1,)), (1,)),
+                      (1,)), 3, [3], None),
+])
+def test_the_gate_embeds_u_in_doubling_windows(monkeypatch, u, cutoff,
+                                               windows, d):
+    seen = []
+    kernel = gate.leading_lie_form
+
+    def spy(word, scheme, window):
+        seen.append(window)
+        return kernel(word, scheme, window)
+
+    monkeypatch.setattr(gate, "leading_lie_form", spy)
+    report = check_relator_hypotheses(Presentation(m=2, n=1, u=u, v=(3,)),
+                                      cutoff)
+    assert seen == windows
+    assert report.d == d
+    assert report.cutoff == cutoff
+    assert report.inconclusive is (d is None)

@@ -1,4 +1,6 @@
+import copy
 from bisect import insort
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from random import Random
@@ -11,6 +13,7 @@ from magnuslie import (WeightScheme, bracket, fp_rank, fp_ranks, fprank,
                        generator_element, ideal_component, integer_row_space,
                        lyndon_words, modp_dimension_check, quotient,
                        smith_normal_form, snf, torsion_free_certificate)
+from magnuslie.snf import _rounded_quotient
 
 S213 = WeightScheme(2, 1, 3)
 
@@ -143,16 +146,110 @@ def test_row_space_pads_unused_columns_with_zeros():
     assert integer_row_space(rows, 5) == ((3, 0, 0, 1, 0), (0, 2, 0, -4, 0))
 
 
-# -- echelon-first Smith form against the general loop it bypasses ---------
+# -- echelon-first Smith form against the general loop it replaced ---------
 #
-# smith_normal_form reduces to a row-echelon basis first and runs the
-# general pivot loop only when a lead is not +-1.  The oracles below run
-# that general loop directly on the raw matrix, use sympy's invariant
-# factors, and recompute the Hermite form with a dense textbook loop.
+# smith_normal_form reduces to a row-echelon basis first and, when a lead
+# is not +-1, reduces its columns by the same echelon on the transpose,
+# alternating until the matrix is diagonal.  The oracles below run the
+# general minimal-pivot loop that did this before (_smith_diagonal, kept
+# here as the reference) directly on the raw matrix, use sympy's
+# invariant factors, and recompute the Hermite form with a dense
+# textbook loop.
+
+
+def _smith_diagonal(mat: list[dict[int, int]]) -> list[int]:
+    """Diagonal of a Smith reduction of the sparse rows ``mat`` (destroyed).
+
+    Pivots have minimal absolute value, ties broken toward sparser rows
+    and columns; nearest-integer quotients keep entries small.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(mat):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    live = {i for i, row in enumerate(mat) if row}
+    row_min: dict[int, int] = {i: min(abs(v) for v in mat[i].values()) for i in live}
+
+    def add_multiple(target: int, source: int, factor: int):
+        """row[target] += factor * row[source], keeping indexes in sync."""
+        trow = mat[target]
+        for c, v in mat[source].items():
+            value = trow.get(c, 0) + factor * v
+            if value:
+                if c not in trow:
+                    col_rows.setdefault(c, set()).add(target)
+                trow[c] = value
+            elif c in trow:
+                del trow[c]
+                col_rows[c].discard(target)
+        if trow:
+            row_min[target] = min(abs(v) for v in trow.values())
+        else:
+            live.discard(target)
+            row_min.pop(target, None)
+
+    diagonal: list[int] = []
+    while live:
+        pivot_row = min(live, key=lambda i: (row_min[i], len(mat[i])))
+        target = row_min[pivot_row]
+        candidates = [c for c, v in mat[pivot_row].items() if abs(v) == target]
+        pivot_col = min(candidates, key=lambda c: (len(col_rows[c]), c))
+
+        while True:
+            piv = mat[pivot_row][pivot_col]
+            if piv < 0:
+                for c in list(mat[pivot_row]):
+                    mat[pivot_row][c] = -mat[pivot_row][c]
+                piv = -piv
+
+            # clear the pivot column with row operations
+            smaller: int | None = None
+            for r in list(col_rows.get(pivot_col, ())):
+                if r == pivot_row or r not in live:
+                    continue
+                q = _rounded_quotient(mat[r][pivot_col], piv)
+                if q:
+                    add_multiple(r, pivot_row, -q)
+                if r in live and mat[r].get(pivot_col):
+                    smaller = r
+            if smaller is not None:
+                pivot_row = smaller
+                continue
+
+            # clear the pivot row with column operations; the pivot column
+            # holds only the pivot now, so each update touches one entry
+            leftover = False
+            prow = mat[pivot_row]
+            for c in [c for c in prow if c != pivot_col]:
+                q = _rounded_quotient(prow[c], piv)
+                if q:
+                    value = prow[c] - q * piv
+                    if value:
+                        prow[c] = value
+                    else:
+                        del prow[c]
+                        col_rows[c].discard(pivot_row)
+                if prow.get(c):
+                    leftover = True
+            if not leftover:
+                break
+            # a remainder smaller than the pivot appeared in this row
+            row_min[pivot_row] = min(abs(v) for v in prow.values())
+            target = row_min[pivot_row]
+            candidates = [c for c, v in prow.items() if abs(v) == target]
+            pivot_col = min(candidates,
+                            key=lambda c: (len(col_rows.get(c, ())), c))
+
+        diagonal.append(piv)
+        live.discard(pivot_row)
+        row_min.pop(pivot_row, None)
+        col_rows.get(pivot_col, set()).discard(pivot_row)
+        del mat[pivot_row][pivot_col]
+    return diagonal
 
 
 def general_loop(rows):
-    return snf._divisor_chain(snf._smith_diagonal(snf._sparse_rows(rows)))
+    return snf._divisor_chain(_smith_diagonal(snf._sparse_rows(rows)))
 
 
 def reference_hermite(rows, ncols):
@@ -231,6 +328,29 @@ def ideal_cases():
         basis = lyndon_words(S213, n)
         yield ([{c: row[w] for c, w in enumerate(basis) if w in row} for row in rows],
                len(basis))
+
+
+def bounded_echelon(monkeypatch, passes):
+    """Make snf's own _echelon calls fail past the given number."""
+    calls = []
+    kernel = snf._echelon
+
+    def counting(mat):
+        calls.append(len(mat))
+        assert len(calls) <= passes, "the row and column echelons do not settle"
+        return kernel(mat)
+
+    monkeypatch.setattr(snf, "_echelon", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cases", [planted_cases, sparse_cases])
+def test_row_and_column_echelons_settle_in_a_few_passes(monkeypatch, cases):
+    # without the sort by lead, some of these cycle forever
+    calls = bounded_echelon(monkeypatch, 8)
+    for rows, _ in cases():
+        calls.clear()
+        smith_normal_form(rows)
 
 
 def test_planted_divisors_are_recovered():
@@ -535,3 +655,81 @@ def test_modp_check_eliminates_once_per_degree(monkeypatch):
     assert calls == [PRIMES] * len(cert.rows)
     assert len(cert.rows) == 9 - rho.degree + 1
     assert check.all_match
+
+
+# -- Smith divisors by alternating row and column echelons ------------------
+
+
+NON_UNIT_RELATORS = [
+    (_comm(S213).scale(2), 11),
+    (bracket(_comm(S214), generator_element(S214, 0)).scale(6)
+     + bracket(_comm(S214), generator_element(S214, 1)).scale(10), 11),
+    # degree 8 of this one cycles forever if the rows are not sorted by lead
+    (bracket(_comm(S201), generator_element(S201, 0)).scale(2)
+     + bracket(_comm(S201), generator_element(S201, 1)).scale(3), 11),
+]
+
+
+@pytest.mark.parametrize("rho, top", NON_UNIT_RELATORS)
+def test_sweep_echelons_have_the_general_loop_divisors(monkeypatch, rho, top):
+    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    calls = bounded_echelon(monkeypatch, 4 * (top - rho.degree + 1))
+    non_unit = 0
+    for n in range(rho.degree, top + 1):
+        _, pivots, _ = sweep.advance()
+        non_unit += any(abs(row[lead]) != 1 for lead, row in pivots.items())
+        expected = snf._divisor_chain(
+            _smith_diagonal([dict(row) for row in pivots.values()]))
+        result = snf._smith_from_echelon(pivots)
+        assert result.divisors == expected, n
+        assert result.rank == len(expected) == len(pivots), n
+    assert non_unit and calls
+
+
+def test_smith_from_echelon_leaves_the_basis_intact():
+    rho, _ = NON_UNIT_RELATORS[2]
+    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    for _ in range(rho.degree, 9):
+        _, pivots, _ = sweep.advance()
+    assert any(abs(row[lead]) != 1 for lead, row in pivots.items())
+    before = copy.deepcopy(pivots)
+    snf._smith_from_echelon(pivots)
+    assert pivots == before
+    assert [list(row) for row in pivots.values()] \
+        == [list(row) for row in before.values()]
+
+
+def test_unit_leads_need_no_column_pass(monkeypatch):
+    calls = bounded_echelon(monkeypatch, 0)
+    pivots = {0: {0: 1, 2: 5}, 1: {1: -1, 2: 7}}
+    assert snf._smith_from_echelon(pivots) == snf.SmithResult(2, (1, 1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("kernel, rows", [
+    (smith_normal_form, [[0.5, 0]]),
+    (smith_normal_form, [[Fraction(3, 2)]]),
+    (smith_normal_form, [[True, 0]]),
+    (lambda rows: smith_normal_form(rows, 2), [{1.7: 3}]),
+    (lambda rows: smith_normal_form(rows, 2), [{True: 3}]),
+    (lambda rows: integer_row_space(rows, 2), [[2.9, 1]]),
+    (lambda rows: integer_row_space(rows, 2), [{0: 2.0}]),
+    (lambda rows: fp_ranks(rows, (2, 3)), [[0.5, 1.5]]),
+    (lambda rows: fp_ranks(rows, (2, 3)), [{0: 1, 1.0: 1}]),
+    (lambda rows: fp_rank(rows, 2), [[1, False]]),
+])
+def test_non_integer_input_is_refused(kernel, rows):
+    # each was once truncated by int() and gave a divisor or a rank
+    with pytest.raises(TypeError):
+        kernel(rows)
+
+
+def test_the_width_is_checked_before_any_elimination(monkeypatch):
+    def never(mat):
+        raise AssertionError("eliminated before the width check")
+
+    monkeypatch.setattr(snf, "_echelon", never)
+    for kernel in (integer_row_space, smith_normal_form):
+        with pytest.raises(ValueError) as caught:
+            kernel([{0: 1}, {0: 1, 3: 4}], 2)
+        assert str(caught.value) == "column index beyond the declared width"
