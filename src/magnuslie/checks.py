@@ -7,20 +7,19 @@ counterexample; pass counts and seeds go into the run report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 
 from .liebasis import (DegreeAboveCutoff, LieElement, bracket, generator_element,
                        leading_lie_form, lyndon_words)
 from .quotient import ideal_component, ideal_component_alt
+from .record import Record, field
 from .series import Series, WeightScheme
 from .snf import integer_row_space
 from .words import (Word, filtration_degree, free_reduce, generator,
                     group_commutator, magnus_embed, random_word, word_to_text)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     cases: int
     failures: int

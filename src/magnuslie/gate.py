@@ -19,15 +19,13 @@ of the condition the quotient computations consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .liebasis import DegreeAboveCutoff, LieElement, leading_lie_form
+from .record import Record
 from .series import WeightScheme
 from .words import Word, is_reduced, only_x_letters, only_y_letters
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """One-relator data: x-count, y-count, the two words, optional e."""
 
     m: int
@@ -56,8 +54,7 @@ class Presentation:
         return WeightScheme(self.m, self.n, 1)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Record):
     accepted: bool
     inconclusive: bool
     d: int | None
@@ -72,12 +69,12 @@ class HypothesisReport:
         return None if self.rho is None else self.rho.scheme
 
 
-def _leading_form(word: Word, scheme: WeightScheme, cutoff: int
-                  ) -> tuple[int, LieElement]:
-    """``leading_lie_form`` at the first of the windows 4, 8, 16, ...,
+def _leading_form(word: Word, scheme: WeightScheme, cutoff: int,
+                  window: int) -> tuple[int, LieElement]:
+    """``leading_lie_form`` at the first of the windows w, 2w, 4w, ...,
     cutoff that resolves the degree: the embedding grows fast with its
     window, and a degree far below the cutoff shows in a small one."""
-    window = min(4, cutoff)
+    window = min(window, cutoff)
     while True:
         try:
             return leading_lie_form(word, scheme, window)
@@ -87,15 +84,20 @@ def _leading_form(word: Word, scheme: WeightScheme, cutoff: int
             window = min(2 * window, cutoff)
 
 
-def check_relator_hypotheses(pres: Presentation, cutoff: int) -> HypothesisReport:
+def check_relator_hypotheses(pres: Presentation, cutoff: int,
+                             first_window: int = 4) -> HypothesisReport:
     """Decide the gate conditions at the given certification cutoff.
 
     A cutoff too small to certify the degree of u yields an inconclusive
     report, which is distinct from a rejection: truncation never turns
-    into a mathematical verdict.
+    into a mathematical verdict.  u is embedded at the windows
+    first_window, twice that, ..., up to the cutoff, stopping at the
+    first that resolves its degree; a caller that saw the smaller
+    windows fail starts past them, as a resolved degree and its form do
+    not depend on the window.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
+    if cutoff < 1 or first_window < 1:
+        raise ValueError("cutoff and first window must be positive")
     failures: list[str] = []
     inconclusive = False
     bounds = pres.scheme_bounds
@@ -120,7 +122,7 @@ def check_relator_hypotheses(pres: Presentation, cutoff: int) -> HypothesisRepor
         # degree; this x-scheme degree is the lower central degree of u.
         x_scheme = WeightScheme(pres.m, 0, 1)
         try:
-            d, rho_x = _leading_form(pres.u, x_scheme, cutoff)
+            d, rho_x = _leading_form(pres.u, x_scheme, cutoff, first_window)
         except DegreeAboveCutoff:
             inconclusive = True
             failures.append(

@@ -35,10 +35,10 @@ by letter, to name the error.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .record import Record
 from .series import INFINITY, Series, WeightScheme
 from .words import Word, _decided_cutoff, _image_valuation, magnus_embed
 
@@ -192,18 +192,18 @@ def _lyndon_rewrite(terms: dict) -> dict:
 # -- Lie elements ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LieElement:
+class LieElement(Record):
     """A homogeneous element, as integer coordinates over Lyndon words."""
 
     scheme: WeightScheme
     degree: int
     coords: dict
 
-    def __post_init__(self):
+    # built for every bracket: a direct __init__ beats Record's generic one
+    def __init__(self, scheme: WeightScheme, degree: int, coords: dict):
         clean = {}
-        weights = self.scheme.letter_weights()
-        for word, c in self.coords.items():
+        weights = scheme.letter_weights()
+        for word, c in coords.items():
             word = tuple(word)
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"integer coordinate expected, got {c!r}")
@@ -213,21 +213,24 @@ class LieElement:
             # Fraction sum, and the memo cannot tell (0.0, 1.0) from (0, 1)
             if sum(word).__class__ is not int:
                 raise TypeError(f"integer letters expected, got {word!r}")
-            if _lyndon_weight(weights, word) != self.degree:
+            if _lyndon_weight(weights, word) != degree:
                 # the per-letter checks name what is wrong
-                if self.scheme.monomial_weight(word) != self.degree:
+                if scheme.monomial_weight(word) != degree:
                     raise ValueError(f"basis word {word} is not homogeneous of "
-                                     f"degree {self.degree}")
+                                     f"degree {degree}")
                 if not _is_lyndon(word):
                     raise ValueError(f"{word} is not a Lyndon word")
             clean[word] = c
         # after the coordinates, so a bad word is named first; a bool
         # degree is not int
-        if self.degree.__class__ is not int or self.degree < 1:
-            if self.degree.__class__ is not int:
-                raise TypeError(f"integer degree expected, got {self.degree!r}")
-            raise ValueError(f"degree must be positive, got {self.degree}")
-        object.__setattr__(self, "coords", clean)
+        if degree.__class__ is not int or degree < 1:
+            if degree.__class__ is not int:
+                raise TypeError(f"integer degree expected, got {degree!r}")
+            raise ValueError(f"degree must be positive, got {degree}")
+        state = self.__dict__
+        state["scheme"] = scheme
+        state["degree"] = degree
+        state["coords"] = clean
 
     @classmethod
     def zero(cls, scheme: WeightScheme, degree: int) -> "LieElement":

@@ -17,9 +17,9 @@ is a gate matter, not a parse matter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .gate import Presentation
+from .record import Record
 from .series import WeightScheme
 from .words import WordSyntaxError, parse_word
 
@@ -36,8 +36,7 @@ _INT_LINE = re.compile(r"^(generators\s+x|generators\s+y|e|max_degree)\s*:\s*(-?
 _RELATOR_LINE = re.compile(r"^relator\s*:\s*(.*)$")
 
 
-@dataclass(frozen=True)
-class PresentationFile:
+class PresentationFile(Record):
     presentation: Presentation
     max_degree: int | None
 

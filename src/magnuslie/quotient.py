@@ -33,12 +33,11 @@ the same integer row space as the sweep's rows (``ideal_component``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import truncpoly
 from .fprank import _distinct_primes, fp_ranks
 from .liebasis import (LieElement, _bracket_words, bracket, generator_element,
                        lyndon_words, witt_dimensions)
+from .record import Record, field
 from .series import WeightScheme
 from .snf import _echelon, _smith_from_echelon
 
@@ -57,8 +56,7 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(Record):
     degree: int
     dim_free: int
     rank: int
@@ -67,8 +65,7 @@ class DegreeReport:
     torsion: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TorsionReport:
+class TorsionReport(Record):
     # rho and -rho generate the same ideal: certificates compare by what
     # they certify, not by the relator that was given
     relator: LieElement = field(compare=False)
@@ -84,8 +81,7 @@ class TorsionReport:
     rows: tuple[list[dict], ...] = field(default=(), compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class HilbertTable:
+class HilbertTable(Record):
     relator_degree: int | None
     max_degree: int
     candidate: tuple[int, ...]
@@ -95,23 +91,20 @@ class HilbertTable:
     formula_status: str
 
 
-@dataclass(frozen=True)
-class ModpDegreeRow:
+class ModpDegreeRow(Record):
     degree: int
     rank_mod_p: int
     rank_integer: int
     match: bool
 
 
-@dataclass(frozen=True)
-class ModpReport:
+class ModpReport(Record):
     prime: int
     rows: tuple[ModpDegreeRow, ...]
     all_match: bool
 
 
-@dataclass(frozen=True)
-class ModpCheck:
+class ModpCheck(Record):
     primes: tuple[int, ...]
     reports: tuple[ModpReport, ...]
     all_match: bool

@@ -4,7 +4,7 @@ The fixed check order is gate, torsion, hilbert, mod-p, floor-bound,
 magnus-e1.  A gate rejection stops the quotient checks unless forced,
 in which case their sections carry hypotheses_met = false.
 
-The result dataclasses are the report schema: each check's block holds
+The result records are the report schema: each check's block holds
 its result's fields plus "skipped" (and "hypotheses_met" for the
 quotient checks, "passed" for the suites), or "skipped" and "reason".
 Only a few renderings are spelled out here: the gate's rho as text,
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
 
 from . import __version__
 from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
@@ -32,8 +31,9 @@ from .presentation_io import PresentationFile, parse_presentation_file
 from .quotient import (DEFAULT_BUDGET, HilbertTable, ModpCheck, TorsionReport,
                        hilbert_crosscheck, modp_dimension_check,
                        torsion_free_certificate)
+from .record import Record, field
 from .series import WeightScheme
-from .words import word_to_text
+from .words import MAX_POWER_LENGTH, word_to_text
 
 EXIT_OK = 0
 EXIT_GATE_REJECTED = 1
@@ -47,8 +47,7 @@ ALL_CHECKS = ("gate", "torsion", "hilbert", "modp", "floor-bound", "magnus-e1")
 _GATE_CUTOFFS = (4, 8, 12)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     input_path: str
     max_degree: int | None = None
     e: int | None = None
@@ -66,8 +65,10 @@ class RunConfig:
             raise ValueError("max_degree must be positive")
         if self.samples < 0:
             raise ValueError("sample count must be nonnegative")
-        if self.max_word_len < 0:
-            raise ValueError("max word length must be nonnegative")
+        # sampled words are built letter by letter, 500 of them by default
+        if not 0 <= self.max_word_len <= MAX_POWER_LENGTH:
+            raise ValueError(f"max word length must be between 0 and "
+                             f"{MAX_POWER_LENGTH}, got {self.max_word_len}")
         _distinct_primes(self.primes)
         for name in self.checks:
             if name not in ALL_CHECKS + ("all",):
@@ -81,8 +82,7 @@ class RunConfig:
         return tuple(name for name in ALL_CHECKS if name in self.checks)
 
 
-@dataclass
-class RunReport:
+class RunReport(Record, frozen=False):
     config: RunConfig
     presentation_file: PresentationFile
     gate: HypothesisReport
@@ -110,14 +110,16 @@ def run_report(config: RunConfig) -> RunReport:
     timings: dict[str, float] = {}
 
     # gate: with a configured degree cap that cap is the certification
-    # window; otherwise climb a small ladder until the degree resolves
+    # window; otherwise climb a small ladder until the degree resolves,
+    # each step embedding u only at its own cutoff, as the windows below
+    # it failed at the steps before
     configured_cap = config.max_degree or parsed.max_degree
     start = time.perf_counter()
     if configured_cap is not None:
         gate = check_relator_hypotheses(pres, configured_cap)
     else:
         for cutoff in _GATE_CUTOFFS:
-            gate = check_relator_hypotheses(pres, cutoff)
+            gate = check_relator_hypotheses(pres, cutoff, first_window=cutoff)
             if not gate.inconclusive:
                 break
     timings["gate"] = time.perf_counter() - start
@@ -227,20 +229,20 @@ def _exit_code(report: RunReport, selected) -> int:
 # -- JSON serialization -----------------------------------------------------
 
 
-def _fields(result) -> dict:
-    """A dataclass's fields by name.  The values are not copied, unlike in
-    dataclasses.asdict, so TorsionReport.rows is never walked."""
-    return {f.name: getattr(result, f.name) for f in fields(result)}
+def _fields(result: Record) -> dict:
+    """A record's fields by name.  The values are not copied, so
+    TorsionReport.rows is never walked."""
+    return {name: getattr(result, name) for name in result._fields}
 
 
 def _stringify(value):
-    """Recursively render integers as decimal strings and dataclasses as
-    their fields; bools and floats stay as they are."""
+    """Recursively render integers as decimal strings and records as their
+    fields; bools and floats stay as they are."""
     if isinstance(value, (bool, float)):
         return value
     if isinstance(value, int):
         return str(value)
-    if is_dataclass(value):
+    if isinstance(value, Record):
         value = _fields(value)
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]

@@ -15,7 +15,7 @@ series here are truncations, a valuation of INFINITY only certifies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record
 
 
 class InfiniteValuation:
@@ -76,8 +76,7 @@ def _check_cutoff(cutoff) -> None:
 MAX_LETTERS = 100_000
 
 
-@dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(Record):
     """Letter alphabet and weights: m letters of weight 1, n of weight e.
 
     The paperless rule of thumb: letters 0..m-1 are the X letters

@@ -23,8 +23,9 @@ in ``fprank``.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from math import gcd
+
+from .record import Record
 
 
 def _sparse_rows(rows, ncols: int | None = None) -> list[dict[int, int]]:
@@ -70,8 +71,7 @@ def _divisor_chain(values: list[int]) -> tuple[int, ...]:
     return units + tuple(sorted(vals))
 
 
-@dataclass(frozen=True)
-class SmithResult:
+class SmithResult(Record):
     rank: int
     divisors: tuple[int, ...]
 

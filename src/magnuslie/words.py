@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from dataclasses import dataclass
 from random import Random
 
+from .record import Record
 from .series import INFINITY, Series, WeightScheme, _check_cutoff
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DegreeBound:
+class DegreeBound(Record):
     """Either an exact filtration degree or a certified lower bound.
 
     ``exact`` means the degree equals ``bound``; otherwise the degree is
@@ -39,6 +38,12 @@ class DegreeBound:
 
     bound: int
     exact: bool
+
+    # one per sampled word: a direct __init__ beats Record's generic one
+    def __init__(self, bound: int, exact: bool):
+        state = self.__dict__
+        state["bound"] = bound
+        state["exact"] = exact
 
     def at_least(self, k: int) -> bool:
         return self.bound >= k

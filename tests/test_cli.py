@@ -335,6 +335,23 @@ def test_negative_word_length_is_rejected_before_the_run(tmp_path, capsys, monke
     assert "word length" in captured.err
 
 
+@pytest.mark.parametrize("length", ["10001", "100000000"])
+def test_word_length_above_the_power_limit_is_rejected(tmp_path, capsys,
+                                                       monkeypatch, length):
+    def never(config):
+        raise AssertionError("run_report must not be reached")
+
+    monkeypatch.setattr(cli, "run_report", never)
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    assert main(["--input", ok, "--max-word-len", length, "--samples", "3",
+                 "--check", "floor-bound"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("magnuslie: error: max word length must be between "
+                            f"0 and 10000, got {length}\n")
+    assert RunConfig(input_path=ok, max_word_len=10_000).max_word_len == 10_000
+
+
 def test_commutator_basic_is_certified_through_degree_13(tmp_path, capsys):
     # degree 13 is 2291 x 2248 rows x columns, inside the default budget
     root = Path(__file__).resolve().parent.parent

@@ -3,10 +3,10 @@ from random import Random
 import pytest
 
 from magnuslie import gate
-from magnuslie import (HypothesisReport, Presentation, WeightScheme,
+from magnuslie import (HypothesisReport, Presentation, RunConfig, WeightScheme,
                        check_relator_hypotheses, filtration_degree, free_reduce,
                        group_commutator, leading_lie_form, parse_word,
-                       random_word, word_multiply, invert_word)
+                       random_word, run_report, word_multiply, invert_word)
 
 COMM = group_commutator((1,), (2,))
 
@@ -172,6 +172,19 @@ def test_presentation_validation():
         Presentation(m=1, n=1, u=(1,), v=(2,), e=0)
 
 
+def _spy_on_windows(monkeypatch) -> list[int]:
+    """The windows the gate embeds u at, in order, from now on."""
+    seen = []
+    kernel = gate.leading_lie_form
+
+    def spy(word, scheme, window):
+        seen.append(window)
+        return kernel(word, scheme, window)
+
+    monkeypatch.setattr(gate, "leading_lie_form", spy)
+    return seen
+
+
 @pytest.mark.parametrize("u, cutoff, windows, d", [
     (COMM, 200, [4], 2),
     # [[[[x1,x2],x1],x1],x1] has degree 5
@@ -184,17 +197,31 @@ def test_presentation_validation():
 ])
 def test_the_gate_embeds_u_in_doubling_windows(monkeypatch, u, cutoff,
                                                windows, d):
-    seen = []
-    kernel = gate.leading_lie_form
-
-    def spy(word, scheme, window):
-        seen.append(window)
-        return kernel(word, scheme, window)
-
-    monkeypatch.setattr(gate, "leading_lie_form", spy)
+    seen = _spy_on_windows(monkeypatch)
     report = check_relator_hypotheses(Presentation(m=2, n=1, u=u, v=(3,)),
                                       cutoff)
     assert seen == windows
     assert report.d == d
     assert report.cutoff == cutoff
     assert report.inconclusive is (d is None)
+
+
+@pytest.mark.parametrize("commutators, windows, cutoff, d", [
+    (1, [4], 4, 2),
+    (4, [4, 8], 8, 5),
+    # [[[[[[[[x1,x2],x1],x1],x1],x1],x1],x1],x1] has degree 9
+    (8, [4, 8, 12], 12, 9),
+])
+def test_the_cutoff_ladder_embeds_each_window_once(tmp_path, monkeypatch,
+                                                  commutators, windows,
+                                                  cutoff, d):
+    u = "x1"
+    for _ in range(commutators):
+        u = f"[{u}, x{2 if u == 'x1' else 1}]"
+    path = tmp_path / "deep.pres"
+    path.write_text(f"generators x: 2\ngenerators y: 1\nrelator: {u} = y1\n")
+    seen = _spy_on_windows(monkeypatch)
+    report = run_report(RunConfig(input_path=str(path), checks=("gate",)))
+    assert seen == windows
+    assert report.gate.cutoff == cutoff
+    assert report.gate.d == d
