@@ -84,20 +84,26 @@ def _leading_form(word: Word, scheme: WeightScheme, cutoff: int,
             window = min(2 * window, cutoff)
 
 
-def check_relator_hypotheses(pres: Presentation, cutoff: int,
-                             first_window: int = 4) -> HypothesisReport:
+def check_relator_hypotheses(pres: Presentation, cutoff: int) -> HypothesisReport:
     """Decide the gate conditions at the given certification cutoff.
 
     A cutoff too small to certify the degree of u yields an inconclusive
     report, which is distinct from a rejection: truncation never turns
-    into a mathematical verdict.  u is embedded at the windows
-    first_window, twice that, ..., up to the cutoff, stopping at the
-    first that resolves its degree; a caller that saw the smaller
-    windows fail starts past them, as a resolved degree and its form do
-    not depend on the window.
+    into a mathematical verdict.  u is embedded at the windows 4, 8,
+    ..., up to the cutoff, stopping at the first that resolves its
+    degree.
     """
-    if cutoff < 1 or first_window < 1:
-        raise ValueError("cutoff and first window must be positive")
+    if cutoff < 1:
+        raise ValueError("cutoff must be positive")
+    return _check_hypotheses(pres, cutoff, 4)
+
+
+def _check_hypotheses(pres: Presentation, cutoff: int,
+                      first_window: int) -> HypothesisReport:
+    """``check_relator_hypotheses`` with u's windows starting at
+    first_window: a caller that saw the smaller windows fail starts past
+    them, as a resolved degree and its form do not depend on the
+    window."""
     failures: list[str] = []
     inconclusive = False
     bounds = pres.scheme_bounds

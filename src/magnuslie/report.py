@@ -26,7 +26,7 @@ from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
                      floor_bound_suite, magnus_e1_suite,
                      strategy_independence_suite, valuation_mult_suite)
 from .fprank import _distinct_primes
-from .gate import HypothesisReport, check_relator_hypotheses
+from .gate import HypothesisReport, _check_hypotheses, check_relator_hypotheses
 from .presentation_io import PresentationFile, parse_presentation_file
 from .quotient import (DEFAULT_BUDGET, HilbertTable, ModpCheck, TorsionReport,
                        hilbert_crosscheck, modp_dimension_check,
@@ -119,7 +119,7 @@ def run_report(config: RunConfig) -> RunReport:
         gate = check_relator_hypotheses(pres, configured_cap)
     else:
         for cutoff in _GATE_CUTOFFS:
-            gate = check_relator_hypotheses(pres, cutoff, first_window=cutoff)
+            gate = _check_hypotheses(pres, cutoff, cutoff)
             if not gate.inconclusive:
                 break
     timings["gate"] = time.perf_counter() - start

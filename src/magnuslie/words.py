@@ -39,12 +39,6 @@ class DegreeBound(Record):
     bound: int
     exact: bool
 
-    # one per sampled word: a direct __init__ beats Record's generic one
-    def __init__(self, bound: int, exact: bool):
-        state = self.__dict__
-        state["bound"] = bound
-        state["exact"] = exact
-
     def at_least(self, k: int) -> bool:
         return self.bound >= k
 
