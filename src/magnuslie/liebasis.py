@@ -342,7 +342,8 @@ def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict:
     """Lyndon coordinates of [u, v] for Lyndon words u, v.  Read-only cache.
 
     Scheme independent: only the letter order enters, so one table
-    serves every weighting of the same alphabet.
+    serves every weighting of the same alphabet.  The rule and the sweep
+    read pairs u < v only; reversed ones come from ``bracket`` alone.
     """
     if u == v:
         return {}
@@ -352,14 +353,19 @@ def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict:
         return {u + v: 1}
     u1, u2 = standard_factorization(u)
     out = _add_bracket({}, {u1: 1}, _bracket_words(u2, v))
-    return _add_bracket(out, {u2: 1}, _bracket_words(u1, v), -1)
+    for w, c in _bracket_words(u1, v).items():  # -[u2, w], read in order
+        if u2 < w:
+            _add_bracket(out, {u2: -c}, {w: 1})
+        elif w < u2:
+            _add_bracket(out, {w: c}, {u2: 1})
+    return out
 
 
-def _add_bracket(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
-    """Add sign * [a, b] to out, everything in Lyndon coordinates."""
+def _add_bracket(out: dict, a: dict, b: dict) -> dict:
+    """Add [a, b] to out, everything in Lyndon coordinates."""
     for u, cu in a.items():
         for v, cv in b.items():
-            scale = sign * cu * cv
+            scale = cu * cv
             for w, c in _bracket_words(u, v).items():
                 value = out.get(w, 0) + scale * c
                 if value:
@@ -375,11 +381,6 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
         raise ValueError("scheme mismatch")
     return LieElement(a.scheme, a.degree + b.degree,
                       _add_bracket({}, a.coords, b.coords))
-
-
-def ad_generator(letter: int, elem: LieElement) -> LieElement:
-    """[generator, elem]."""
-    return bracket(generator_element(elem.scheme, letter), elem)
 
 
 def leading_lie_form(word: Word, scheme: WeightScheme, cutoff: int) -> tuple[int, LieElement]:

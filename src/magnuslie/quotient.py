@@ -162,7 +162,15 @@ class _IdealSweep:
             for coords in self.bases.get(n - w, {}).values():
                 row: dict[int, int] = {}
                 for j, c in coords.items():
-                    for word, b in _bracket_words(g, words[j]).items():
+                    # read the table in stored order: [g, v] = -[v, g]
+                    v = words[j]
+                    if g < v:
+                        pair = _bracket_words(g, v)
+                    elif v < g:
+                        pair, c = _bracket_words(v, g), -c
+                    else:
+                        continue  # [g, g] = 0
+                    for word, b in pair.items():
                         i = index[word]
                         if value := row.get(i, 0) + c * b:
                             row[i] = value

@@ -13,7 +13,7 @@ from magnuslie import (BudgetExceeded, WeightScheme, bracket,
                        generator_element, integer_row_space, lyndon_words,
                        modp_dimension_check, smith_normal_form,
                        torsion_free_certificate)
-from magnuslie import quotient
+from magnuslie import liebasis, quotient
 from magnuslie.liebasis import _add_bracket
 from test_snf import per_prime_rank
 
@@ -205,6 +205,29 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
         sweep.budget = quotient.DEFAULT_BUDGET
         rows, _, _ = sweep.advance()
         assert len(rows) == err.value.rows
+
+
+@pytest.mark.parametrize("rho, top", [
+    (comm(S213), 10), (bracket(comm(S314), x(S314, 2)), 8),
+    (x(S201, 0).scale(2), 6),  # reaches [x1, x1]
+], ids=["[x1,x2]", "[[x1,x2],x3]", "2*x1"])
+def test_certificate_reads_each_bracket_pair_once_in_stored_order(
+        monkeypatch, rho, top):
+    # the rule recurses through the module name, so the spy sees every
+    # request, the ones the memo answers included
+    table = liebasis._bracket_words
+    requests = []
+
+    def spy(u, v):
+        requests.append((u, v))
+        return table(u, v)
+
+    table.cache_clear()
+    monkeypatch.setattr(liebasis, "_bracket_words", spy)
+    monkeypatch.setattr(quotient, "_bracket_words", spy)
+    torsion_free_certificate(rho, top)
+    assert requests and all(u < v for u, v in requests)
+    assert table.cache_info().currsize == len(set(requests))
 
 
 def test_budget_counts_the_columns_before_enumerating_them(monkeypatch):

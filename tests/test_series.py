@@ -186,8 +186,8 @@ def test_public_names():
         "ModpReport", "NotLieElement", "Presentation", "PresentationFile",
         "PresentationSyntaxError", "RunConfig", "RunReport", "Series",
         "SmithResult", "SuiteResult", "TorsionReport", "WeightScheme",
-        "Word", "WordSyntaxError", "ad_generator", "algebra_law_suites",
-        "bracket", "candidate_series", "check_relator_hypotheses",
+        "Word", "WordSyntaxError", "algebra_law_suites", "bracket",
+        "candidate_series", "check_relator_hypotheses",
         "filtration_degree", "floor_bound_suite", "fp_rank", "fp_ranks",
         "free_reduce", "generator", "generator_element", "group_commutator",
         "hilbert_crosscheck", "homomorphism_suite", "ideal_component",
