@@ -24,6 +24,7 @@ from magnuslie import (EXIT_CHECK_FAILED, EXIT_INCONCLUSIVE, EXIT_OK,
                        WeightScheme, hilbert_crosscheck, leading_lie_form,
                        parse_word, torsion_free_certificate, witt_dimensions)
 from magnuslie.cli import _Parser
+from magnuslie.quotient import DEFAULT_BUDGET, _IdealSweep
 
 PROG = "dimension_table.py"
 
@@ -83,14 +84,18 @@ def table() -> int:
     if args.dump_matrices:
         out_dir = Path(args.dump_matrices)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # the certificate's own rows, already over the column indices of
-        # the degree's Lyndon basis, one matrix row per line
-        for n, rows in enumerate(cert.rows, degree):
+        # the rows the certificate eliminates, over the column indices of
+        # the degree's Lyndon basis, one matrix row per line: each degree
+        # is written between building its rows and eliminating them
+        sweep = _IdealSweep(rho, DEFAULT_BUDGET)
+        for n in range(degree, len(cert.degrees) + 1):
+            rows, basis = sweep.next_rows()
             ncols = dims[n - 1]
             path = out_dir / f"ideal_degree_{n}.txt"
             path.write_text("\n".join(" ".join(str(row.get(i, 0)) for i in range(ncols))
                                       for row in rows) + "\n")
             print(f"wrote {path} ({len(rows)} rows)")
+            sweep.eliminate(rows, basis)
     if not cert.torsion_free:
         return EXIT_CHECK_FAILED
     if cert.aborted_degree is not None:

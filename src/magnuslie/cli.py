@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from .presentation_io import PresentationSyntaxError
+from .quotient import DEFAULT_BUDGET
 from .report import (ALL_CHECKS, EXIT_INCONCLUSIVE, EXIT_USAGE, RunConfig,
                      report_to_json, run_report)
 from .words import EmbeddingTooLarge
@@ -53,6 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the JSON report to this path")
     parser.add_argument("--force-downstream", action="store_true",
                         help="run quotient checks even after a gate rejection")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="largest rows x columns matrix a degree may need "
+                             f"(default {DEFAULT_BUDGET})")
     return parser
 
 
@@ -129,6 +133,7 @@ def main(argv=None) -> int:
             checks=checks,
             json_out=args.json_out,
             force_downstream=args.force_downstream,
+            budget=args.budget,
         )
     except ValueError as ex:
         print(f"magnuslie: error: {ex}", file=sys.stderr)

@@ -12,15 +12,19 @@ Lyndon basis once.  That echelon basis yields the Smith normal form,
 which certifies, exactly, the rank of the ideal and any torsion in the
 quotient component, and it feeds the degrees above.
 
-The certificate (``torsion_free_certificate``) carries its relator, its
-per-degree reports and the sweep's rows, and it is the only input of the
-two cross-checks of it:
+The certificate (``torsion_free_certificate``) takes each degree through
+one pass: the sweep builds the degree's rows, ``fprank.fp_ranks`` ranks
+them over the requested prime fields, ``_echelon`` eliminates those same
+rows in place, the Smith step reads the echelon basis, and the rows are
+released.  The certificate carries its relator, its per-degree reports
+and those ranks, no rows, and it is the only input of the two
+cross-checks of it:
 
 * the candidate enveloping-algebra series 1/(1 - m t - n t^e + t^d),
   imported from the literature on one-relator graded Lie algebras and
   always validated against the certified dimensions, never assumed
   (``hilbert_crosscheck``),
-* ranks of the certificate's rows over small prime fields, which agree
+* the ranks of the sweep's rows over small prime fields, which agree
   with the integer ranks exactly when no p-torsion exists
   (``modp_dimension_check``); the ranks for all the primes come from one
   elimination per degree modulo their product, which splits the modulus
@@ -75,10 +79,11 @@ class TorsionReport(Record):
     torsion_free: bool
     aborted_degree: int | None
     note: str | None
-    # ideal rows of degrees d, d + 1, ..., each over the column indices
-    # of its degree's Lyndon words: the brackets the sweep made before
-    # eliminating them (the mod-p check reads these)
-    rows: tuple[list[dict], ...] = field(default=(), compare=False, repr=False)
+    # prime -> the F_p ranks of the ideal rows of degrees d, d + 1, ...,
+    # taken before each degree's elimination for the primes the
+    # certificate was given (the mod-p check reads these)
+    modp_ranks: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 class HilbertTable(Record):
@@ -180,19 +185,19 @@ class _IdealSweep:
                     rows.append(row)
         return rows, basis
 
-    def advance(self) -> tuple[list[dict[int, int]], dict[int, dict[int, int]], int]:
-        """Build the next degree: its rows, their echelon basis and the
-        column count, all over the column indices of its Lyndon basis."""
-        rows, basis = self.next_rows()
+    def eliminate(self, rows: list[dict[int, int]], basis: list[tuple[int, ...]]
+                  ) -> dict[int, dict[int, int]]:
+        """Eliminate the next degree's rows, as ``next_rows`` built them,
+        in place into their echelon basis; keep that basis and its words
+        for the degrees above, and return it.  The rows are consumed."""
         n = self.degree + 1
-        # _echelon reduces its rows in place; the rows stay for mod-p
-        pivots = _echelon([dict(row) for row in rows])
+        pivots = _echelon(rows)
         self.bases[n], self.words[n] = pivots, basis
         drop = n - max(self.scheme.letter_weights())
         self.bases.pop(drop, None)
         self.words.pop(drop, None)
         self.degree = n
-        return rows, pivots, len(basis)
+        return pivots
 
 
 def _check_relator(rho: LieElement, n: int) -> None:
@@ -207,11 +212,12 @@ def ideal_component(rho: LieElement, n: int, *,
     """Generating rows of the degree-n piece of (rho), word-keyed: rho
     itself at its own degree, above it the nonzero brackets of each
     generator with the echelon basis of the degree below it.  These are
-    TorsionReport.rows with each column index replaced by its word."""
+    the rows the certificate ranks and eliminates at degree n, with each
+    column index replaced by its word."""
     _check_relator(rho, n)
     sweep = _IdealSweep(rho, budget)
     while sweep.degree < n - 1:
-        sweep.advance()
+        sweep.eliminate(*sweep.next_rows())
     rows, basis = sweep.next_rows()
     return [{basis[i]: c for i, c in row.items()} for row in rows]
 
@@ -258,19 +264,25 @@ def ideal_component_alt(rho: LieElement, n: int) -> tuple[LieElement, ...]:
 
 
 def torsion_free_certificate(rho: LieElement, max_degree: int, *,
-                             budget: int = DEFAULT_BUDGET) -> TorsionReport:
+                             budget: int = DEFAULT_BUDGET,
+                             primes=()) -> TorsionReport:
     """Per-degree divisor chains for all degrees up to max_degree.
 
     The verdict is "torsion free up to the computed range": true exactly
     when every elementary divisor equals 1.  A relator of content
     greater than 1 is allowed, the certificate then legitimately fails
     and the note records the violated expectation.  One sweep serves
-    every degree, one elimination per degree; the relator and the
-    bracket rows stay on the report for the cross-checks.
+    every degree, one pass per degree: its rows are ranked over F_p for
+    each of the given primes (distinct, possibly none), then eliminated
+    in place; the relator and the ranks stay on the report for the
+    cross-checks.
     """
     _check_relator(rho, rho.degree)
     if max_degree < 1:
         raise ValueError("max_degree must be positive")
+    primes = tuple(primes)
+    if primes:
+        primes = _distinct_primes(primes)
     d = rho.degree
     dims = witt_dimensions(rho.scheme, d)
     note = None
@@ -280,21 +292,26 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
                 "torsion in the quotient is expected")
     sweep = _IdealSweep(rho, budget)
     reports: list[DegreeReport] = []
-    rows: list[list[dict[int, int]]] = []
+    ranks: list[dict[int, int]] = []
     aborted: int | None = None
     for n in range(1, max_degree + 1):
         if n < d:
             reports.append(DegreeReport(n, dims[n - 1], 0, (), dims[n - 1], ()))
             continue
         try:
-            level, pivots, ncols = sweep.advance()
+            rows, basis = sweep.next_rows()
         except BudgetExceeded:
             aborted = n
             break
-        result = _smith_from_echelon(pivots)
+        if primes:
+            ranks.append(fp_ranks(rows, primes))
+        result = _smith_from_echelon(sweep.eliminate(rows, basis))
+        # the rows that did not become pivots are spent: free them before
+        # the next degree's rows are built
+        del rows
+        ncols = len(basis)
         reports.append(DegreeReport(n, ncols, result.rank, result.divisors,
                                     ncols - result.rank, result.nontrivial))
-        rows.append(level)
     torsion_free = all(not r.torsion for r in reports)
     return TorsionReport(
         relator=rho,
@@ -304,7 +321,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
         torsion_free=torsion_free,
         aborted_degree=aborted,
         note=note,
-        rows=tuple(rows),
+        modp_ranks={p: tuple(r[p] for r in ranks) for p in primes},
     )
 
 
@@ -380,17 +397,20 @@ def _hilbert_table(scheme: WeightScheme, d: int | None, dims: list[int],
 
 
 def modp_dimension_check(report: TorsionReport, primes) -> ModpCheck:
-    """Ranks of the certificate's ideal rows over each F_p against its
-    integer ranks.
+    """The certificate's ranks over each F_p against its integer ranks.
 
     Equality in every degree for every prime is exactly the absence of
     p-torsion there.  A relator whose content is divisible by one of
-    the primes is expected to mismatch; the note says so.  The rows,
-    integer ranks, relator and budget abort all come from ``report``;
-    each degree's rows are eliminated once for all the primes, which
-    must be distinct and at least one.
+    the primes is expected to mismatch; the note says so.  The F_p
+    ranks, integer ranks, relator and budget abort all come from
+    ``report``; the primes must be distinct, at least one, and among
+    those the certificate was given (ValueError otherwise).
     """
     primes = _distinct_primes(primes)
+    for p in primes:
+        if p not in report.modp_ranks:
+            raise ValueError(f"the certificate holds no ranks mod {p}; "
+                             "pass the prime to torsion_free_certificate")
     rho = report.relator
     note = None
     content = rho.content()
@@ -399,17 +419,15 @@ def modp_dimension_check(report: TorsionReport, primes) -> ModpCheck:
         note = (f"relator content {content} is divisible by {divisible}; "
                 "mismatches are expected for those primes")
 
-    tables: list[list[ModpDegreeRow]] = [[] for _ in primes]
-    for n, rows in enumerate(report.rows, report.relator_degree):
-        ranks = fp_ranks(rows, primes)
-        rank_z = report.degrees[n - 1].rank
-        for table, p in zip(tables, primes):
-            table.append(ModpDegreeRow(
-                degree=n, rank_mod_p=ranks[p], rank_integer=rank_z,
-                match=ranks[p] == rank_z))
-    reports = [ModpReport(prime=p, rows=tuple(table),
-                          all_match=all(r.match for r in table))
-               for p, table in zip(primes, tables)]
+    reports = []
+    for p in primes:
+        table = tuple(
+            ModpDegreeRow(degree=n, rank_mod_p=rank,
+                          rank_integer=report.degrees[n - 1].rank,
+                          match=rank == report.degrees[n - 1].rank)
+            for n, rank in enumerate(report.modp_ranks[p], report.relator_degree))
+        reports.append(ModpReport(prime=p, rows=table,
+                                  all_match=all(r.match for r in table)))
     return ModpCheck(
         primes=primes,
         reports=tuple(reports),

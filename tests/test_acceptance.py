@@ -47,7 +47,7 @@ def _corpus_certificates():
     for label, scheme, rho in _corpus():
         cap = rho.degree + 6
         start = time.perf_counter()
-        cert = torsion_free_certificate(rho, cap)
+        cert = torsion_free_certificate(rho, cap, primes=(2, 3, 5, 7))
         elapsed = time.perf_counter() - start
         out.append((label, scheme, rho, cert, elapsed))
     return out

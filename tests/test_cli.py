@@ -371,6 +371,61 @@ def test_commutator_basic_is_certified_through_degree_13(tmp_path, capsys):
     assert payload["modp"]["aborted_degree"] is None
 
 
+def test_budget_flag_ends_in_the_abort_of_the_budget_golden(capsys):
+    # the configuration of tests/data/commutator_basic_budget.json
+    root = Path(__file__).resolve().parent.parent
+    pres = root / "presentations" / "commutator_basic.pres"
+    code = main(["--input", str(pres), "--budget", "2000", "--max-degree", "10",
+                 "--samples", "10"])
+    assert code == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "torsion-free up to degree 7\n  budget exceeded at degree 8" in out
+
+
+def test_a_budget_that_admits_degree_14_certifies_it(tmp_path, capsys):
+    # degree 14 needs 4768 x 4586 = 21,866,048 entries: past the default
+    # budget, and past a budget one entry short of it
+    root = Path(__file__).resolve().parent.parent
+    pres = root / "presentations" / "commutator_basic.pres"
+    out_path = tmp_path / "report.json"
+    args = ["--input", str(pres), "--max-degree", "14", "--check", "torsion",
+            "--check", "hilbert", "--check", "modp", "--json-out", str(out_path)]
+    assert main(args + ["--budget", "21866047"]) == EXIT_INCONCLUSIVE
+    assert "budget exceeded at degree 14" in capsys.readouterr().out
+    assert main(args + ["--budget", "21866048"]) == EXIT_OK
+    capsys.readouterr()
+    payload = json.loads(out_path.read_text())
+    assert payload["torsion"]["torsion_free"] is True
+    assert payload["torsion"]["aborted_degree"] is None
+    assert [d["degree"] for d in payload["torsion"]["degrees"]] \
+        == [str(n) for n in range(1, 15)]
+    assert payload["hilbert"]["all_match"] is True
+    assert payload["modp"]["all_match"] is True
+    assert [row["degree"] for row in payload["modp"]["tables"][0]["rows"]] \
+        == [str(n) for n in range(2, 15)]
+
+
+@pytest.mark.parametrize("budget, message", [
+    ("0", "the budget must be a positive integer, got 0"),
+    ("-5", "the budget must be a positive integer, got -5"),
+    ("x", "argument --budget: invalid int value: 'x'"),
+    ("1.5", "argument --budget: invalid int value: '1.5'"),
+])
+def test_budget_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
+                                           budget, message):
+    def never(config):
+        raise AssertionError("run_report must not be reached")
+
+    monkeypatch.setattr(cli, "run_report", never)
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    assert main(["--input", ok, "--budget", budget]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"magnuslie: error: {message}\n")
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
+        RunConfig(input_path=ok, budget=0)
+
+
 def _limit_address_space():
     # a regression then dies with MemoryError instead of exhausting the host
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -58,20 +58,21 @@ def test_report_path_is_byte_identical(name, presentation, options, exit_code):
     assert report_to_json(report, include_timings=False) == expected_json(name)
 
 
-class _Unwalkable(tuple):
-    def __iter__(self):
-        raise AssertionError("the report walked TorsionReport.rows")
+class _Unrenderable(dict):
+    def _refuse(self, *args):
+        raise AssertionError("the report rendered TorsionReport.modp_ranks")
 
-    def __len__(self):
-        raise AssertionError("the report walked TorsionReport.rows")
+    __iter__ = __len__ = items = keys = values = _refuse
 
 
-def test_report_never_walks_the_certificate_rows():
+def test_report_never_renders_the_modp_ranks():
     report = corpus_report("commutator_basic")
-    assert report.torsion.rows
     cert = report.torsion
+    assert set(cert.modp_ranks) == set(report.config.primes)
     report.torsion = TorsionReport(
         cert.relator, cert.relator_degree, cert.max_degree, cert.degrees,
-        cert.torsion_free, cert.aborted_degree, cert.note, _Unwalkable(cert.rows))
-    assert report_to_json(report, include_timings=False) == \
-        expected_json("commutator_basic")
+        cert.torsion_free, cert.aborted_degree, cert.note,
+        _Unrenderable(cert.modp_ranks))
+    text = report_to_json(report, include_timings=False)
+    assert text == expected_json("commutator_basic")
+    assert "modp_ranks" not in text

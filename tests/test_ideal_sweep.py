@@ -9,7 +9,7 @@ divisors and F_p ranks.
 
 import pytest
 
-from magnuslie import (BudgetExceeded, WeightScheme, bracket,
+from magnuslie import (BudgetExceeded, WeightScheme, bracket, fp_ranks,
                        generator_element, integer_row_space, lyndon_words,
                        modp_dimension_check, smith_normal_form,
                        torsion_free_certificate)
@@ -17,6 +17,7 @@ from magnuslie import liebasis, quotient
 from magnuslie.liebasis import _add_bracket
 from test_snf import per_prime_rank
 
+S112 = WeightScheme(1, 1, 2)
 S201 = WeightScheme(2, 0, 1)
 S213 = WeightScheme(2, 1, 3)
 S214 = WeightScheme(2, 1, 4)
@@ -58,8 +59,29 @@ def indexed(rows, scheme, n):
 
 
 def sweep_rows(rho, max_degree):
+    """The sweep's rows of degrees d..max_degree, copied before each
+    degree's elimination consumes them."""
     sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
-    return [sweep.advance()[0] for _ in range(rho.degree, max_degree + 1)]
+    levels = []
+    for _ in range(rho.degree, max_degree + 1):
+        rows, basis = sweep.next_rows()
+        levels.append([dict(row) for row in rows])
+        sweep.eliminate(rows, basis)
+    return levels
+
+
+def eliminated_rows(monkeypatch):
+    """Copies of the rows each of the sweep's eliminations receives, in
+    call order."""
+    seen = []
+    kernel = quotient._echelon
+
+    def recording(rows):
+        seen.append([dict(row) for row in rows])
+        return kernel(rows)
+
+    monkeypatch.setattr(quotient, "_echelon", recording)
+    return seen
 
 
 # relators with y letters in them, too, so weight-e sources are exercised
@@ -88,17 +110,20 @@ def test_row_space_equals_the_dedup_sweep_through_weight_9(scheme, make):
 
 
 @pytest.mark.parametrize("scheme, make", ROW_SPACE_CASES)
-def test_certificate_rows_are_the_ideal_components_over_column_indices(scheme, make):
+def test_certificate_rows_are_the_ideal_components_over_column_indices(
+        monkeypatch, scheme, make):
     rho = make(scheme)
-    cert = torsion_free_certificate(rho, 9)
-    assert len(cert.rows) == 9 - rho.degree + 1
-    for n, rows in enumerate(cert.rows, rho.degree):
+    with monkeypatch.context() as patch:
+        eliminated = eliminated_rows(patch)
+        torsion_free_certificate(rho, 9)
+    assert len(eliminated) == 9 - rho.degree + 1
+    for n, rows in enumerate(eliminated, rho.degree):
         basis = lyndon_words(scheme, n)
         assert [{basis[i]: c for i, c in row.items()} for row in rows] \
             == quotient.ideal_component(rho, n), n
     sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
     for n in range(rho.degree, 10):
-        sweep.advance()
+        sweep.eliminate(*sweep.next_rows())
         for pivots in sweep.bases.values():
             for lead, row in pivots.items():
                 assert lead.__class__ is int and row[lead], n
@@ -106,7 +131,7 @@ def test_certificate_rows_are_the_ideal_components_over_column_indices(scheme, m
 
 
 def test_modp_check_enumerates_no_lyndon_words(monkeypatch):
-    certs = [torsion_free_certificate(make(scheme), 9)
+    certs = [torsion_free_certificate(make(scheme), 9, primes=PRIMES)
              for scheme, make in ROW_SPACE_CASES]
     expected = [modp_dimension_check(cert, PRIMES) for cert in certs]
 
@@ -139,7 +164,7 @@ def test_echelon_entries_stay_small_where_leads_are_not_units():
     for scheme, make, _, top in (TORSION_CASES[2], TORSION_CASES[1]):
         sweep = quotient._IdealSweep(make(scheme), quotient.DEFAULT_BUDGET)
         while sweep.degree < top:
-            _, pivots, _ = sweep.advance()
+            pivots = sweep.eliminate(*sweep.next_rows())
             largest = max(abs(v) for row in pivots.values() for v in row.values())
             assert largest.bit_length() <= 128, sweep.degree
 
@@ -147,7 +172,7 @@ def test_echelon_entries_stay_small_where_leads_are_not_units():
 @pytest.mark.parametrize("scheme, make, top_z, top_p", TORSION_CASES)
 def test_divisors_and_fp_ranks_equal_the_dedup_sweep(scheme, make, top_z, top_p):
     rho = make(scheme)
-    cert = torsion_free_certificate(rho, top_p)
+    cert = torsion_free_certificate(rho, top_p, primes=PRIMES)
     check = modp_dimension_check(cert, PRIMES)
     assert cert.aborted_degree is None
     for n, old in zip(range(rho.degree, top_p + 1), dedup_sweep_rows(rho, top_p)):
@@ -160,13 +185,38 @@ def test_divisors_and_fp_ranks_equal_the_dedup_sweep(scheme, make, top_z, top_p)
                 == per_prime_rank(rows, p), n
 
 
+@pytest.mark.parametrize("scheme, rho, top, content_two", [
+    # the corpus relators
+    (S213, comm(S213), 8, False),
+    (S214, bracket(comm(S214), x(S214, 0)), 9, False),
+    (S314, bracket(comm(S314), x(S314, 2)), 8, False),
+    # content-2 negative controls: every row is even, so the rank mod 2 is 0
+    (S112, x(S112, 0).scale(2), 6, True),
+    (S213, comm(S213).scale(2), 8, True),
+], ids=["[x1,x2]", "[[x1,x2],x1]", "[[x1,x2],x3]", "2*x1", "2*[x1,x2]"])
+def test_streamed_ranks_equal_the_ranks_of_the_ideal_components(
+        scheme, rho, top, content_two):
+    cert = torsion_free_certificate(rho, top, primes=PRIMES)
+    assert cert.aborted_degree is None
+    for n in range(rho.degree, top + 1):
+        rows = indexed(quotient.ideal_component(rho, n), scheme, n)
+        expected = fp_ranks(rows, PRIMES)
+        assert {p: cert.modp_ranks[p][n - rho.degree] for p in PRIMES} \
+            == expected, n
+        if content_two:
+            assert expected[2] == 0, n
+            assert expected[3] == cert.degrees[n - 1].rank, n
+    assert all(len(ranks) == top - rho.degree + 1
+               for ranks in cert.modp_ranks.values())
+
+
 def test_non_unit_leads_are_fed_upward():
     scheme, make, _, _ = TORSION_CASES[2]
     rho = make(scheme)
     assert rho.content() == 1
     sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
     for _ in range(rho.degree, 10):
-        _, pivots, _ = sweep.advance()
+        pivots = sweep.eliminate(*sweep.next_rows())
         assert any(abs(row[lead]) != 1 for lead, row in pivots.items())
 
 
@@ -178,7 +228,7 @@ def test_sweep_keeps_at_most_max_letter_weight_bases(scheme, rho):
     window = max(scheme.letter_weights())
     sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
     for n in range(rho.degree, rho.degree + 6):
-        sweep.advance()
+        sweep.eliminate(*sweep.next_rows())
         assert sweep.degree == n
         assert set(sweep.bases) == set(range(max(n - window + 1, rho.degree), n + 1))
 
@@ -198,13 +248,14 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
             patch.setattr(quotient, "_echelon", unused)
             sweep.budget = 0
             with pytest.raises(BudgetExceeded) as err:
-                sweep.advance()
+                sweep.next_rows()
         assert (err.value.degree, err.value.cols) \
             == (n, len(lyndon_words(S213, n)))
         assert sweep.degree == n - 1
         sweep.budget = quotient.DEFAULT_BUDGET
-        rows, _, _ = sweep.advance()
+        rows, basis = sweep.next_rows()
         assert len(rows) == err.value.rows
+        sweep.eliminate(rows, basis)
 
 
 @pytest.mark.parametrize("rho, top", [

@@ -166,10 +166,10 @@ def test_certificate_budget_abort():
 
 def test_budget_abort_at_the_relator_degree():
     # the budget refuses the relator's own degree, so the certificate
-    # holds no rows; mod-p still reads the relator's content from it
+    # holds no ranks; mod-p still reads the relator's content from it
     rho = rho_comm(S213).scale(2)
-    cert = torsion_free_certificate(rho, 4, budget=0)
-    assert cert.aborted_degree == 2 and cert.rows == ()
+    cert = torsion_free_certificate(rho, 4, budget=0, primes=(2,))
+    assert cert.aborted_degree == 2 and cert.modp_ranks == {2: ()}
     check = modp_dimension_check(cert, (2,))
     assert check.aborted_degree == 2
     assert check.reports[0].rows == ()
@@ -205,14 +205,14 @@ def test_hilbert_mismatch_is_flagged():
     # sabotage: a wrong relator degree shifts the candidate series
     table = hilbert_crosscheck(TorsionReport(
         cert.relator, 3, cert.max_degree, cert.degrees, cert.torsion_free,
-        cert.aborted_degree, cert.note, cert.rows))
+        cert.aborted_degree, cert.note, cert.modp_ranks))
     assert not table.all_match
     assert "suspect" in table.formula_status
 
 
 def test_modp_matches_on_accepted_input():
     rho = rho_comm(S213)
-    cert = torsion_free_certificate(rho, 8)
+    cert = torsion_free_certificate(rho, 8, primes=(2, 3, 5, 7))
     check = modp_dimension_check(cert, (2, 3, 5, 7))
     assert check.all_match
     assert check.note is None
@@ -224,7 +224,7 @@ def test_modp_matches_on_accepted_input():
 
 def test_modp_flags_two_torsion():
     rho = LieElement(S112, 1, {(0,): 2})
-    check = modp_dimension_check(torsion_free_certificate(rho, 1), (2,))
+    check = modp_dimension_check(torsion_free_certificate(rho, 1, primes=(2,)), (2,))
     assert not check.all_match
     assert check.note is not None
     row = check.reports[0].rows[0]
@@ -233,8 +233,30 @@ def test_modp_flags_two_torsion():
 
 @pytest.mark.parametrize("primes", [(4,), (2, 9), (1,)])
 def test_modp_rejects_non_primes(primes):
+    cert = torsion_free_certificate(rho_comm(S213), 4, primes=(2,))
     with pytest.raises(ValueError, match="not a prime"):
-        modp_dimension_check(torsion_free_certificate(rho_comm(S213), 4), primes)
+        modp_dimension_check(cert, primes)
+    with pytest.raises(ValueError, match="not a prime"):
+        torsion_free_certificate(rho_comm(S213), 4, primes=primes)
+
+
+def test_modp_refuses_a_prime_the_certificate_did_not_rank():
+    rho = rho_comm(S213)
+    unranked = torsion_free_certificate(rho, 4)
+    assert unranked.modp_ranks == {}
+    assert torsion_free_certificate(rho, 4, primes=iter(())).modp_ranks == {}
+    with pytest.raises(ValueError, match="the prime 3 is repeated"):
+        torsion_free_certificate(rho, 4, primes=(3, 2, 3))
+    with pytest.raises(ValueError) as caught:
+        modp_dimension_check(unranked, (2,))
+    assert str(caught.value) == ("the certificate holds no ranks mod 2; "
+                                 "pass the prime to torsion_free_certificate")
+    cert = torsion_free_certificate(rho, 4, primes=(3, 2))
+    with pytest.raises(ValueError, match="no ranks mod 5"):
+        modp_dimension_check(cert, (2, 5))
+    # a subset of the ranked primes, in any order, is read as given
+    assert modp_dimension_check(cert, (2,)).reports \
+        == modp_dimension_check(cert, (3, 2)).reports[1:]
 
 
 @pytest.mark.parametrize("primes, message", [
@@ -254,15 +276,17 @@ def test_modp_rejects_empty_or_repeated_primes(primes, message):
 
 def test_modp_reuses_the_certificate_rows(monkeypatch):
     rho = rho_comm(S213)
-    cert = torsion_free_certificate(rho, 8)
-    expected = modp_dimension_check(torsion_free_certificate(rho, 8), (2, 3))
-    lower = torsion_free_certificate(rho, 6)
+    cert = torsion_free_certificate(rho, 8, primes=(2, 3))
+    expected = modp_dimension_check(
+        torsion_free_certificate(rho, 8, primes=(2, 3)), (2, 3))
+    lower = torsion_free_certificate(rho, 6, primes=(2, 3))
 
     def unused(*args, **kwargs):
         raise AssertionError("mod-p recomputed what the certificate holds")
 
     monkeypatch.setattr(quotient, "_IdealSweep", unused)
     monkeypatch.setattr(quotient, "_echelon", unused)
+    monkeypatch.setattr(quotient, "fp_ranks", unused)
     assert modp_dimension_check(cert, (2, 3)) == expected
     assert modp_dimension_check(lower, (2, 3)).reports[0].rows \
         == expected.reports[0].rows[:5]
@@ -270,12 +294,13 @@ def test_modp_reuses_the_certificate_rows(monkeypatch):
 
 def test_modp_reads_the_abort_from_the_certificate():
     rho = rho_comm(S213)
-    cert = torsion_free_certificate(rho, 8, budget=200)
+    cert = torsion_free_certificate(rho, 8, budget=200, primes=(2,))
     check = modp_dimension_check(cert, (2,))
     assert check.aborted_degree == cert.aborted_degree
     assert [r.degree for r in check.reports[0].rows] \
         == list(range(2, cert.aborted_degree))
-    below = torsion_free_certificate(rho, cert.aborted_degree - 1, budget=200)
+    below = torsion_free_certificate(rho, cert.aborted_degree - 1, budget=200,
+                                     primes=(2,))
     assert modp_dimension_check(below, (2,)).aborted_degree is None
 
 
@@ -319,7 +344,7 @@ def test_high_cap_stops_at_the_budget_without_enumerating_the_cap():
 def test_modp_generator_relator_gives_smaller_free_ring():
     scheme = WeightScheme(2, 1, 2)
     rho = generator_element(scheme, 0)
-    cert = torsion_free_certificate(rho, 6)
+    cert = torsion_free_certificate(rho, 6, primes=(3,))
     assert cert.torsion_free
     smaller = witt_dimensions(S112, 6)
     assert [r.dim_quotient for r in cert.degrees] == smaller

@@ -102,13 +102,13 @@ def test_equal_values_hash_equal(value):
     assert len({copy, value}) == 1
 
 
-def test_torsion_reports_ignore_relator_and_rows():
+def test_torsion_reports_ignore_relator_and_modp_ranks():
     fields = dict(relator_degree=2, max_degree=4, degrees=(),
                   torsion_free=True, aborted_degree=None, note=None)
     plain = TorsionReport(RHO, **fields)
-    assert plain.rows == ()
-    assert plain == TorsionReport(-RHO, rows=([{0: 1}],), **fields)
-    assert "rows" not in repr(plain)
+    assert plain.modp_ranks == {}
+    assert plain == TorsionReport(-RHO, modp_ranks={2: (1,)}, **fields)
+    assert "modp_ranks" not in repr(plain)
 
 
 def test_repr_and_fresh_dict_defaults():

@@ -600,13 +600,17 @@ def test_fp_ranks_on_content_divisible_relators(monkeypatch, scheme, rho, top,
                                                 mod2_zero):
     cert = torsion_free_certificate(rho, top)
     seen = moduli_of_finish(monkeypatch)
-    for n, rows in enumerate(cert.rows, rho.degree):
+    # the rows the certificate's sweep builds, ranked before elimination
+    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    for n in range(rho.degree, top + 1):
+        rows, basis = sweep.next_rows()
         ranks = fp_ranks(rows, PRIMES)
         assert ranks == {p: per_prime_rank(rows, p) for p in PRIMES}, n
         divisors = cert.degrees[n - 1].divisors
         assert ranks == {p: sum(1 for d in divisors if d % p) for p in PRIMES}, n
         if mod2_zero:
             assert ranks[2] == 0
+        sweep.eliminate(rows, basis)
     # the split path ran on these rows
     assert any(modulus != 210 for modulus in seen)
 
@@ -642,7 +646,6 @@ def test_fp_ranks_needs_distinct_primes(primes, message):
 
 def test_modp_check_eliminates_once_per_degree(monkeypatch):
     rho = _comm(S213)
-    cert = torsion_free_certificate(rho, 9)
     calls = []
     kernel = quotient.fp_ranks
 
@@ -651,9 +654,13 @@ def test_modp_check_eliminates_once_per_degree(monkeypatch):
         return kernel(rows, primes)
 
     monkeypatch.setattr(quotient, "fp_ranks", counting)
+    cert = torsion_free_certificate(rho, 9, primes=PRIMES)
+    # the certificate ranks each degree once for all the primes; the
+    # check only reads those ranks
     check = modp_dimension_check(cert, PRIMES)
-    assert calls == [PRIMES] * len(cert.rows)
-    assert len(cert.rows) == 9 - rho.degree + 1
+    assert calls == [PRIMES] * (9 - rho.degree + 1)
+    assert all(len(ranks) == 9 - rho.degree + 1
+               for ranks in cert.modp_ranks.values())
     assert check.all_match
 
 
@@ -676,7 +683,7 @@ def test_sweep_echelons_have_the_general_loop_divisors(monkeypatch, rho, top):
     calls = bounded_echelon(monkeypatch, 4 * (top - rho.degree + 1))
     non_unit = 0
     for n in range(rho.degree, top + 1):
-        _, pivots, _ = sweep.advance()
+        pivots = sweep.eliminate(*sweep.next_rows())
         non_unit += any(abs(row[lead]) != 1 for lead, row in pivots.items())
         expected = snf._divisor_chain(
             _smith_diagonal([dict(row) for row in pivots.values()]))
@@ -690,7 +697,7 @@ def test_smith_from_echelon_leaves_the_basis_intact():
     rho, _ = NON_UNIT_RELATORS[2]
     sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
     for _ in range(rho.degree, 9):
-        _, pivots, _ = sweep.advance()
+        pivots = sweep.eliminate(*sweep.next_rows())
     assert any(abs(row[lead]) != 1 for lead, row in pivots.items())
     before = copy.deepcopy(pivots)
     snf._smith_from_echelon(pivots)
