@@ -14,13 +14,13 @@ from .liebasis import (DegreeAboveCutoff, LieElement, NotLieElement, bracket,
                        standard_factorization, to_lyndon_coords,
                        witt_dimensions)
 from .snf import SmithResult, integer_row_space, smith_normal_form
-from .fprank import fp_rank, fp_ranks
+from .fprank import fp_ranks
 from .gate import HypothesisReport, Presentation, check_relator_hypotheses
 from .quotient import (DEFAULT_BUDGET, BudgetExceeded, DegreeReport,
                        HilbertTable, ModpCheck, ModpReport, TorsionReport,
                        candidate_series, hilbert_crosscheck, ideal_component,
                        ideal_component_alt, modp_dimension_check,
-                       pbw_sanity_table, pbw_series, torsion_free_certificate)
+                       pbw_series, torsion_free_certificate)
 from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
                      left_normed_basic_sequences, floor_bound_suite,
                      magnus_e1_suite, strategy_independence_suite,

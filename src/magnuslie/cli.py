@@ -27,34 +27,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's options, named as RunConfig's fields; an option not given
+    is absent from the parsed namespace, so RunConfig's default holds."""
     parser = _Parser(
         prog="magnuslie",
         description=(
             "Check a one-relator presentation u = v: hypothesis gate, "
             "exact torsion certificates for the one-relator Lie quotient, "
             "series cross-checks, and sampled filtration properties."),
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--input", required=True, help="presentation file")
-    parser.add_argument("--max-degree", type=int, default=None,
+    parser.add_argument("--input", dest="input_path", metavar="INPUT",
+                        required=True, help="presentation file")
+    parser.add_argument("--max-degree", type=int,
                         help="degree cap N (default: file value, else d+6)")
-    parser.add_argument("--e", type=int, default=None,
+    parser.add_argument("--e", type=int,
                         help="override the weight e of the y-generators")
-    parser.add_argument("--primes", default="2,3,5,7",
+    parser.add_argument("--primes",
                         help="comma-separated primes for the mod-p tables")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int,
                         help="seed for the sampled property suites")
-    parser.add_argument("--samples", type=int, default=500,
+    parser.add_argument("--samples", type=int,
                         help="sample count per randomized suite")
-    parser.add_argument("--max-word-len", type=int, default=12,
+    parser.add_argument("--max-word-len", type=int,
                         help="word length bound for sampled words")
-    parser.add_argument("--check", action="append", default=None,
+    parser.add_argument("--check", dest="checks", action="append",
                         choices=list(ALL_CHECKS) + ["all"],
                         help="run only the named check (repeatable)")
-    parser.add_argument("--json-out", default=None,
+    parser.add_argument("--json-out",
                         help="write the JSON report to this path")
     parser.add_argument("--force-downstream", action="store_true",
                         help="run quotient checks even after a gate rejection")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=int,
                         help="largest rows x columns matrix a degree may need "
                              f"(default {DEFAULT_BUDGET})")
     return parser
@@ -113,28 +117,19 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else EXIT_USAGE
 
+    options = vars(args)
+    if "primes" in options:
+        try:
+            options["primes"] = tuple(
+                int(p) for p in options["primes"].split(",") if p.strip())
+        except ValueError:
+            print(f"magnuslie: error: cannot read primes {options['primes']!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    if "checks" in options:
+        options["checks"] = tuple(options["checks"])
     try:
-        primes = tuple(int(p) for p in args.primes.split(",") if p.strip())
-    except ValueError:
-        print(f"magnuslie: error: cannot read primes {args.primes!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    checks = tuple(args.check) if args.check else ("all",)
-    try:
-        config = RunConfig(
-            input_path=args.input,
-            max_degree=args.max_degree,
-            e=args.e,
-            primes=primes,
-            seed=args.seed,
-            samples=args.samples,
-            max_word_len=args.max_word_len,
-            checks=checks,
-            json_out=args.json_out,
-            force_downstream=args.force_downstream,
-            budget=args.budget,
-        )
+        config = RunConfig(**options)
     except ValueError as ex:
         print(f"magnuslie: error: {ex}", file=sys.stderr)
         return EXIT_USAGE

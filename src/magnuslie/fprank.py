@@ -70,13 +70,6 @@ def _distinct_primes(primes) -> tuple[int, ...]:
     return primes
 
 
-def fp_rank(rows, p: int) -> int:
-    """Rank over the field with p elements."""
-    if p < 2:
-        raise ValueError("modulus must be at least 2")
-    return fp_ranks(rows, (p,))[p]
-
-
 def fp_ranks(rows, primes) -> dict[int, int]:
     """Rank over F_p of the rows for each of the distinct primes, from one
     Gaussian elimination modulo their product N.

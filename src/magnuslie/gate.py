@@ -69,41 +69,42 @@ class HypothesisReport(Record):
         return None if self.rho is None else self.rho.scheme
 
 
-def _leading_form(word: Word, scheme: WeightScheme, cutoff: int,
-                  window: int) -> tuple[int, LieElement]:
-    """``leading_lie_form`` at the first of the windows w, 2w, 4w, ...,
-    cutoff that resolves the degree: the embedding grows fast with its
-    window, and a degree far below the cutoff shows in a small one."""
-    window = min(window, cutoff)
+# without a cutoff, u is embedded at the windows 4, 8 and 12 at most
+_UNCAPPED_CUTOFF = 12
+
+
+def _leading_form(word: Word, scheme: WeightScheme,
+                  cutoff: int) -> tuple[int, int, LieElement]:
+    """The first of the windows 4, 8, 16, ..., cutoff that resolves the
+    degree, with ``leading_lie_form`` there: the embedding grows fast
+    with its window, and a degree far below the cutoff shows in a small
+    one."""
+    window = min(4, cutoff)
     while True:
         try:
-            return leading_lie_form(word, scheme, window)
+            return (window, *leading_lie_form(word, scheme, window))
         except DegreeAboveCutoff:
             if window == cutoff:
                 raise
             window = min(2 * window, cutoff)
 
 
-def check_relator_hypotheses(pres: Presentation, cutoff: int) -> HypothesisReport:
+def check_relator_hypotheses(pres: Presentation,
+                             cutoff: int | None = None) -> HypothesisReport:
     """Decide the gate conditions at the given certification cutoff.
 
     A cutoff too small to certify the degree of u yields an inconclusive
     report, which is distinct from a rejection: truncation never turns
     into a mathematical verdict.  u is embedded at the windows 4, 8,
     ..., up to the cutoff, stopping at the first that resolves its
-    degree.
+    degree.  Without a cutoff the windows stop at 12, and the report's
+    cutoff is the window that decided: 4 when u is never embedded, 12
+    when its degree is not resolved there.
     """
-    if cutoff < 1:
+    if cutoff is not None and cutoff < 1:
         raise ValueError("cutoff must be positive")
-    return _check_hypotheses(pres, cutoff, 4)
-
-
-def _check_hypotheses(pres: Presentation, cutoff: int,
-                      first_window: int) -> HypothesisReport:
-    """``check_relator_hypotheses`` with u's windows starting at
-    first_window: a caller that saw the smaller windows fail starts past
-    them, as a resolved degree and its form do not depend on the
-    window."""
+    limit = _UNCAPPED_CUTOFF if cutoff is None else cutoff
+    window = min(4, limit)
     failures: list[str] = []
     inconclusive = False
     bounds = pres.scheme_bounds
@@ -128,11 +129,12 @@ def _check_hypotheses(pres: Presentation, cutoff: int,
         # degree; this x-scheme degree is the lower central degree of u.
         x_scheme = WeightScheme(pres.m, 0, 1)
         try:
-            d, rho_x = _leading_form(pres.u, x_scheme, cutoff, first_window)
+            window, d, rho_x = _leading_form(pres.u, x_scheme, limit)
         except DegreeAboveCutoff:
             inconclusive = True
+            window = limit
             failures.append(
-                f"degree of u not certified at cutoff {cutoff}: "
+                f"degree of u not certified at cutoff {limit}: "
                 f"inconclusive, raise the cutoff")
         else:
             content = rho_x.content()
@@ -156,5 +158,5 @@ def _check_hypotheses(pres: Presentation, cutoff: int,
         content=content,
         chosen_e=chosen_e,
         failures=tuple(failures),
-        cutoff=cutoff,
+        cutoff=window if cutoff is None else cutoff,
     )

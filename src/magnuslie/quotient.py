@@ -26,9 +26,10 @@ cross-checks of it:
   (``hilbert_crosscheck``),
 * the ranks of the sweep's rows over small prime fields, which agree
   with the integer ranks exactly when no p-torsion exists
-  (``modp_dimension_check``); the ranks for all the primes come from one
-  elimination per degree modulo their product, which splits the modulus
-  only at a zero-divisor lead (``fprank.fp_ranks``).
+  (``modp_dimension_check``, over the primes the certificate ranked and
+  no others); the ranks for all the primes come from one elimination
+  per degree modulo their product, which splits the modulus only at a
+  zero-divisor lead (``fprank.fp_ranks``).
 
 An independent generation strategy (direct brackets with basis elements
 plus one round of generator brackets, ``ideal_component_alt``) must span
@@ -42,7 +43,6 @@ from .fprank import _distinct_primes, fp_ranks
 from .liebasis import (LieElement, _bracket_words, bracket, generator_element,
                        lyndon_words, witt_dimensions)
 from .record import Record, field
-from .series import WeightScheme
 from .snf import _echelon, _smith_from_echelon
 
 DEFAULT_BUDGET = 8_000_000
@@ -87,7 +87,7 @@ class TorsionReport(Record):
 
 
 class HilbertTable(Record):
-    relator_degree: int | None
+    relator_degree: int
     max_degree: int
     candidate: tuple[int, ...]
     pbw: tuple[int, ...]
@@ -328,19 +328,15 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
 # -- series cross-checks ---------------------------------------------------
 
 
-def candidate_series(m: int, n: int, e: int, d: int | None, order: int) -> list[int]:
-    """Coefficients of 1/(1 - m t - n t^e + t^d) up to the order.
-
-    With d = None the t^d term is dropped: the relator-free sanity
-    variant whose coefficients count all words in the free algebra.
-    """
+def candidate_series(m: int, n: int, e: int, d: int, order: int) -> list[int]:
+    """Coefficients of 1/(1 - m t - n t^e + t^d) up to the order."""
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for k in range(1, order + 1):
         value = m * coeffs[k - 1]
         if k >= e:
             value += n * coeffs[k - e]
-        if d is not None and k >= d:
+        if k >= d:
             value -= coeffs[k - d]
         coeffs[k] = value
     return coeffs
@@ -361,56 +357,41 @@ def hilbert_crosscheck(report: TorsionReport) -> HilbertTable:
     degree the certificate reached, and a mismatch flags the import as
     suspect instead of trusting either side.
     """
+    scheme, d = report.relator.scheme, report.relator_degree
     dims = [r.dim_quotient for r in report.degrees]
-    return _hilbert_table(report.relator.scheme, report.relator_degree,
-                          dims, len(dims))
-
-
-def pbw_sanity_table(scheme: WeightScheme, max_degree: int) -> HilbertTable:
-    """Relator-free variant: the graded product of the free dimensions
-    must reproduce 1/(1 - m t - n t^e)."""
-    return _hilbert_table(scheme, None, witt_dimensions(scheme, max_degree),
-                          max_degree, status="relator-free sanity variant")
-
-
-def _hilbert_table(scheme: WeightScheme, d: int | None, dims: list[int],
-                   max_degree: int, status: str | None = None) -> HilbertTable:
-    """The candidate series against the graded product of dims, degree by
-    degree; without a status, one that names the degrees that differ."""
-    candidate = candidate_series(scheme.m, scheme.n, scheme.e, d, max_degree)
-    pbw = pbw_series(dims, max_degree)
-    matches = tuple(candidate[k] == pbw[k] for k in range(max_degree + 1))
-    if status is None:
-        bad = [k for k, ok in enumerate(matches) if not ok]
-        status = (f"formula import suspect: mismatch at degrees {bad}" if bad
-                  else "closed form imported from the literature, "
-                       "validated degree by degree against the certified dimensions")
+    order = len(dims)
+    candidate = candidate_series(scheme.m, scheme.n, scheme.e, d, order)
+    pbw = pbw_series(dims, order)
+    matches = tuple(candidate[k] == pbw[k] for k in range(order + 1))
+    bad = [k for k, ok in enumerate(matches) if not ok]
+    status = (f"formula import suspect: mismatch at degrees {bad}" if bad
+              else "closed form imported from the literature, "
+                   "validated degree by degree against the certified dimensions")
     return HilbertTable(
         relator_degree=d,
-        max_degree=max_degree,
+        max_degree=order,
         candidate=tuple(candidate),
         pbw=tuple(pbw),
         matches=matches,
-        all_match=all(matches),
+        all_match=not bad,
         formula_status=status,
     )
 
 
-def modp_dimension_check(report: TorsionReport, primes) -> ModpCheck:
+def modp_dimension_check(report: TorsionReport) -> ModpCheck:
     """The certificate's ranks over each F_p against its integer ranks.
 
     Equality in every degree for every prime is exactly the absence of
     p-torsion there.  A relator whose content is divisible by one of
-    the primes is expected to mismatch; the note says so.  The F_p
-    ranks, integer ranks, relator and budget abort all come from
-    ``report``; the primes must be distinct, at least one, and among
-    those the certificate was given (ValueError otherwise).
+    the primes is expected to mismatch; the note says so.  The primes,
+    in the order the certificate was given them, the F_p ranks, integer
+    ranks, relator and budget abort all come from ``report``; ValueError
+    when the certificate ranked no primes.
     """
-    primes = _distinct_primes(primes)
-    for p in primes:
-        if p not in report.modp_ranks:
-            raise ValueError(f"the certificate holds no ranks mod {p}; "
-                             "pass the prime to torsion_free_certificate")
+    primes = tuple(report.modp_ranks)
+    if not primes:
+        raise ValueError("no primes given: the certificate ranked none; "
+                         "pass them to torsion_free_certificate")
     rho = report.relator
     note = None
     content = rho.content()

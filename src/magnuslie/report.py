@@ -28,7 +28,7 @@ from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
                      floor_bound_suite, magnus_e1_suite,
                      strategy_independence_suite, valuation_mult_suite)
 from .fprank import _distinct_primes
-from .gate import HypothesisReport, _check_hypotheses, check_relator_hypotheses
+from .gate import HypothesisReport, check_relator_hypotheses
 from .presentation_io import PresentationFile, parse_presentation_file
 from .quotient import (DEFAULT_BUDGET, HilbertTable, ModpCheck, TorsionReport,
                        hilbert_crosscheck, modp_dimension_check,
@@ -44,9 +44,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 4
 
 ALL_CHECKS = ("gate", "torsion", "hilbert", "modp", "floor-bound", "magnus-e1")
-
-# cutoff ladder used when no max_degree is configured anywhere
-_GATE_CUTOFFS = (4, 8, 12)
 
 
 class RunConfig(Record):
@@ -114,19 +111,11 @@ def run_report(config: RunConfig) -> RunReport:
     selected = config.selected()
     timings: dict[str, float] = {}
 
-    # gate: with a configured degree cap that cap is the certification
-    # window; otherwise climb a small ladder until the degree resolves,
-    # each step embedding u only at its own cutoff, as the windows below
-    # it failed at the steps before
+    # gate: a configured degree cap is the certification window; without
+    # one the gate chooses its windows and names the one that decided
     configured_cap = config.max_degree or parsed.max_degree
     start = time.perf_counter()
-    if configured_cap is not None:
-        gate = check_relator_hypotheses(pres, configured_cap)
-    else:
-        for cutoff in _GATE_CUTOFFS:
-            gate = _check_hypotheses(pres, cutoff, cutoff)
-            if not gate.inconclusive:
-                break
+    gate = check_relator_hypotheses(pres, configured_cap)
     timings["gate"] = time.perf_counter() - start
 
     max_degree = configured_cap
@@ -169,7 +158,7 @@ def run_report(config: RunConfig) -> RunReport:
             timings["hilbert"] = time.perf_counter() - start
         if "modp" in selected and report.torsion is not None:
             start = time.perf_counter()
-            report.modp = modp_dimension_check(report.torsion, config.primes)
+            report.modp = modp_dimension_check(report.torsion)
             timings["modp"] = time.perf_counter() - start
 
     # the relator's scheme when the gate found one; else the file's e, if any

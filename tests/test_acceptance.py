@@ -136,7 +136,7 @@ def test_modp_consistency_for_corpus():
     primes = (2, 3, 5, 7)
     for label, scheme, rho, cert, _ in _corpus_certificates():
         cap = rho.degree + 6
-        check = modp_dimension_check(cert, primes)
+        check = modp_dimension_check(cert)
         assert check.all_match, f"mod-p mismatch for {label}"
         for table in check.reports:
             assert len(table.rows) == cap - rho.degree + 1

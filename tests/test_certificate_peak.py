@@ -40,7 +40,7 @@ def test_certificate_and_modp_check_peak_through_degree_13():
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         cert = torsion_free_certificate(RHO, 13, primes=PRIMES)
-        check = modp_dimension_check(cert, PRIMES)
+        check = modp_dimension_check(cert)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:

@@ -2,13 +2,29 @@ from random import Random
 
 import pytest
 
-from magnuslie import gate
+from magnuslie import gate, report as pipeline
 from magnuslie import (HypothesisReport, Presentation, RunConfig, WeightScheme,
                        check_relator_hypotheses, filtration_degree, free_reduce,
                        group_commutator, leading_lie_form, parse_word,
                        random_word, run_report, word_multiply, invert_word)
 
 COMM = group_commutator((1,), (2,))
+
+
+def nested(degree):
+    """[[...[[x1,x2],x1],x2]...]: its length doubles with each degree."""
+    u = COMM
+    for k in range(degree - 2):
+        u = group_commutator(u, (1 + k % 2,))
+    return u
+
+
+# [[[[x1,x2],x1],[[x1,x2],x2]], [[[x1,x2],x1],[[[x1,x2],x2],x2]]] has
+# degree 6 + 7 = 13 in 142 letters, where nested(13) needs 12,286
+DEGREE_13 = group_commutator(
+    group_commutator(group_commutator(COMM, (1,)), group_commutator(COMM, (2,))),
+    group_commutator(group_commutator(COMM, (1,)),
+                     group_commutator(group_commutator(COMM, (2,)), (2,))))
 
 
 def test_accepts_commutator_relator():
@@ -194,6 +210,12 @@ def _spy_on_windows(monkeypatch) -> list[int]:
                       (1,)), 6, [4, 6], 5),
     (group_commutator(group_commutator(group_commutator(COMM, (1,)), (1,)),
                       (1,)), 3, [3], None),
+    # without a cutoff the windows stop at 12, and the report names the
+    # window that decided
+    (COMM, None, [4], 2),
+    (nested(5), None, [4, 8], 5),
+    (nested(9), None, [4, 8, 12], 9),
+    (DEGREE_13, None, [4, 8, 12], None),
 ])
 def test_the_gate_embeds_u_in_doubling_windows(monkeypatch, u, cutoff,
                                                windows, d):
@@ -202,8 +224,12 @@ def test_the_gate_embeds_u_in_doubling_windows(monkeypatch, u, cutoff,
                                       cutoff)
     assert seen == windows
     assert report.d == d
-    assert report.cutoff == cutoff
+    assert report.cutoff == (windows[-1] if cutoff is None else cutoff)
     assert report.inconclusive is (d is None)
+    if d is None:
+        assert report.failures == (
+            f"degree of u not certified at cutoff {report.cutoff}: "
+            f"inconclusive, raise the cutoff",)
 
 
 @pytest.mark.parametrize("commutators, windows, cutoff, d", [
@@ -225,3 +251,21 @@ def test_the_cutoff_ladder_embeds_each_window_once(tmp_path, monkeypatch,
     assert seen == windows
     assert report.gate.cutoff == cutoff
     assert report.gate.d == d
+
+
+def test_an_uncapped_run_decides_the_gate_in_one_call(tmp_path, monkeypatch):
+    # the gate chooses its own windows; the pipeline only asks it once
+    path = tmp_path / "deep.pres"
+    path.write_text("generators x: 2\ngenerators y: 1\n"
+                    "relator: [[[[x1,x2],x1],x1],x1] = y1\n")
+    calls = []
+    kernel = pipeline.check_relator_hypotheses
+
+    def spy(pres, cutoff=None):
+        calls.append(cutoff)
+        return kernel(pres, cutoff)
+
+    monkeypatch.setattr(pipeline, "check_relator_hypotheses", spy)
+    report = run_report(RunConfig(input_path=str(path), checks=("gate",)))
+    assert calls == [None]
+    assert (report.gate.d, report.gate.cutoff) == (5, 8)

@@ -133,13 +133,13 @@ def test_certificate_rows_are_the_ideal_components_over_column_indices(
 def test_modp_check_enumerates_no_lyndon_words(monkeypatch):
     certs = [torsion_free_certificate(make(scheme), 9, primes=PRIMES)
              for scheme, make in ROW_SPACE_CASES]
-    expected = [modp_dimension_check(cert, PRIMES) for cert in certs]
+    expected = [modp_dimension_check(cert) for cert in certs]
 
     def refuse(scheme, n):
         raise AssertionError("the mod-p check enumerated Lyndon words")
 
     monkeypatch.setattr(quotient, "lyndon_words", refuse)
-    assert [modp_dimension_check(cert, PRIMES) for cert in certs] == expected
+    assert [modp_dimension_check(cert) for cert in certs] == expected
 
 
 # (scheme, relator, top degree of the divisor comparison, of the mod-p one);
@@ -173,7 +173,7 @@ def test_echelon_entries_stay_small_where_leads_are_not_units():
 def test_divisors_and_fp_ranks_equal_the_dedup_sweep(scheme, make, top_z, top_p):
     rho = make(scheme)
     cert = torsion_free_certificate(rho, top_p, primes=PRIMES)
-    check = modp_dimension_check(cert, PRIMES)
+    check = modp_dimension_check(cert)
     assert cert.aborted_degree is None
     for n, old in zip(range(rho.degree, top_p + 1), dedup_sweep_rows(rho, top_p)):
         rows = indexed(old, scheme, n)

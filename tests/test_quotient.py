@@ -7,8 +7,7 @@ from magnuslie import (BudgetExceeded, LieElement, TorsionReport, WeightScheme,
                        bracket, candidate_series, generator_element,
                        hilbert_crosscheck, ideal_component, ideal_component_alt,
                        integer_row_space, lyndon_words, modp_dimension_check,
-                       pbw_sanity_table, pbw_series, torsion_free_certificate,
-                       witt_dimensions)
+                       pbw_series, torsion_free_certificate, witt_dimensions)
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
@@ -170,7 +169,7 @@ def test_budget_abort_at_the_relator_degree():
     rho = rho_comm(S213).scale(2)
     cert = torsion_free_certificate(rho, 4, budget=0, primes=(2,))
     assert cert.aborted_degree == 2 and cert.modp_ranks == {2: ()}
-    check = modp_dimension_check(cert, (2,))
+    check = modp_dimension_check(cert)
     assert check.aborted_degree == 2
     assert check.reports[0].rows == ()
     assert check.note.startswith("relator content 2 is divisible by [2]")
@@ -183,13 +182,6 @@ def test_hilbert_abelian_example():
     assert table.all_match
     assert table.candidate == tuple(k + 1 for k in range(7))
     assert table.pbw == table.candidate
-
-
-def test_hilbert_relator_free_sanity():
-    for scheme in (S20, S213, S112):
-        table = pbw_sanity_table(scheme, 8)
-        assert table.all_match
-        assert table.relator_degree is None
 
 
 def test_hilbert_corpus_match():
@@ -213,7 +205,7 @@ def test_hilbert_mismatch_is_flagged():
 def test_modp_matches_on_accepted_input():
     rho = rho_comm(S213)
     cert = torsion_free_certificate(rho, 8, primes=(2, 3, 5, 7))
-    check = modp_dimension_check(cert, (2, 3, 5, 7))
+    check = modp_dimension_check(cert)
     assert check.all_match
     assert check.note is None
     for table in check.reports:
@@ -224,7 +216,7 @@ def test_modp_matches_on_accepted_input():
 
 def test_modp_flags_two_torsion():
     rho = LieElement(S112, 1, {(0,): 2})
-    check = modp_dimension_check(torsion_free_certificate(rho, 1, primes=(2,)), (2,))
+    check = modp_dimension_check(torsion_free_certificate(rho, 1, primes=(2,)))
     assert not check.all_match
     assert check.note is not None
     row = check.reports[0].rows[0]
@@ -233,30 +225,32 @@ def test_modp_flags_two_torsion():
 
 @pytest.mark.parametrize("primes", [(4,), (2, 9), (1,)])
 def test_modp_rejects_non_primes(primes):
-    cert = torsion_free_certificate(rho_comm(S213), 4, primes=(2,))
+    # mod-p checks the certificate's primes, and the certificate refuses these
     with pytest.raises(ValueError, match="not a prime"):
-        modp_dimension_check(cert, primes)
-    with pytest.raises(ValueError, match="not a prime"):
-        torsion_free_certificate(rho_comm(S213), 4, primes=primes)
+        modp_dimension_check(
+            torsion_free_certificate(rho_comm(S213), 4, primes=primes))
 
 
 def test_modp_refuses_a_prime_the_certificate_did_not_rank():
+    # mod-p has no primes of its own: it checks the ones the certificate
+    # ranked, in the order they were given, and no other
     rho = rho_comm(S213)
-    unranked = torsion_free_certificate(rho, 4)
-    assert unranked.modp_ranks == {}
+    assert torsion_free_certificate(rho, 4).modp_ranks == {}
     assert torsion_free_certificate(rho, 4, primes=iter(())).modp_ranks == {}
     with pytest.raises(ValueError, match="the prime 3 is repeated"):
         torsion_free_certificate(rho, 4, primes=(3, 2, 3))
+    check = modp_dimension_check(torsion_free_certificate(rho, 4, primes=(3, 2)))
+    assert check.primes == (3, 2)
+    assert [r.prime for r in check.reports] == [3, 2]
+    assert modp_dimension_check(torsion_free_certificate(rho, 4, primes=(2,))).reports \
+        == check.reports[1:]
+
+
+def test_modp_of_a_certificate_built_without_primes_raises():
     with pytest.raises(ValueError) as caught:
-        modp_dimension_check(unranked, (2,))
-    assert str(caught.value) == ("the certificate holds no ranks mod 2; "
-                                 "pass the prime to torsion_free_certificate")
-    cert = torsion_free_certificate(rho, 4, primes=(3, 2))
-    with pytest.raises(ValueError, match="no ranks mod 5"):
-        modp_dimension_check(cert, (2, 5))
-    # a subset of the ranked primes, in any order, is read as given
-    assert modp_dimension_check(cert, (2,)).reports \
-        == modp_dimension_check(cert, (3, 2)).reports[1:]
+        modp_dimension_check(torsion_free_certificate(rho_comm(S213), 4))
+    assert str(caught.value) == ("no primes given: the certificate ranked none; "
+                                 "pass them to torsion_free_certificate")
 
 
 @pytest.mark.parametrize("primes, message", [
@@ -267,18 +261,19 @@ def test_modp_refuses_a_prime_the_certificate_did_not_rank():
 ])
 def test_modp_rejects_empty_or_repeated_primes(primes, message):
     # a check of no prime checked nothing, and tables of one prime twice
-    # say nothing new
-    cert = torsion_free_certificate(rho_comm(S213), 4)
+    # say nothing new: the certificate refuses a repeated prime, and mod-p
+    # a certificate that ranked none
     with pytest.raises(ValueError) as caught:
-        modp_dimension_check(cert, primes)
-    assert str(caught.value) == message
+        modp_dimension_check(
+            torsion_free_certificate(rho_comm(S213), 4, primes=primes))
+    assert str(caught.value).startswith(message)
 
 
 def test_modp_reuses_the_certificate_rows(monkeypatch):
     rho = rho_comm(S213)
     cert = torsion_free_certificate(rho, 8, primes=(2, 3))
     expected = modp_dimension_check(
-        torsion_free_certificate(rho, 8, primes=(2, 3)), (2, 3))
+        torsion_free_certificate(rho, 8, primes=(2, 3)))
     lower = torsion_free_certificate(rho, 6, primes=(2, 3))
 
     def unused(*args, **kwargs):
@@ -287,21 +282,21 @@ def test_modp_reuses_the_certificate_rows(monkeypatch):
     monkeypatch.setattr(quotient, "_IdealSweep", unused)
     monkeypatch.setattr(quotient, "_echelon", unused)
     monkeypatch.setattr(quotient, "fp_ranks", unused)
-    assert modp_dimension_check(cert, (2, 3)) == expected
-    assert modp_dimension_check(lower, (2, 3)).reports[0].rows \
+    assert modp_dimension_check(cert) == expected
+    assert modp_dimension_check(lower).reports[0].rows \
         == expected.reports[0].rows[:5]
 
 
 def test_modp_reads_the_abort_from_the_certificate():
     rho = rho_comm(S213)
     cert = torsion_free_certificate(rho, 8, budget=200, primes=(2,))
-    check = modp_dimension_check(cert, (2,))
+    check = modp_dimension_check(cert)
     assert check.aborted_degree == cert.aborted_degree
     assert [r.degree for r in check.reports[0].rows] \
         == list(range(2, cert.aborted_degree))
     below = torsion_free_certificate(rho, cert.aborted_degree - 1, budget=200,
                                      primes=(2,))
-    assert modp_dimension_check(below, (2,)).aborted_degree is None
+    assert modp_dimension_check(below).aborted_degree is None
 
 
 def _fresh_relators(scheme, degree, count, seed):
@@ -348,7 +343,7 @@ def test_modp_generator_relator_gives_smaller_free_ring():
     assert cert.torsion_free
     smaller = witt_dimensions(S112, 6)
     assert [r.dim_quotient for r in cert.degrees] == smaller
-    check = modp_dimension_check(cert, (3,))
+    check = modp_dimension_check(cert)
     assert check.all_match
 
 

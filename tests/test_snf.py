@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from magnuslie import (WeightScheme, bracket, fp_rank, fp_ranks, fprank,
+from magnuslie import (WeightScheme, bracket, fp_ranks, fprank,
                        generator_element, ideal_component, integer_row_space,
                        lyndon_words, modp_dimension_check, quotient,
                        smith_normal_form, snf, torsion_free_certificate)
@@ -90,7 +90,7 @@ def test_fp_rank_counts_divisors_coprime_to_p(nrows, ncols, p, data):
     rows = [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     divisors = smith_normal_form(rows).divisors
     expected = sum(1 for d in divisors if d % p)
-    assert fp_rank(rows, p) == expected
+    assert fp_ranks(rows, (p,))[p] == expected
 
 
 def test_row_space_invariance_under_row_operations():
@@ -401,8 +401,8 @@ def test_fp_rank_counts_divisors_prime_to_p_at_scale(cases):
         dense = [[row.get(c, 0) for c in range(ncols)] for row in sparse]
         for p in (2, 3, 5):
             expected = sum(1 for d in divisors if d % p)
-            assert fp_rank(sparse, p) == expected
-            assert fp_rank(dense, p) == expected
+            assert fp_ranks(sparse, (p,))[p] == expected
+            assert fp_ranks(dense, (p,))[p] == expected
 
 
 @pytest.mark.parametrize("diagonal, chain", [
@@ -577,7 +577,7 @@ def test_fp_ranks_with_a_mersenne_prime():
         ranks = fp_ranks(rows, primes)
         assert ranks == {p: per_prime_rank(rows, p) for p in primes}, rows
     assert fp_ranks([[big, 1], [2 * big, 3]], primes) == {2: 2, 3: 2, big: 1}
-    assert fp_rank([[big, 1], [2 * big, 3]], big) == 1
+    assert fp_ranks([[big, 1], [2 * big, 3]], (big,)) == {big: 1}
 
 
 S201 = WeightScheme(2, 0, 1)
@@ -615,22 +615,16 @@ def test_fp_ranks_on_content_divisible_relators(monkeypatch, scheme, rho, top,
     assert any(modulus != 210 for modulus in seen)
 
 
-@pytest.mark.parametrize("p", [4, 9, 15, 2 ** 31 * 3])
+@pytest.mark.parametrize("p", [4, 9, 15, 2 ** 31 * 3, 1, 0, -3])
 def test_fp_rank_names_a_composite_modulus(p):
-    # mod 4 the identity once read rank 2; other composites failed in pow
+    # mod 4 the identity once read rank 2; other composites failed in pow,
+    # and a modulus below 2 is no prime either
     with pytest.raises(ValueError) as caught:
-        fp_rank([[1, 0], [0, 1]], p)
+        fp_ranks([[1, 0], [0, 1]], (p,))
     assert str(caught.value) == f"{p} is not a prime"
     with pytest.raises(ValueError) as caught:
         fp_ranks([[2, 1]], (2, p))
     assert str(caught.value) == f"{p} is not a prime"
-
-
-@pytest.mark.parametrize("p", [1, 0, -3])
-def test_fp_rank_keeps_its_small_modulus_error(p):
-    with pytest.raises(ValueError) as caught:
-        fp_rank([[1]], p)
-    assert str(caught.value) == "modulus must be at least 2"
 
 
 @pytest.mark.parametrize("primes, message", [
@@ -657,7 +651,7 @@ def test_modp_check_eliminates_once_per_degree(monkeypatch):
     cert = torsion_free_certificate(rho, 9, primes=PRIMES)
     # the certificate ranks each degree once for all the primes; the
     # check only reads those ranks
-    check = modp_dimension_check(cert, PRIMES)
+    check = modp_dimension_check(cert)
     assert calls == [PRIMES] * (9 - rho.degree + 1)
     assert all(len(ranks) == 9 - rho.degree + 1
                for ranks in cert.modp_ranks.values())
@@ -723,7 +717,7 @@ def test_unit_leads_need_no_column_pass(monkeypatch):
     (lambda rows: integer_row_space(rows, 2), [{0: 2.0}]),
     (lambda rows: fp_ranks(rows, (2, 3)), [[0.5, 1.5]]),
     (lambda rows: fp_ranks(rows, (2, 3)), [{0: 1, 1.0: 1}]),
-    (lambda rows: fp_rank(rows, 2), [[1, False]]),
+    (lambda rows: fp_ranks(rows, (2,)), [[1, False]]),
 ])
 def test_non_integer_input_is_refused(kernel, rows):
     # each was once truncated by int() and gave a divisor or a rank
