@@ -4,11 +4,13 @@ The files under tests/data/ hold report_to_json(..., include_timings=False)
 at seed 0 and 50 samples: for the accepted corpus presentations at their
 default caps, and for the report paths those runs never take (a gate
 rejection, a forced run past one, an inconclusive gate, unselected
-checks and a budget abort).  A difference means a verdict, a divisor or
+checks and a budget abort).  Each must come out the same whether the
+sampled suites run in a forked child or in process.  A difference means a verdict, a divisor or
 the report layout changed; regenerate them only for an intended change
 of the report.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -29,14 +31,8 @@ def expected_json(name):
     return (ROOT / "tests" / "data" / f"{name}.json").read_text()
 
 
-@pytest.mark.parametrize("name", ["commutator_basic", "commutator_deep",
-                                  "commutator_three_gens"])
-def test_corpus_report_is_byte_identical(name):
-    report = corpus_report(name)
-    assert report_to_json(report, include_timings=False) == expected_json(name)
-
-
-@pytest.mark.parametrize("name, presentation, options, exit_code", [
+CORPUS = ["commutator_basic", "commutator_deep", "commutator_three_gens"]
+REPORT_PATHS = [
     # gate rejected: every quotient block is skipped
     ("square_power", "square_power", {}, EXIT_GATE_REJECTED),
     # forced past a rejection: the quotient blocks carry hypotheses_met false
@@ -51,11 +47,39 @@ def test_corpus_report_is_byte_identical(name):
     # torsion and mod-p both stop at the budget at degree 8
     ("commutator_basic_budget", "commutator_basic",
      {"budget": 2000, "max_degree": 10}, EXIT_INCONCLUSIVE),
-])
+]
+GOLDENS = [(name, name, {}) for name in CORPUS] + [
+    (name, presentation, options) for name, presentation, options, _ in REPORT_PATHS]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_report_is_byte_identical(name):
+    report = corpus_report(name)
+    assert report_to_json(report, include_timings=False) == expected_json(name)
+
+
+@pytest.mark.parametrize("name, presentation, options, exit_code", REPORT_PATHS)
 def test_report_path_is_byte_identical(name, presentation, options, exit_code):
     report = corpus_report(presentation, **options)
     assert report.exit_code == exit_code
     assert report_to_json(report, include_timings=False) == expected_json(name)
+
+
+@pytest.mark.parametrize("name, presentation, options", GOLDENS,
+                         ids=[name for name, _, _ in GOLDENS])
+def test_report_is_the_same_with_and_without_the_suites_child(
+        monkeypatch, name, presentation, options):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(name) or fork())
+    forked = report_to_json(corpus_report(presentation, **options),
+                            include_timings=False)
+    # a run that selects a suite forks once; the torsion-only one never
+    assert len(forks) == ("checks" not in options)
+    monkeypatch.delattr(os, "fork")
+    in_process = report_to_json(corpus_report(presentation, **options),
+                                include_timings=False)
+    assert forked == in_process == expected_json(name)
 
 
 class _Unrenderable(dict):
