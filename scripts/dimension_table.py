@@ -20,28 +20,16 @@ import sys
 from pathlib import Path
 
 from magnuslie import (EXIT_CHECK_FAILED, EXIT_INCONCLUSIVE, EXIT_OK,
-                       EXIT_USAGE, DegreeAboveCutoff, EmbeddingTooLarge,
                        WeightScheme, hilbert_crosscheck, leading_lie_form,
                        parse_word, torsion_free_certificate, witt_dimensions)
-from magnuslie.cli import _Parser
+from magnuslie.cli import _Parser, run_command
 from magnuslie.quotient import DEFAULT_BUDGET, _IdealSweep
 
 PROG = "dimension_table.py"
 
 
 def main() -> int:
-    try:
-        return table()
-    except (DegreeAboveCutoff, EmbeddingTooLarge) as ex:
-        print(f"{PROG}: inconclusive: {ex}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (MemoryError, RecursionError) as ex:
-        print(f"{PROG}: inconclusive: the run hit {type(ex).__name__}",
-              file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (OSError, ValueError) as ex:
-        print(f"{PROG}: error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    return run_command(PROG, table)
 
 
 def table() -> int:

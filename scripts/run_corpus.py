@@ -17,10 +17,9 @@ import sys
 import time
 from pathlib import Path
 
-from magnuslie import (EXIT_CHECK_FAILED, EXIT_GATE_REJECTED,
-                       EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE,
-                       EmbeddingTooLarge, RunConfig, run_report)
-from magnuslie.cli import _Parser
+from magnuslie import (EXIT_CHECK_FAILED, EXIT_GATE_REJECTED, EXIT_OK,
+                       RunConfig, run_report)
+from magnuslie.cli import _Parser, run_command
 
 PROG = "run_corpus.py"
 
@@ -34,18 +33,7 @@ EXPECTED = {
 
 
 def main() -> int:
-    try:
-        return sweep()
-    except EmbeddingTooLarge as ex:
-        print(f"{PROG}: inconclusive: {ex}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (MemoryError, RecursionError) as ex:
-        print(f"{PROG}: inconclusive: the run hit {type(ex).__name__}",
-              file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (OSError, ValueError) as ex:
-        print(f"{PROG}: error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    return run_command(PROG, sweep)
 
 
 def sweep() -> int:

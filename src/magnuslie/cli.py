@@ -4,7 +4,8 @@ Exit codes: 0 all selected checks pass, 1 gate rejection, 2 check
 failure (torsion found, series mismatch, suite violation), 3
 inconclusive, budget exceeded, an embedding projected past
 words.MAX_EMBED_LETTERS, or the run ran out of memory or recursion
-depth, 4 usage or parse error.
+depth, 4 usage or parse error, or a --json-out path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .presentation_io import PresentationSyntaxError
+from .liebasis import DegreeAboveCutoff
 from .quotient import DEFAULT_BUDGET
 from .report import (ALL_CHECKS, EXIT_INCONCLUSIVE, EXIT_USAGE, RunConfig,
                      report_to_json, run_report)
@@ -128,31 +129,34 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     if "checks" in options:
         options["checks"] = tuple(options["checks"])
-    try:
-        config = RunConfig(**options)
-    except ValueError as ex:
-        print(f"magnuslie: error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    return run_command("magnuslie", lambda: _run(RunConfig(**options)))
 
-    try:
-        report = run_report(config)
-    except (OSError, PresentationSyntaxError, ValueError) as ex:
-        print(f"magnuslie: error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    except EmbeddingTooLarge as ex:
-        print(f"magnuslie: inconclusive: {ex}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except (MemoryError, RecursionError) as ex:
-        print(f"magnuslie: inconclusive: the run hit {type(ex).__name__}",
-              file=sys.stderr)
-        return EXIT_INCONCLUSIVE
 
+def _run(config: RunConfig) -> int:
+    report = run_report(config)
     _print_summary(report)
     if config.json_out:
         with open(config.json_out, "w", encoding="utf-8") as handle:
             handle.write(report_to_json(report))
         print(f"wrote {config.json_out}")
     return report.exit_code
+
+
+def run_command(prog: str, run) -> int:
+    """run()'s exit code, or the code and the one stderr line for each
+    error that ends a run early; the CLI and the scripts share them."""
+    try:
+        return run()
+    except (DegreeAboveCutoff, EmbeddingTooLarge) as ex:
+        print(f"{prog}: inconclusive: {ex}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (MemoryError, RecursionError) as ex:
+        print(f"{prog}: inconclusive: the run hit {type(ex).__name__}",
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (OSError, ValueError) as ex:
+        print(f"{prog}: error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

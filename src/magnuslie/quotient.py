@@ -38,7 +38,6 @@ the same integer row space as the sweep's rows (``ideal_component``).
 
 from __future__ import annotations
 
-from . import truncpoly
 from .fprank import _distinct_primes, fp_ranks
 from .liebasis import (LieElement, _bracket_words, bracket, generator_element,
                        lyndon_words, witt_dimensions)
@@ -343,9 +342,20 @@ def candidate_series(m: int, n: int, e: int, d: int, order: int) -> list[int]:
 
 
 def pbw_series(dimensions: list[int], order: int) -> list[int]:
-    """Graded product prod_k (1 - t^k)^(-dim_k), truncated."""
-    return truncpoly.product_of_powers(
-        ((k, -g) for k, g in enumerate(dimensions, start=1)), order)
+    """Graded product prod_k (1 - t^k)^(-dim_k), truncated.
+
+    Its logarithmic derivative gives N a_N = sum of q_i a_(N-i) over
+    i = 1..N, with q_i the sum of k dim_k over k | i (the power sums of
+    witt_dimensions); each division is exact, as every a_N is an integer.
+    """
+    q = [0] * (order + 1)
+    for k, dim in enumerate(dimensions[:order], start=1):
+        for multiple in range(k, order + 1, k):
+            q[multiple] += k * dim
+    coeffs = [1] + [0] * order
+    for n in range(1, order + 1):
+        coeffs[n] = sum(q[i] * coeffs[n - i] for i in range(1, n + 1)) // n
+    return coeffs
 
 
 def hilbert_crosscheck(report: TorsionReport) -> HilbertTable:

@@ -1,11 +1,8 @@
 """Pipeline orchestration and the JSON run report.
 
 The fixed check order is gate, torsion, hilbert, mod-p, floor-bound,
-magnus-e1.  It is the order of the results, not of execution: the two
-sampled suites run in a forked child while this process runs the
-quotient checks (_fork_suites).  A gate rejection stops the quotient
-checks unless forced, in which case their sections carry
-hypotheses_met = false.
+magnus-e1.  A gate rejection stops the quotient checks unless forced,
+in which case their sections carry hypotheses_met = false.
 
 The result records are the report schema: each check's block holds
 its result's fields plus "skipped" (and "hypotheses_met" for the
@@ -24,9 +21,6 @@ meta.timings charges those F_p eliminations to "torsion", not "modp".
 from __future__ import annotations
 
 import json
-import marshal
-import os
-import sys
 import time
 
 from . import __version__
@@ -150,116 +144,43 @@ def run_report(config: RunConfig) -> RunReport:
             else:
                 report.skip_reasons[name] = "degree window below the relator degree"
 
+    if run_quotient:
+        if "torsion" in selected or "hilbert" in selected or "modp" in selected:
+            start = time.perf_counter()
+            # mod-p reads the F_p ranks the certificate takes as it sweeps
+            report.torsion = torsion_free_certificate(
+                gate.rho, max_degree, budget=config.budget,
+                primes=config.primes if "modp" in selected else ())
+            timings["torsion"] = time.perf_counter() - start
+        if "hilbert" in selected and report.torsion is not None:
+            start = time.perf_counter()
+            report.hilbert = hilbert_crosscheck(report.torsion)
+            timings["hilbert"] = time.perf_counter() - start
+        if "modp" in selected and report.torsion is not None:
+            start = time.perf_counter()
+            report.modp = modp_dimension_check(report.torsion)
+            timings["modp"] = time.perf_counter() - start
+
     # the relator's scheme when the gate found one; else the file's e, if any
     suites_scheme = WeightScheme(pres.m, pres.n, gate.chosen_e or 1)
-    suites = tuple(name for name in ("floor-bound", "magnus-e1")
-                   if name in selected)
-    child = _fork_suites(suites, suites_scheme, config)
-    try:
-        if run_quotient:
-            if "torsion" in selected or "hilbert" in selected or "modp" in selected:
-                start = time.perf_counter()
-                # mod-p reads the F_p ranks the certificate takes as it sweeps
-                report.torsion = torsion_free_certificate(
-                    gate.rho, max_degree, budget=config.budget,
-                    primes=config.primes if "modp" in selected else ())
-                timings["torsion"] = time.perf_counter() - start
-            if "hilbert" in selected and report.torsion is not None:
-                start = time.perf_counter()
-                report.hilbert = hilbert_crosscheck(report.torsion)
-                timings["hilbert"] = time.perf_counter() - start
-            if "modp" in selected and report.torsion is not None:
-                start = time.perf_counter()
-                report.modp = modp_dimension_check(report.torsion)
-                timings["modp"] = time.perf_counter() - start
-
-        done = _join_suites(child[1]) if child else None
-        if done is None:
-            done = _run_suites(suites, suites_scheme, config)
-    finally:
-        if child:
-            _reap(*child)
-    for name in ("floor-bound", "magnus-e1"):
-        if name not in suites:
-            report.skip_reasons[name] = "not selected"
-    for key, (result, seconds) in done.items():
-        setattr(report, key, result)
-        timings[key] = seconds
+    if "floor-bound" in selected:
+        start = time.perf_counter()
+        report.floor_bound = floor_bound_suite(
+            suites_scheme, samples=config.samples,
+            max_len=config.max_word_len, seed=config.seed)
+        timings["floor_bound"] = time.perf_counter() - start
+    else:
+        report.skip_reasons["floor-bound"] = "not selected"
+    if "magnus-e1" in selected:
+        start = time.perf_counter()
+        report.magnus_e1 = magnus_e1_suite(suites_scheme)
+        timings["magnus_e1"] = time.perf_counter() - start
+    else:
+        report.skip_reasons["magnus-e1"] = "not selected"
 
     report.timings = timings
     report.exit_code = _exit_code(report, selected)
     return report
-
-
-def _run_suites(names, scheme: WeightScheme, config: RunConfig) -> dict:
-    """Run the named sampled suites here: report field -> (result, seconds)."""
-    done = {}
-    for name in names:
-        start = time.perf_counter()
-        if name == "floor-bound":
-            result = floor_bound_suite(scheme, samples=config.samples,
-                                       max_len=config.max_word_len,
-                                       seed=config.seed)
-        else:
-            result = magnus_e1_suite(scheme)
-        done[name.replace("-", "_")] = (result, time.perf_counter() - start)
-    return done
-
-
-def _fork_suites(names, scheme: WeightScheme, config: RunConfig):
-    """Start _run_suites in a forked child that shares nothing with the
-    quotient checks but its arguments, and writes the results and its own
-    seconds to a pipe.  Returns (pid, pipe), or None, and the suites run
-    here, when there is nothing to run, no os.fork, or another thread
-    (which a fork could leave holding a lock)."""
-    threading = sys.modules.get("threading")
-    if not names or not hasattr(os, "fork") or (
-            threading is not None and threading.active_count() > 1):
-        return None
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        # the child never returns and never flushes the stdio it inherited
-        code = 1
-        try:
-            os.close(read_fd)
-            done = _run_suites(names, scheme, config)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps({key: (_fields(result), seconds)
-                                          for key, (result, seconds)
-                                          in done.items()}))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _join_suites(pipe) -> dict | None:
-    """The child's results, or None when it sent nothing usable (a suite
-    raised there, or it was killed): then they run here and raise here."""
-    with pipe:
-        data = pipe.read()
-    try:
-        sent = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
-        return None
-    return {key: (SuiteResult(**fields), seconds)
-            for key, (fields, seconds) in sent.items()}
-
-
-def _reap(pid: int, pipe) -> None:
-    """Reap the suites' child, killing it first unless its results were read."""
-    if not pipe.closed:
-        import signal  # only a raise gets here; start-up need not load it
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
 
 
 def algebra_law_suites(scheme: WeightScheme, samples: int = 500,

@@ -16,7 +16,7 @@ from magnuslie import (LieElement, Presentation, WeightScheme, bracket,
                        floor_bound_suite, magnus_e1_suite, modp_dimension_check,
                        strategy_independence_suite, torsion_free_certificate,
                        valuation_mult_suite, witt_dimensions)
-from magnuslie.truncpoly import product_of_powers
+from test_liebasis import product_of_powers
 
 
 def _report(line):

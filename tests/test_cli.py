@@ -227,6 +227,38 @@ def test_cli_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", ""],
+                         ids=["missing_directory", "a_directory"])
+def test_an_unwritable_json_out_is_a_usage_error(tmp_path, capsys, target):
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    out_path = str(tmp_path / target)
+    assert main(["--input", ok, "--samples", "10", "--json-out", out_path]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "gate: accepted" in captured.out
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("magnuslie: error: ")
+    assert out_path in captured.err
+
+
+def test_the_timings_follow_the_check_order(tmp_path):
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    report = run_report(_config(ok))
+    assert list(report.timings) == ["gate", "torsion", "hilbert", "modp",
+                                    "floor_bound", "magnus_e1"]
+    assert all(seconds > 0 for seconds in report.timings.values())
+
+
+def test_import_loads_no_process_or_thread_module():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = ("import sys, magnuslie; print(sorted({'pickle', 'multiprocessing',"
+             " 'subprocess', 'threading'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
 def test_cli_resource_errors_are_inconclusive(tmp_path, capsys, monkeypatch, error):
     def exhausted(config):

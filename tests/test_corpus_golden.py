@@ -4,10 +4,10 @@ The files under tests/data/ hold report_to_json(..., include_timings=False)
 at seed 0 and 50 samples: for the accepted corpus presentations at their
 default caps, and for the report paths those runs never take (a gate
 rejection, a forced run past one, an inconclusive gate, unselected
-checks and a budget abort).  Each must come out the same whether the
-sampled suites run in a forked child or in process.  A difference means a verdict, a divisor or
-the report layout changed; regenerate them only for an intended change
-of the report.
+checks and a budget abort).  Each run stays in one process: it forks
+nothing, and its report is the same with os.fork deleted.  A difference
+means a verdict, a divisor or the report layout changed; regenerate them
+only for an intended change of the report.
 """
 
 import os
@@ -72,14 +72,13 @@ def test_report_is_the_same_with_and_without_the_suites_child(
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(name) or fork())
-    forked = report_to_json(corpus_report(presentation, **options),
-                            include_timings=False)
-    # a run that selects a suite forks once; the torsion-only one never
-    assert len(forks) == ("checks" not in options)
+    with_fork = report_to_json(corpus_report(presentation, **options),
+                               include_timings=False)
+    assert forks == []
     monkeypatch.delattr(os, "fork")
-    in_process = report_to_json(corpus_report(presentation, **options),
-                                include_timings=False)
-    assert forked == in_process == expected_json(name)
+    without_fork = report_to_json(corpus_report(presentation, **options),
+                                  include_timings=False)
+    assert with_fork == without_fork == expected_json(name)
 
 
 class _Unrenderable(dict):

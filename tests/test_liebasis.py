@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 from random import Random
 
 import pytest
@@ -15,13 +15,51 @@ from magnuslie import free_reduce, standard_factorization, word_multiply
 from magnuslie.checks import random_lie_element
 from magnuslie.liebasis import (_bracket_words, _is_lyndon, _lyndon_bucket,
                                 _lyndon_rewrite, _lyndon_weight)
-from magnuslie.truncpoly import product_of_powers
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
 S213 = WeightScheme(2, 1, 3)
 S212 = WeightScheme(2, 1, 2)
 S211 = WeightScheme(2, 1, 1)
+
+
+# -- series oracle: products of (1 - t^k)^exponent, factor by factor -----
+
+
+def poly_mul(a, b, order):
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if i > order or not ai:
+            continue
+        top = min(order - i, len(b) - 1)
+        for j in range(top + 1):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def one_minus_tk_power(k, exponent, order):
+    """(1 - t^k) ** exponent, truncated; negative exponents allowed."""
+    out = [0] * (order + 1)
+    if exponent >= 0:
+        for j in range(0, min(exponent, order // k) + 1):
+            out[k * j] = (-1) ** j * comb(exponent, j)
+    else:
+        g = -exponent
+        for j in range(0, order // k + 1):
+            out[k * j] = comb(g - 1 + j, j)
+    return out
+
+
+def product_of_powers(factors, order):
+    """Product of (1 - t^k) ** exponent over (k, exponent) pairs."""
+    out = [0] * (order + 1)
+    out[0] = 1
+    for k, exponent in factors:
+        if exponent:
+            out = poly_mul(out, one_minus_tk_power(k, exponent, order), order)
+    return out
 
 
 # -- brute force oracle: Lyndon = strictly smaller than all rotations ------

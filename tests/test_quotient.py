@@ -8,6 +8,7 @@ from magnuslie import (BudgetExceeded, LieElement, TorsionReport, WeightScheme,
                        hilbert_crosscheck, ideal_component, ideal_component_alt,
                        integer_row_space, lyndon_words, modp_dimension_check,
                        pbw_series, torsion_free_certificate, witt_dimensions)
+from test_liebasis import product_of_powers
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
@@ -393,3 +394,13 @@ def test_quotient_dims_bounds():
 def test_pbw_series_helper():
     # one generator in each weight 1 and 2: 1/((1-t)(1-t^2))
     assert pbw_series([1, 1], 5) == [1, 1, 2, 2, 3, 3]
+
+
+def test_pbw_series_matches_the_product_of_its_factors():
+    rng = Random(20)
+    for _ in range(60):
+        order = rng.randint(0, 16)
+        dims = [rng.randint(0, 500) for _ in range(rng.randint(0, 20))]
+        expected = product_of_powers(
+            ((k, -dim) for k, dim in enumerate(dims, start=1)), order)
+        assert pbw_series(dims, order) == expected
