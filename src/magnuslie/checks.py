@@ -15,8 +15,9 @@ from .quotient import ideal_component, ideal_component_alt
 from .record import Record, field
 from .series import Series, WeightScheme
 from .snf import integer_row_space
-from .words import (Word, filtration_degree, free_reduce, generator,
-                    group_commutator, magnus_embed, random_word, word_to_text)
+from .words import (Word, _decided_cutoff, filtration_degree, free_reduce,
+                    generator, group_commutator, magnus_embed, random_word,
+                    word_to_text)
 
 
 class SuiteResult(Record):
@@ -54,6 +55,8 @@ def floor_bound_suite(scheme: WeightScheme, samples: int = 1000, max_len: int = 
     counterexample = None
     for _ in range(samples):
         word = random_word(rng, scheme, max_len)
+        if _decided_cutoff(word, scheme, cutoff) < scheme.e:
+            continue  # the weighted degree is at most that: never applicable
         weighted = filtration_degree(word, scheme, cutoff)
         if not weighted.exact or weighted.bound < scheme.e:
             continue
@@ -153,6 +156,10 @@ def magnus_e1_suite(scheme: WeightScheme, max_weight: int = 6,
             fail(word)
             continue
         weighted_total = sum(scheme.letter_weight(g) for g in seq)
+        # with every letter of weight 1 the weighted embedding is the one
+        # just checked, at the same cutoff
+        if weighted_total == length:
+            continue
         weighted = filtration_degree(word, scheme, weighted_total)
         if not weighted.at_least(weighted_total):
             fail(word)

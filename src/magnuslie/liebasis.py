@@ -344,20 +344,32 @@ def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict:
     Scheme independent: only the letter order enters, so one table
     serves every weighting of the same alphabet.  The rule and the sweep
     read pairs u < v only; reversed ones come from ``bracket`` alone.
+    The Jacobi terms [u1, [u2, v]] and -[u2, [u1, v]] are summed straight
+    into the result, each pair read in stored order: every word w of
+    [u2, v] exceeds u2, which exceeds u1.
     """
     if u == v:
         return {}
     if u > v:
         return {w: -c for w, c in _bracket_words(v, u).items()}
-    if len(u) == 1 or standard_factorization(u)[1] >= v:
+    if len(u) == 1:
         return {u + v: 1}
     u1, u2 = standard_factorization(u)
-    out = _add_bracket({}, {u1: 1}, _bracket_words(u2, v))
-    for w, c in _bracket_words(u1, v).items():  # -[u2, w], read in order
+    if u2 >= v:
+        return {u + v: 1}
+    terms = [(_bracket_words(u1, w), c) for w, c in _bracket_words(u2, v).items()]
+    for w, c in _bracket_words(u1, v).items():
         if u2 < w:
-            _add_bracket(out, {u2: -c}, {w: 1})
+            terms.append((_bracket_words(u2, w), -c))
         elif w < u2:
-            _add_bracket(out, {w: c}, {u2: 1})
+            terms.append((_bracket_words(w, u2), c))
+    out: dict = {}
+    for pair, c in terms:
+        for z, b in pair.items():
+            if value := out.get(z, 0) + c * b:
+                out[z] = value
+            else:
+                del out[z]
     return out
 
 

@@ -10,7 +10,10 @@ the sweep brackets each generator with the row-echelon basis of the
 degree below, and eliminates the resulting integer matrix over the
 Lyndon basis once.  That echelon basis yields the Smith normal form,
 which certifies, exactly, the rank of the ideal and any torsion in the
-quotient component, and it feeds the degrees above.
+quotient component, and it feeds the degrees above.  Each generator's
+brackets go through one ad table, in column indices, over the source
+degree's Lyndon words that its basis uses; the table lives only while
+that generator's rows are built (``_ad_table``).
 
 The certificate (``torsion_free_certificate``) takes each degree through
 one pass: the sweep builds the degree's rows, ``fprank.fp_ranks`` ranks
@@ -147,7 +150,11 @@ class _IdealSweep:
         The row count is bounded by the kept bases, and the columns are
         counted, not enumerated, before the basis or any bracket is
         computed; BudgetExceeded when the bound times the columns
-        outgrows the budget.
+        outgrows the budget.  Above the relator's degree, each generator
+        g whose source degree keeps a basis gets one ad table over the
+        columns that basis uses, and each row [g, e] is the sum of the
+        table's entries over the columns of e; the table is dropped once
+        g's rows are built.
         """
         n = self.degree + 1
         weights = self.scheme.letter_weights()
@@ -162,26 +169,22 @@ class _IdealSweep:
             return [{index[w]: c for w, c in self.rho.coords.items()}], basis
         rows = []
         for letter, w in enumerate(weights):
-            g, words = (letter,), self.words.get(n - w)
-            for coords in self.bases.get(n - w, {}).values():
+            source = self.bases.get(n - w)
+            if not source:
+                continue
+            table = _ad_table((letter,), self.words[n - w], index,
+                              set().union(*source.values()))
+            for coords in source.values():
                 row: dict[int, int] = {}
                 for j, c in coords.items():
-                    # read the table in stored order: [g, v] = -[v, g]
-                    v = words[j]
-                    if g < v:
-                        pair = _bracket_words(g, v)
-                    elif v < g:
-                        pair, c = _bracket_words(v, g), -c
-                    else:
-                        continue  # [g, g] = 0
-                    for word, b in pair.items():
-                        i = index[word]
+                    for i, b in table[j]:
                         if value := row.get(i, 0) + c * b:
                             row[i] = value
                         else:
                             del row[i]
                 if row:
                     rows.append(row)
+            del table  # before the next generator's table is built
         return rows, basis
 
     def eliminate(self, rows: list[dict[int, int]], basis: list[tuple[int, ...]]
@@ -197,6 +200,26 @@ class _IdealSweep:
         self.words.pop(drop, None)
         self.degree = n
         return pivots
+
+
+def _ad_table(g: tuple[int], words: list[tuple[int, ...]],
+              index: dict[tuple[int, ...], int], used: set[int]) -> list[tuple]:
+    """ad g over one degree's Lyndon words: entry j holds the (target
+    column, coefficient) pairs of [g, words[j]] for each used column j,
+    and nothing for the others.
+
+    For a letter g < v the standard-factorization rule gives gv itself;
+    only v < g reads the bracket memo, in its stored order, as
+    [g, v] = -[v, g]; and [g, g] = 0.
+    """
+    table: list[tuple] = [()] * len(words)
+    for j in used:
+        v = words[j]
+        if g < v:
+            table[j] = ((index[g + v], 1),)
+        elif v < g:
+            table[j] = tuple([(index[w], -c) for w, c in _bracket_words(v, g).items()])
+    return table
 
 
 def _check_relator(rho: LieElement, n: int) -> None:

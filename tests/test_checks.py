@@ -3,8 +3,14 @@ from magnuslie import (DegreeAboveCutoff, WeightScheme, homomorphism_suite,
                        floor_bound_suite, magnus_e1_suite,
                        strategy_independence_suite, valuation_mult_suite,
                        word_to_text)
-from magnuslie import checks
+from random import Random
+
+import pytest
+
+from magnuslie import checks, liebasis, words
+from magnuslie.checks import SuiteResult
 from magnuslie.report import algebra_law_suites
+from magnuslie.words import DegreeBound, filtration_degree, random_word
 
 S20 = WeightScheme(2, 0, 1)
 S212 = WeightScheme(2, 1, 2)
@@ -56,6 +62,91 @@ def test_magnus_e1_suite_counts_an_uncertified_degree_as_failure(monkeypatch):
     result = magnus_e1_suite(S20, max_weight=6)
     assert result.failures == 1
     assert result.counterexample == word_to_text(target, S20)
+
+
+def test_magnus_e1_suite_embeds_an_x_only_sequence_once(monkeypatch):
+    # each of the 17 sequences is embedded by its e = 1 leading form only:
+    # with every letter of weight 1 the weighted check is the same embedding
+    real = words.magnus_embed
+    calls = []
+
+    def spy(word, scheme, cutoff):
+        calls.append(word)
+        return real(word, scheme, cutoff)
+
+    monkeypatch.setattr(words, "magnus_embed", spy)
+    monkeypatch.setattr(liebasis, "magnus_embed", spy)
+    assert magnus_e1_suite(S20, max_weight=6).passed
+    assert len(calls) == 17
+
+
+def test_magnus_e1_suite_keeps_the_weighted_check_for_y_letters(monkeypatch):
+    scheme = WeightScheme(1, 1, 3)
+    seen = []
+
+    def too_low(word, scheme, cutoff):
+        seen.append(word)
+        return DegreeBound(1, exact=True)
+
+    monkeypatch.setattr(checks, "filtration_degree", too_low)
+    result = magnus_e1_suite(scheme, max_weight=6)
+    with_y = [seq for seq in left_normed_basic_sequences(scheme, 6) if 1 in seq]
+    assert with_y and result.failures == len(with_y)
+    assert seen == [checks._left_normed_word(seq) for seq in with_y]
+
+
+def head_floor_bound(scheme, samples, max_len, seed, cutoff=None):
+    """The floor-bound loop as it was before it skipped samples by their
+    decided cutoff: every sample is embedded in the weighted scheme.  It
+    embeds through ``checks``, so a patched embedding reaches both."""
+    filtration_degree = checks.filtration_degree
+    if cutoff is None:
+        cutoff = scheme.e + 3
+    e1_scheme = WeightScheme(scheme.m, scheme.n, 1)
+    rng = Random(seed)
+    applicable = failures = 0
+    counterexample = None
+    for _ in range(samples):
+        word = random_word(rng, scheme, max_len)
+        weighted = filtration_degree(word, scheme, cutoff)
+        if not weighted.exact or weighted.bound < scheme.e:
+            continue
+        applicable += 1
+        floor = weighted.bound // scheme.e
+        if not filtration_degree(word, e1_scheme, max(floor, 1)).at_least(floor):
+            failures += 1
+            if counterexample is None:
+                counterexample = word_to_text(word, scheme)
+    return SuiteResult(
+        name="floor_bound", cases=samples, failures=failures, seed=seed,
+        applicable=applicable, counterexample=counterexample,
+        detail={"cutoff": cutoff, "max_word_len": max_len, "e": scheme.e},
+    )
+
+
+@pytest.mark.parametrize("scheme, cutoff", [
+    (S213, None), (S212, None), (WeightScheme(3, 1, 4), None),
+    (WeightScheme(1, 1, 2), None), (WeightScheme(3, 1, 4), 2),
+])
+def test_floor_bound_suite_skips_only_samples_that_cannot_apply(scheme, cutoff):
+    for seed in range(5):
+        assert floor_bound_suite(scheme, samples=200, seed=seed, cutoff=cutoff) \
+            == head_floor_bound(scheme, 200, 12, seed, cutoff), seed
+
+
+def test_floor_bound_suite_skip_keeps_a_planted_failure(monkeypatch):
+    # a wrong e = 1 degree is still reported on every sample that applies
+    real = filtration_degree
+
+    def low_e1(word, scheme, cutoff):
+        if scheme.e == 1:
+            return DegreeBound(0, exact=True)
+        return real(word, scheme, cutoff)
+
+    monkeypatch.setattr(checks, "filtration_degree", low_e1)
+    result = floor_bound_suite(S213, samples=200, seed=1)
+    assert result == head_floor_bound(S213, 200, 12, 1)
+    assert result.applicable and result.failures == result.applicable
 
 
 def test_floor_bound_suite_passes_and_is_deterministic():

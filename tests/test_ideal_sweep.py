@@ -9,7 +9,7 @@ divisors and F_p ranks.
 
 import pytest
 
-from magnuslie import (BudgetExceeded, WeightScheme, bracket, fp_ranks,
+from magnuslie import (BudgetExceeded, LieElement, WeightScheme, bracket, fp_ranks,
                        generator_element, integer_row_space, lyndon_words,
                        modp_dimension_check, smith_normal_form,
                        torsion_free_certificate)
@@ -128,6 +128,35 @@ def test_certificate_rows_are_the_ideal_components_over_column_indices(
             for lead, row in pivots.items():
                 assert lead.__class__ is int and row[lead], n
                 assert all(c.__class__ is int for c in row), n
+
+
+def bracket_rows(sweep, n):
+    """Degree n's rows by ``bracket``: [g, e] for each generator g and each
+    kept basis row e of degree n - w_g, in the sweep's order, word-keyed."""
+    scheme = sweep.scheme
+    rows = []
+    for g in range(scheme.letters):
+        k = n - scheme.letter_weight(g)
+        for coords in sweep.bases.get(k, {}).values():
+            e = LieElement(scheme, k, {sweep.words[k][j]: c for j, c in coords.items()})
+            image = bracket(x(scheme, g), e)
+            if not image.is_zero():
+                rows.append(image.coords)
+    return rows
+
+
+@pytest.mark.parametrize("scheme, make", ROW_SPACE_CASES + [
+    (S201, lambda s: x(s, 0).scale(2)),  # reaches [x1, x1]
+])
+def test_ad_table_rows_equal_brackets_with_the_kept_bases(scheme, make):
+    rho = make(scheme)
+    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    sweep.eliminate(*sweep.next_rows())
+    for n in range(rho.degree + 1, 10):
+        expected = bracket_rows(sweep, n)
+        rows, basis = sweep.next_rows()
+        assert [{basis[i]: c for i, c in row.items()} for row in rows] == expected, n
+        sweep.eliminate(rows, basis)
 
 
 def test_modp_check_enumerates_no_lyndon_words(monkeypatch):
@@ -273,12 +302,21 @@ def test_certificate_reads_each_bracket_pair_once_in_stored_order(
         requests.append((u, v))
         return table(u, v)
 
+    swept = []
+
+    def sweep_spy(u, v):
+        swept.append((u, v))
+        return spy(u, v)
+
     table.cache_clear()
     monkeypatch.setattr(liebasis, "_bracket_words", spy)
-    monkeypatch.setattr(quotient, "_bracket_words", spy)
+    monkeypatch.setattr(quotient, "_bracket_words", sweep_spy)
     torsion_free_certificate(rho, top)
     assert requests and all(u < v for u, v in requests)
     assert table.cache_info().currsize == len(set(requests))
+    # the sweep builds [g, v] = gv for g < v itself: it asks the memo only
+    # for [v, g] with v < g, g the generator
+    assert swept and all(len(g) == 1 for _, g in swept)
 
 
 def test_budget_counts_the_columns_before_enumerating_them(monkeypatch):
