@@ -73,17 +73,21 @@ def table() -> int:
         out_dir = Path(args.dump_matrices)
         out_dir.mkdir(parents=True, exist_ok=True)
         # the rows the certificate eliminates, over the column indices of
-        # the degree's Lyndon basis, one matrix row per line: each degree
-        # is written between building its rows and eliminating them
-        sweep = _IdealSweep(rho, DEFAULT_BUDGET)
+        # the degree's Lyndon basis, one matrix row per line, block after
+        # block: each block's rows are read between building them and
+        # eliminating them
+        sweep = _IdealSweep(rho, len(cert.degrees), DEFAULT_BUDGET)
         for n in range(degree, len(cert.degrees) + 1):
-            rows, basis = sweep.next_rows()
             ncols = dims[n - 1]
+            lines = []
+            for block in sweep.next_degree():
+                rows = sweep.next_rows(block)
+                lines += [" ".join(str(row.get(i, 0)) for i in range(ncols))
+                          for row in rows]
+                sweep.eliminate(block, rows)
             path = out_dir / f"ideal_degree_{n}.txt"
-            path.write_text("\n".join(" ".join(str(row.get(i, 0)) for i in range(ncols))
-                                      for row in rows) + "\n")
-            print(f"wrote {path} ({len(rows)} rows)")
-            sweep.eliminate(rows, basis)
+            path.write_text("\n".join(lines) + "\n")
+            print(f"wrote {path} ({len(lines)} rows)")
     if not cert.torsion_free:
         return EXIT_CHECK_FAILED
     if cert.aborted_degree is not None:

@@ -17,10 +17,11 @@ from .snf import SmithResult, integer_row_space, smith_normal_form
 from .fprank import fp_ranks
 from .gate import HypothesisReport, Presentation, check_relator_hypotheses
 from .quotient import (DEFAULT_BUDGET, BudgetExceeded, DegreeReport,
-                       HilbertTable, ModpCheck, ModpReport, TorsionReport,
-                       candidate_series, hilbert_crosscheck, ideal_component,
+                       ModpCheck, ModpReport, TorsionReport, ideal_component,
                        ideal_component_alt, modp_dimension_check,
-                       pbw_series, torsion_free_certificate)
+                       torsion_free_certificate)
+from .hilbert import (HilbertTable, candidate_series, hilbert_crosscheck,
+                      pbw_series)
 from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
                      left_normed_basic_sequences, floor_bound_suite,
                      magnus_e1_suite, strategy_independence_suite,

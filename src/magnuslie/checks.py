@@ -13,11 +13,11 @@ from .liebasis import (DegreeAboveCutoff, LieElement, bracket, generator_element
                        leading_lie_form, lyndon_words)
 from .quotient import ideal_component, ideal_component_alt
 from .record import Record, field
-from .series import Series, WeightScheme
+from .series import INFINITY, Series, WeightScheme
 from .snf import integer_row_space
-from .words import (Word, _decided_cutoff, filtration_degree, free_reduce,
-                    generator, group_commutator, magnus_embed, random_word,
-                    word_to_text)
+from .words import (Word, _decided_cutoff, _image_valuation, filtration_degree,
+                    free_reduce, generator, group_commutator, magnus_embed,
+                    random_word, word_to_text)
 
 
 class SuiteResult(Record):
@@ -55,13 +55,15 @@ def floor_bound_suite(scheme: WeightScheme, samples: int = 1000, max_len: int = 
     counterexample = None
     for _ in range(samples):
         word = random_word(rng, scheme, max_len)
-        if _decided_cutoff(word, scheme, cutoff) < scheme.e:
+        window = _decided_cutoff(word, scheme, cutoff)
+        if window < scheme.e:
             continue  # the weighted degree is at most that: never applicable
-        weighted = filtration_degree(word, scheme, cutoff)
-        if not weighted.exact or weighted.bound < scheme.e:
+        # the weighted degree, embedded in the window just decided
+        weighted = _image_valuation(magnus_embed(word, scheme, window))
+        if weighted is INFINITY or weighted < scheme.e:
             continue
         applicable += 1
-        floor = weighted.bound // scheme.e
+        floor = weighted // scheme.e
         lower = filtration_degree(word, e1_scheme, max(floor, 1))
         if not lower.at_least(floor):
             failures += 1

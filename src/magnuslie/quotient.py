@@ -1,4 +1,4 @@
-"""Degree-by-degree study of the one-relator quotient of the free Lie ring.
+"""Block-by-block study of the one-relator quotient of the free Lie ring.
 
 Given a homogeneous relator rho of degree d, the degree-n piece of the
 two-sided ideal (rho) is spanned by the left-normed operators
@@ -10,28 +10,37 @@ the sweep brackets each generator with the row-echelon basis of the
 degree below, and eliminates the resulting integer matrix over the
 Lyndon basis once.  That echelon basis yields the Smith normal form,
 which certifies, exactly, the rank of the ideal and any torsion in the
-quotient component, and it feeds the degrees above.  Each generator's
-brackets go through one ad table, in column indices, over the source
-degree's Lyndon words that its basis uses; the table lives only while
-that generator's rows are built (``_ad_table``).
+quotient component, and it feeds the degrees above.
 
-The certificate (``torsion_free_certificate``) takes each degree through
-one pass: the sweep builds the degree's rows, ``fprank.fp_ranks`` ranks
+Rho is homogeneous in its content vector when it is multihomogeneous,
+else perhaps in its x-degree and y-count, and a bracket with g adds g
+to the content of each word.  So each degree splits into blocks that
+share no column: block c of degree n is built from the blocks of degree
+n - w_g that g maps to c, and is eliminated on its own.  Ranks add over
+the blocks and the divisors of the block-diagonal matrix are the
+blocks' merged into one chain (``snf._divisor_chain``), so nothing the
+certificate reports depends on the split.  Each generator's brackets
+go through one ad table, in column indices, over the columns that its
+source block uses; the table lives only while that generator's rows are
+built (``_ad_table``).
+
+The certificate (``torsion_free_certificate``) takes each block through
+one pass: the sweep builds the block's rows, ``fprank.fp_ranks`` ranks
 them over the requested prime fields, ``_echelon`` eliminates those same
 rows in place, the Smith step reads the echelon basis, and the rows are
-released.  The certificate carries its relator, its per-degree reports
+released before the next block is built.  The sweep keeps a block's
+echelon basis only while a degree up to the certificate's cap still
+reads it.  The certificate carries its relator, its per-degree reports
 and those ranks, no rows, and it is the only input of the two
 cross-checks of it:
 
-* the candidate enveloping-algebra series 1/(1 - m t - n t^e + t^d),
-  imported from the literature on one-relator graded Lie algebras and
-  always validated against the certified dimensions, never assumed
-  (``hilbert_crosscheck``),
+* the candidate enveloping-algebra series 1/(1 - m t - n t^e + t^d)
+  (``hilbert.hilbert_crosscheck``),
 * the ranks of the sweep's rows over small prime fields, which agree
   with the integer ranks exactly when no p-torsion exists
   (``modp_dimension_check``, over the primes the certificate ranked and
   no others); the ranks for all the primes come from one elimination
-  per degree modulo their product, which splits the modulus only at a
+  per block modulo their product, which splits the modulus only at a
   zero-divisor lead (``fprank.fp_ranks``).
 
 An independent generation strategy (direct brackets with basis elements
@@ -45,7 +54,7 @@ from .fprank import _distinct_primes, fp_ranks
 from .liebasis import (LieElement, _bracket_words, bracket, generator_element,
                        lyndon_words, witt_dimensions)
 from .record import Record, field
-from .snf import _echelon, _smith_from_echelon
+from .snf import SmithResult, _divisor_chain, _echelon, _smith_from_echelon
 
 DEFAULT_BUDGET = 8_000_000
 
@@ -82,20 +91,10 @@ class TorsionReport(Record):
     aborted_degree: int | None
     note: str | None
     # prime -> the F_p ranks of the ideal rows of degrees d, d + 1, ...,
-    # taken before each degree's elimination for the primes the
+    # taken before each block's elimination for the primes the
     # certificate was given (the mod-p check reads these)
     modp_ranks: dict[int, tuple[int, ...]] = field(
         default_factory=dict, compare=False, repr=False)
-
-
-class HilbertTable(Record):
-    relator_degree: int
-    max_degree: int
-    candidate: tuple[int, ...]
-    pbw: tuple[int, ...]
-    matches: tuple[bool, ...]
-    all_match: bool
-    formula_status: str
 
 
 class ModpDegreeRow(Record):
@@ -123,56 +122,88 @@ class ModpCheck(Record):
 
 
 class _IdealSweep:
-    """Generating rows of the ideal (rho) and their echelon bases, degree by
-    degree from the relator's degree up.
+    """Generating rows of the ideal (rho) and their echelon bases, one
+    block of one degree at a time, from the relator's degree up to
+    ``top``.
 
     The rows of degree d are rho alone; those of degree n > d are
     [g, e] for each generator g and each row e of the echelon basis of
     degree n - w_g.  Bracketing is Z-linear and the echelon steps are
-    unimodular, so the rows span the degree-n piece of the ideal.  Only
-    the bases a later degree reads are kept: the last max-letter-weight
-    ones.  A sweep belongs to one computation and is never shared.
+    unimodular, so the rows span the degree-n piece of the ideal.  The
+    rows of a degree fall into the blocks of the grading that rho is
+    homogeneous in (``_letter_classes``); block c of degree n is built
+    from the blocks of degree n - w_g that g maps to c, and no
+    elimination step mixes two blocks, as they share no column.  A
+    block's basis is kept only while a degree up to ``top`` still reads
+    it; the sweep never goes past ``top``.  A sweep belongs to one
+    computation and is never shared.
     """
 
-    def __init__(self, rho: LieElement, budget: int):
+    def __init__(self, rho: LieElement, top: int, budget: int):
         self.rho = rho
         self.scheme = rho.scheme
+        self.top = top
         self.budget = budget
         self.degree = rho.degree - 1
-        # degree -> its echelon basis as _echelon returns it, and its words
-        self.bases: dict[int, dict[int, dict[int, int]]] = {}
-        self.words: dict[int, list[tuple[int, ...]]] = {}
+        self.classes = _letter_classes(rho)
+        # degree -> block key -> the block's echelon basis as _echelon
+        # returns it; degree -> its Lyndon words, the basis columns; the
+        # current degree's word -> column
+        self.bases = {}
+        self.words = {}
+        self.index = {}
 
-    def next_rows(self) -> tuple[list[dict[int, int]], list[tuple[int, ...]]]:
-        """The next degree's rows over the column indices of its Lyndon
-        basis, and that basis.
+    def next_degree(self) -> list[tuple]:
+        """Advance to the next degree and return its blocks, each its key
+        and the (letter, source block key) pairs that build it.
 
         The row count is bounded by the kept bases, and the columns are
         counted, not enumerated, before the basis or any bracket is
         computed; BudgetExceeded when the bound times the columns
-        outgrows the budget.  Above the relator's degree, each generator
-        g whose source degree keeps a basis gets one ad table over the
-        columns that basis uses, and each row [g, e] is the sum of the
-        table's entries over the columns of e; the table is dropped once
-        g's rows are built.
+        outgrows the budget, with the sweep left as it was.  Then the
+        bases that no degree from this one to ``top`` reads are dropped.
         """
         n = self.degree + 1
         weights = self.scheme.letter_weights()
-        first = n == self.rho.degree
-        bound = 1 if first else sum(len(self.bases.get(n - w, ())) for w in weights)
+        bound = 1 if n == self.rho.degree else sum(
+            len(basis) for w in weights for basis in self.bases.get(n - w, {}).values())
         cols = witt_dimensions(self.scheme, n)[-1]
         if bound * max(cols, 1) > self.budget:
             raise BudgetExceeded(n, bound, cols, self.budget)
-        basis = lyndon_words(self.scheme, n)
-        index = {word: i for i, word in enumerate(basis)}
-        if first:
-            return [{index[w]: c for w, c in self.rho.coords.items()}], basis
-        rows = []
+        # degree k is read by degrees k + 1 and k + w for the largest
+        # letter weight w
+        for k in list(self.words):
+            if k < n - 1 and not n <= k + weights[-1] <= self.top:
+                self.bases.pop(k, None)
+                del self.words[k]
+        self.degree = n
+        self.words[n] = basis = lyndon_words(self.scheme, n)
+        self.index = {word: i for i, word in enumerate(basis)}
+        classes = self.classes
+        blocks: dict[tuple, list] = {}
+        if n == self.rho.degree:
+            blocks[()] = []
         for letter, w in enumerate(weights):
-            source = self.bases.get(n - w)
-            if not source:
-                continue
-            table = _ad_table((letter,), self.words[n - w], index,
+            for key in self.bases.get(n - w, ()):
+                target = key if classes is None else tuple(sorted(key + (classes[letter],)))
+                blocks.setdefault(target, []).append((letter, key))
+        return list(blocks.items())
+
+    def next_rows(self, block: tuple) -> list[dict[int, int]]:
+        """One block's rows over the column indices of the current degree's
+        Lyndon basis: rho at the relator's degree, above it [g, e] for
+        each row e of each source block of g.  Each generator g gets one
+        ad table over the columns its source block uses, and each row
+        [g, e] is the sum of the table's entries over the columns of e;
+        the table is dropped once g's rows are built.
+        """
+        if self.degree == self.rho.degree:
+            return [{self.index[w]: c for w, c in self.rho.coords.items()}]
+        rows = []
+        for letter, key in block[1]:
+            k = self.degree - self.scheme.letter_weight(letter)
+            source = self.bases[k][key]
+            table = _ad_table((letter,), self.words[k], self.index,
                               set().union(*source.values()))
             for coords in source.values():
                 row: dict[int, int] = {}
@@ -185,21 +216,31 @@ class _IdealSweep:
                 if row:
                     rows.append(row)
             del table  # before the next generator's table is built
-        return rows, basis
+        return rows
 
-    def eliminate(self, rows: list[dict[int, int]], basis: list[tuple[int, ...]]
+    def eliminate(self, block: tuple, rows: list[dict[int, int]]
                   ) -> dict[int, dict[int, int]]:
-        """Eliminate the next degree's rows, as ``next_rows`` built them,
-        in place into their echelon basis; keep that basis and its words
-        for the degrees above, and return it.  The rows are consumed."""
-        n = self.degree + 1
+        """Eliminate one block's rows, as ``next_rows`` built them, in place
+        into their echelon basis, and return it; the basis is kept when
+        the degree above, which the x letters read it from, is at most
+        ``top``.  The rows are consumed."""
         pivots = _echelon(rows)
-        self.bases[n], self.words[n] = pivots, basis
-        drop = n - max(self.scheme.letter_weights())
-        self.bases.pop(drop, None)
-        self.words.pop(drop, None)
-        self.degree = n
+        if pivots and self.degree < self.top:
+            self.bases.setdefault(self.degree, {})[block[0]] = pivots
         return pivots
+
+
+def _letter_classes(rho: LieElement):
+    """The class of each letter in the finest of three gradings that rho
+    is homogeneous in: each letter its own (the content vector), x
+    letters against y letters, or none (None: one block per degree).  A
+    block's key is the sorted classes of the letters a bracket added to
+    rho, so the blocks of one degree share no Lyndon word."""
+    letters = range(rho.scheme.letters)
+    for classes in (letters, [z >= rho.scheme.m for z in letters]):
+        if len({tuple(sorted([classes[z] for z in word])) for word in rho.coords}) == 1:
+            return classes
+    return None
 
 
 def _ad_table(g: tuple[int], words: list[tuple[int, ...]],
@@ -234,55 +275,40 @@ def ideal_component(rho: LieElement, n: int, *,
     """Generating rows of the degree-n piece of (rho), word-keyed: rho
     itself at its own degree, above it the nonzero brackets of each
     generator with the echelon basis of the degree below it.  These are
-    the rows the certificate ranks and eliminates at degree n, with each
-    column index replaced by its word."""
+    the rows the certificate ranks and eliminates at degree n, block
+    after block, with each column index replaced by its word."""
     _check_relator(rho, n)
-    sweep = _IdealSweep(rho, budget)
+    sweep = _IdealSweep(rho, n, budget)
     while sweep.degree < n - 1:
-        sweep.eliminate(*sweep.next_rows())
-    rows, basis = sweep.next_rows()
-    return [{basis[i]: c for i, c in row.items()} for row in rows]
+        for block in sweep.next_degree():
+            sweep.eliminate(block, sweep.next_rows(block))
+    blocks = sweep.next_degree()
+    basis = sweep.words[n]
+    return [{basis[i]: c for i, c in row.items()}
+            for block in blocks for row in sweep.next_rows(block)]
 
 
 def ideal_component_alt(rho: LieElement, n: int) -> tuple[LieElement, ...]:
     """Alternative generating set for the degree-n ideal piece.
 
-    Brackets rho directly with every Lyndon basis element of the needed
-    intermediate weights and closes with one more round of generator
-    brackets at each step.  Spans the same row space as the echelon-fed
-    sweep; small-instance tests compare the two.
+    Brackets rho directly with every Lyndon basis element of each
+    intermediate weight and closes with one more round of generator
+    brackets at each step, keeping each distinct nonzero value once.
+    Spans the same row space as the echelon-fed sweep; small-instance
+    tests compare the two.
     """
     _check_relator(rho, n)
-    scheme = rho.scheme
-    d = rho.degree
-    memo: dict[int, list[LieElement]] = {}
-
-    def level(k: int) -> list[LieElement]:
-        if k in memo:
-            return memo[k]
-        if k == d:
-            memo[k] = [rho]
-            return memo[k]
-        seen: dict[tuple, LieElement] = {}
-
-        def push(elem: LieElement):
-            if elem.is_zero():
-                return
-            key = tuple(sorted(elem.coords.items()))
-            if key not in seen:
-                seen[key] = elem
-
-        for word in lyndon_words(scheme, k - d):
-            push(bracket(LieElement(scheme, k - d, {word: 1}), rho))
+    scheme, d = rho.scheme, rho.degree
+    levels = {d: [rho]}
+    for k in range(d + 1, n + 1):
+        found = [bracket(LieElement(scheme, k - d, {word: 1}), rho)
+                 for word in lyndon_words(scheme, k - d)]
         for letter in range(scheme.letters):
-            source = k - scheme.letter_weight(letter)
-            if source >= d:
-                for q in level(source):
-                    push(bracket(generator_element(scheme, letter), q))
-        memo[k] = list(seen.values())
-        return memo[k]
-
-    return tuple(level(n))
+            for q in levels.get(k - scheme.letter_weight(letter), ()):
+                found.append(bracket(generator_element(scheme, letter), q))
+        levels[k] = list({tuple(sorted(e.coords.items())): e
+                          for e in found if not e.is_zero()}.values())
+    return tuple(levels[n])
 
 
 def torsion_free_certificate(rho: LieElement, max_degree: int, *,
@@ -294,9 +320,10 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
     when every elementary divisor equals 1.  A relator of content
     greater than 1 is allowed, the certificate then legitimately fails
     and the note records the violated expectation.  One sweep serves
-    every degree, one pass per degree: its rows are ranked over F_p for
+    every degree, one pass per block: its rows are ranked over F_p for
     each of the given primes (distinct, possibly none), then eliminated
-    in place; the relator and the ranks stay on the report for the
+    in place; ranks are summed and divisors merged over the blocks of a
+    degree.  The relator and the ranks stay on the report for the
     cross-checks.
     """
     _check_relator(rho, rho.degree)
@@ -312,7 +339,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
     if content != 1:
         note = (f"relator content is {content}, not 1; "
                 "torsion in the quotient is expected")
-    sweep = _IdealSweep(rho, budget)
+    sweep = _IdealSweep(rho, max_degree, budget)
     reports: list[DegreeReport] = []
     ranks: list[dict[int, int]] = []
     aborted: int | None = None
@@ -321,17 +348,24 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
             reports.append(DegreeReport(n, dims[n - 1], 0, (), dims[n - 1], ()))
             continue
         try:
-            rows, basis = sweep.next_rows()
+            blocks = sweep.next_degree()
         except BudgetExceeded:
             aborted = n
             break
-        if primes:
-            ranks.append(fp_ranks(rows, primes))
-        result = _smith_from_echelon(sweep.eliminate(rows, basis))
-        # the rows that did not become pivots are spent: free them before
-        # the next degree's rows are built
-        del rows
-        ncols = len(basis)
+        rank, diagonal, fp = 0, [], dict.fromkeys(primes, 0)
+        for block in blocks:
+            rows = sweep.next_rows(block)
+            for p, r in (fp_ranks(rows, primes) if primes else {}).items():
+                fp[p] += r
+            result = _smith_from_echelon(sweep.eliminate(block, rows))
+            del rows  # spent: freed before the next block's rows are built
+            rank += result.rank
+            diagonal += result.divisors
+        ranks.append(fp)
+        # the degree's matrix is block diagonal: its divisors are the
+        # blocks' merged into one chain
+        result = SmithResult(rank=rank, divisors=_divisor_chain(diagonal))
+        ncols = len(sweep.words[n])
         reports.append(DegreeReport(n, ncols, result.rank, result.divisors,
                                     ncols - result.rank, result.nontrivial))
     torsion_free = all(not r.torsion for r in reports)
@@ -347,68 +381,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
     )
 
 
-# -- series cross-checks ---------------------------------------------------
-
-
-def candidate_series(m: int, n: int, e: int, d: int, order: int) -> list[int]:
-    """Coefficients of 1/(1 - m t - n t^e + t^d) up to the order."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for k in range(1, order + 1):
-        value = m * coeffs[k - 1]
-        if k >= e:
-            value += n * coeffs[k - e]
-        if k >= d:
-            value -= coeffs[k - d]
-        coeffs[k] = value
-    return coeffs
-
-
-def pbw_series(dimensions: list[int], order: int) -> list[int]:
-    """Graded product prod_k (1 - t^k)^(-dim_k), truncated.
-
-    Its logarithmic derivative gives N a_N = sum of q_i a_(N-i) over
-    i = 1..N, with q_i the sum of k dim_k over k | i (the power sums of
-    witt_dimensions); each division is exact, as every a_N is an integer.
-    """
-    q = [0] * (order + 1)
-    for k, dim in enumerate(dimensions[:order], start=1):
-        for multiple in range(k, order + 1, k):
-            q[multiple] += k * dim
-    coeffs = [1] + [0] * order
-    for n in range(1, order + 1):
-        coeffs[n] = sum(q[i] * coeffs[n - i] for i in range(1, n + 1)) // n
-    return coeffs
-
-
-def hilbert_crosscheck(report: TorsionReport) -> HilbertTable:
-    """Compare the certified quotient dimensions against the imported series.
-
-    The closed form 1/(1 - m t - n t^e + t^d) comes from the cited
-    literature on graded algebras with one defining relator; it is
-    validated against the independent Smith-form dimensions of every
-    degree the certificate reached, and a mismatch flags the import as
-    suspect instead of trusting either side.
-    """
-    scheme, d = report.relator.scheme, report.relator_degree
-    dims = [r.dim_quotient for r in report.degrees]
-    order = len(dims)
-    candidate = candidate_series(scheme.m, scheme.n, scheme.e, d, order)
-    pbw = pbw_series(dims, order)
-    matches = tuple(candidate[k] == pbw[k] for k in range(order + 1))
-    bad = [k for k, ok in enumerate(matches) if not ok]
-    status = (f"formula import suspect: mismatch at degrees {bad}" if bad
-              else "closed form imported from the literature, "
-                   "validated degree by degree against the certified dimensions")
-    return HilbertTable(
-        relator_degree=d,
-        max_degree=order,
-        candidate=tuple(candidate),
-        pbw=tuple(pbw),
-        matches=matches,
-        all_match=not bad,
-        formula_status=status,
-    )
+# -- the mod-p cross-check -------------------------------------------------
 
 
 def modp_dimension_check(report: TorsionReport) -> ModpCheck:

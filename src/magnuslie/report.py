@@ -29,10 +29,10 @@ from .checks import (SuiteResult, homomorphism_suite, jacobi_suite,
                      strategy_independence_suite, valuation_mult_suite)
 from .fprank import _distinct_primes
 from .gate import HypothesisReport, check_relator_hypotheses
+from .hilbert import HilbertTable, hilbert_crosscheck
 from .presentation_io import PresentationFile, parse_presentation_file
-from .quotient import (DEFAULT_BUDGET, HilbertTable, ModpCheck, TorsionReport,
-                       hilbert_crosscheck, modp_dimension_check,
-                       torsion_free_certificate)
+from .quotient import (DEFAULT_BUDGET, ModpCheck, TorsionReport,
+                       modp_dimension_check, torsion_free_certificate)
 from .record import Record, field
 from .series import WeightScheme
 from .words import MAX_POWER_LENGTH, word_to_text

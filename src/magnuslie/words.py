@@ -54,18 +54,21 @@ class WordSyntaxError(ValueError):
         self.column = column
 
 
-def _check_letter(signed: int, scheme: WeightScheme):
+def _check_letter(signed: int, letters: int, scheme: WeightScheme):
+    """ValueError unless ``signed`` is a signed letter of the scheme, which
+    has ``letters`` letters (read once by the caller)."""
     if not isinstance(signed, int) or signed == 0:
         raise ValueError(f"signed letter expected, got {signed!r}")
-    if abs(signed) > scheme.letters:
+    if abs(signed) > letters:
         raise ValueError(f"generator index {abs(signed)} out of range for {scheme}")
 
 
 def free_reduce(raw, scheme: WeightScheme) -> Word:
     """Freely reduce a raw sequence of signed letters.  Idempotent."""
+    letters = scheme.letters
     stack: list[int] = []
     for signed in raw:
-        _check_letter(signed, scheme)
+        _check_letter(signed, letters, scheme)
         if stack and stack[-1] == -signed:
             stack.pop()
         else:
@@ -81,8 +84,10 @@ def invert_word(word: Word) -> Word:
     return tuple(-s for s in reversed(word))
 
 
-def word_multiply(a: Word, b: Word) -> Word:
-    """Product of two already reduced words, with boundary cancellation."""
+def word_multiply(a: Word, b) -> Word:
+    """Product of a reduced word and a sequence of signed letters, freely
+    reduced: each letter of b cancels against the result so far or is
+    appended.  For two reduced words only their boundary cancels."""
     stack = list(a)
     for signed in b:
         if stack and stack[-1] == -signed:
@@ -161,9 +166,10 @@ def magnus_embed(word: Word, scheme: WeightScheme, cutoff: int) -> Series:
     Either walk costs time in proportion to the terms it writes.
     """
     _check_cutoff(cutoff)
+    letters = scheme.letters
     buckets = {0: {(): 1}}
     for signed in word:
-        _check_letter(signed, scheme)
+        _check_letter(signed, letters, scheme)
         letter = abs(signed) - 1
         w = scheme.letter_weight(letter)
         positive = signed > 0
@@ -226,9 +232,10 @@ def _decided_cutoff(word: Word, scheme: WeightScheme, cutoff: int) -> int:
     sum in the word is nonzero: that letter's linear term in image - 1
     cannot cancel, so the valuation is at most its weight."""
     _check_cutoff(cutoff)
+    letters = scheme.letters
     sums: dict[int, int] = {}
     for signed in word:
-        _check_letter(signed, scheme)
+        _check_letter(signed, letters, scheme)
         sums[abs(signed)] = sums.get(abs(signed), 0) + (1 if signed > 0 else -1)
     return min([scheme.letter_weight(k - 1) for k, s in sums.items() if s] + [cutoff])
 
@@ -253,12 +260,13 @@ def filtration_degree(word: Word, scheme: WeightScheme, cutoff: int) -> DegreeBo
 
 def random_word(rng: Random, scheme: WeightScheme, max_len: int) -> Word:
     """A freely reduced word of length up to max_len, drawn from rng."""
-    length = rng.randrange(max_len + 1)
+    letters = scheme.letters
     raw = []
-    for _ in range(length):
-        letter = rng.randrange(scheme.letters) + 1
+    for _ in range(rng.randrange(max_len + 1)):
+        letter = rng.randrange(letters) + 1
         raw.append(letter if rng.randrange(2) else -letter)
-    return free_reduce(raw, scheme)
+    # drawn in range, so reduced without free_reduce's letter checks
+    return word_multiply((), raw)
 
 
 # -- word grammar -------------------------------------------------------

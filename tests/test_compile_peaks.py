@@ -1,10 +1,12 @@
-"""Memory that compiling each module takes.
+"""Memory that compiling each module and script takes.
 
 Compiled from source (no bytecode cache), a module whose compile peak
 outgrows the malloc heap's free space at its turn grows the heap for
 good in every process that imports the package, so module size shows up
-in peak RSS.  Each module's tracemalloc peak must stay under 1.10 MB;
-the figures are CPython 3.11's, so the test runs only there.
+in peak RSS.  A script run by path (``runpy.run_path``, or ``python
+scripts/...``) is compiled from source on every run, cache or not.  Each
+module's and script's tracemalloc peak must stay under 1.10 MB; the
+figures are CPython 3.11's, so the test runs only there.
 """
 
 import sys
@@ -14,8 +16,9 @@ from pathlib import Path
 import pytest
 
 LIMIT_BYTES = 1_100_000
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "magnuslie")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (sorted((ROOT / "src" / "magnuslie").glob("*.py"))
+           + sorted((ROOT / "scripts").glob("*.py")))
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython"

@@ -1,10 +1,14 @@
-"""The echelon-fed ideal sweep against the sweep it replaced.
+"""The block-by-block ideal sweep against the sweeps it replaced.
 
-The reference below keeps every distinct left-normed ad-monomial value,
-level by level, as the sweep did before it was fed by echelon bases.
-Both generate the same degree pieces of the ideal (rho), so their rows
-must have equal integer row spaces, and hence equal ranks, elementary
-divisors and F_p ranks.
+The first reference below keeps every distinct left-normed ad-monomial
+value, level by level, as the sweep did before it was fed by echelon
+bases.  Both generate the same degree pieces of the ideal (rho), so
+their rows must have equal integer row spaces, and hence equal ranks,
+elementary divisors and F_p ranks.  The second reference is the
+echelon-fed sweep as it ran before it split each degree into blocks:
+one matrix per degree, ranked, eliminated and put through the Smith
+step whole.  The certificate must report the same ranks, divisors and
+F_p ranks as that loop.
 """
 
 import pytest
@@ -58,29 +62,41 @@ def indexed(rows, scheme, n):
     return [{index[w]: c for w, c in row.items()} for row in rows]
 
 
+def advance(sweep):
+    """Take the sweep through its next degree, block by block, and return
+    the degree's echelon basis: the blocks' bases merged, as blocks
+    share no lead column."""
+    pivots = {}
+    for block in sweep.next_degree():
+        pivots.update(sweep.eliminate(block, sweep.next_rows(block)))
+    return pivots
+
+
 def sweep_rows(rho, max_degree):
-    """The sweep's rows of degrees d..max_degree, copied before each
-    degree's elimination consumes them."""
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    """The sweep's rows of degrees d..max_degree, block after block,
+    copied before each block's elimination consumes them."""
+    sweep = quotient._IdealSweep(rho, max_degree, quotient.DEFAULT_BUDGET)
     levels = []
     for _ in range(rho.degree, max_degree + 1):
-        rows, basis = sweep.next_rows()
-        levels.append([dict(row) for row in rows])
-        sweep.eliminate(rows, basis)
+        levels.append([])
+        for block in sweep.next_degree():
+            rows = sweep.next_rows(block)
+            levels[-1] += [dict(row) for row in rows]
+            sweep.eliminate(block, rows)
     return levels
 
 
 def eliminated_rows(monkeypatch):
-    """Copies of the rows each of the sweep's eliminations receives, in
-    call order."""
-    seen = []
-    kernel = quotient._echelon
+    """Degree -> copies of the rows the sweep's eliminations of that
+    degree's blocks receive, in call order."""
+    seen = {}
+    eliminate = quotient._IdealSweep.eliminate
 
-    def recording(rows):
-        seen.append([dict(row) for row in rows])
-        return kernel(rows)
+    def recording(sweep, block, rows):
+        seen.setdefault(sweep.degree, []).extend(dict(row) for row in rows)
+        return eliminate(sweep, block, rows)
 
-    monkeypatch.setattr(quotient, "_echelon", recording)
+    monkeypatch.setattr(quotient._IdealSweep, "eliminate", recording)
     return seen
 
 
@@ -116,28 +132,30 @@ def test_certificate_rows_are_the_ideal_components_over_column_indices(
     with monkeypatch.context() as patch:
         eliminated = eliminated_rows(patch)
         torsion_free_certificate(rho, 9)
-    assert len(eliminated) == 9 - rho.degree + 1
-    for n, rows in enumerate(eliminated, rho.degree):
+    assert list(eliminated) == list(range(rho.degree, 10))
+    for n, rows in eliminated.items():
         basis = lyndon_words(scheme, n)
         assert [{basis[i]: c for i, c in row.items()} for row in rows] \
             == quotient.ideal_component(rho, n), n
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    sweep = quotient._IdealSweep(rho, 10, quotient.DEFAULT_BUDGET)
     for n in range(rho.degree, 10):
-        sweep.eliminate(*sweep.next_rows())
-        for pivots in sweep.bases.values():
-            for lead, row in pivots.items():
-                assert lead.__class__ is int and row[lead], n
-                assert all(c.__class__ is int for c in row), n
+        advance(sweep)
+        for blocks in sweep.bases.values():
+            for pivots in blocks.values():
+                for lead, row in pivots.items():
+                    assert lead.__class__ is int and row[lead], n
+                    assert all(c.__class__ is int for c in row), n
 
 
-def bracket_rows(sweep, n):
-    """Degree n's rows by ``bracket``: [g, e] for each generator g and each
-    kept basis row e of degree n - w_g, in the sweep's order, word-keyed."""
+def bracket_rows(sweep, n, block):
+    """A block's rows by ``bracket``: [g, e] for each (generator g, source
+    block) pair of the block and each kept basis row e of that source,
+    in the sweep's order, word-keyed."""
     scheme = sweep.scheme
     rows = []
-    for g in range(scheme.letters):
+    for g, key in block[1]:
         k = n - scheme.letter_weight(g)
-        for coords in sweep.bases.get(k, {}).values():
+        for coords in sweep.bases[k][key].values():
             e = LieElement(scheme, k, {sweep.words[k][j]: c for j, c in coords.items()})
             image = bracket(x(scheme, g), e)
             if not image.is_zero():
@@ -150,13 +168,16 @@ def bracket_rows(sweep, n):
 ])
 def test_ad_table_rows_equal_brackets_with_the_kept_bases(scheme, make):
     rho = make(scheme)
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
-    sweep.eliminate(*sweep.next_rows())
+    sweep = quotient._IdealSweep(rho, 9, quotient.DEFAULT_BUDGET)
+    advance(sweep)
     for n in range(rho.degree + 1, 10):
-        expected = bracket_rows(sweep, n)
-        rows, basis = sweep.next_rows()
-        assert [{basis[i]: c for i, c in row.items()} for row in rows] == expected, n
-        sweep.eliminate(rows, basis)
+        for block in sweep.next_degree():
+            expected = bracket_rows(sweep, n, block)
+            rows = sweep.next_rows(block)
+            basis = sweep.words[n]
+            assert [{basis[i]: c for i, c in row.items()} for row in rows] \
+                == expected, (n, block[0])
+            sweep.eliminate(block, rows)
 
 
 def test_modp_check_enumerates_no_lyndon_words(monkeypatch):
@@ -191,9 +212,9 @@ def test_echelon_entries_stay_small_where_leads_are_not_units():
     # of 20,456 and 731,289 bits, and bracketing them upward stalls
     # degree 11; the content-1 relator goes first as it fails fastest
     for scheme, make, _, top in (TORSION_CASES[2], TORSION_CASES[1]):
-        sweep = quotient._IdealSweep(make(scheme), quotient.DEFAULT_BUDGET)
+        sweep = quotient._IdealSweep(make(scheme), top, quotient.DEFAULT_BUDGET)
         while sweep.degree < top:
-            pivots = sweep.eliminate(*sweep.next_rows())
+            pivots = advance(sweep)
             largest = max(abs(v) for row in pivots.values() for v in row.values())
             assert largest.bit_length() <= 128, sweep.degree
 
@@ -243,9 +264,9 @@ def test_non_unit_leads_are_fed_upward():
     scheme, make, _, _ = TORSION_CASES[2]
     rho = make(scheme)
     assert rho.content() == 1
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    sweep = quotient._IdealSweep(rho, 9, quotient.DEFAULT_BUDGET)
     for _ in range(rho.degree, 10):
-        pivots = sweep.eliminate(*sweep.next_rows())
+        pivots = advance(sweep)
         assert any(abs(row[lead]) != 1 for lead, row in pivots.items())
 
 
@@ -254,19 +275,29 @@ def test_non_unit_leads_are_fed_upward():
     (S214, bracket(x(S214, 0), x(S214, 2))),
 ])
 def test_sweep_keeps_at_most_max_letter_weight_bases(scheme, rho):
-    window = max(scheme.letter_weights())
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
-    for n in range(rho.degree, rho.degree + 6):
-        sweep.eliminate(*sweep.next_rows())
+    weights = set(scheme.letter_weights())
+    top = rho.degree + 5
+    sweep = quotient._IdealSweep(rho, top, quotient.DEFAULT_BUDGET)
+    for n in range(rho.degree, top + 1):
+        blocks = sweep.next_degree()
         assert sweep.degree == n
-        assert set(sweep.bases) == set(range(max(n - window + 1, rho.degree), n + 1))
+        # exactly the degrees that degree n or a later one up to the cap
+        # reads, at most max-letter-weight of them
+        readers = {k for k in range(rho.degree, n)
+                   if any(n <= k + w <= top for w in weights)}
+        assert set(sweep.bases) == readers, n
+        assert len(readers) <= max(weights)
+        for block in blocks:
+            sweep.eliminate(block, sweep.next_rows(block))
+    # the cap's own blocks go once their Smith step has read them
+    assert top not in sweep.bases
 
 
 def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
     # the bound read from the kept bases is the exact row count of
     # [x1,x2] over (2,1,3), degree by degree
     rho = comm(S213)
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    sweep = quotient._IdealSweep(rho, 12, quotient.DEFAULT_BUDGET)
 
     def unused(*args, **kwargs):
         raise AssertionError("work spent on a degree the budget refuses")
@@ -277,14 +308,17 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
             patch.setattr(quotient, "_echelon", unused)
             sweep.budget = 0
             with pytest.raises(BudgetExceeded) as err:
-                sweep.next_rows()
+                sweep.next_degree()
         assert (err.value.degree, err.value.cols) \
             == (n, len(lyndon_words(S213, n)))
         assert sweep.degree == n - 1
         sweep.budget = quotient.DEFAULT_BUDGET
-        rows, basis = sweep.next_rows()
-        assert len(rows) == err.value.rows
-        sweep.eliminate(rows, basis)
+        built = 0
+        for block in sweep.next_degree():
+            rows = sweep.next_rows(block)
+            built += len(rows)
+            sweep.eliminate(block, rows)
+        assert built == err.value.rows
 
 
 @pytest.mark.parametrize("rho, top", [
@@ -347,3 +381,130 @@ def test_budget_abort_degree_follows_the_bound():
     with pytest.raises(BudgetExceeded) as err:
         quotient.ideal_component(rho, 11, budget=71289)
     assert (err.value.rows, err.value.cols) == (539, 546)
+
+
+# -- the degree loop the block sweep replaced ------------------------------
+
+
+class DegreeSweep:
+    """The echelon-fed sweep as it ran before blocks: each degree's rows
+    are [g, e] for each generator g and each row e of the whole echelon
+    basis of degree n - w_g, built and eliminated as one matrix."""
+
+    def __init__(self, rho):
+        self.rho = rho
+        self.scheme = rho.scheme
+        self.degree = rho.degree - 1
+        self.bases = {}
+        self.words = {}
+
+    def next_rows(self):
+        n = self.degree + 1
+        basis = lyndon_words(self.scheme, n)
+        index = {word: i for i, word in enumerate(basis)}
+        if n == self.rho.degree:
+            return [{index[w]: c for w, c in self.rho.coords.items()}], basis
+        rows = []
+        for letter, w in enumerate(self.scheme.letter_weights()):
+            source = self.bases.get(n - w)
+            if not source:
+                continue
+            table = quotient._ad_table((letter,), self.words[n - w], index,
+                                       set().union(*source.values()))
+            for coords in source.values():
+                row = {}
+                for j, c in coords.items():
+                    for i, b in table[j]:
+                        if value := row.get(i, 0) + c * b:
+                            row[i] = value
+                        else:
+                            del row[i]
+                if row:
+                    rows.append(row)
+        return rows, basis
+
+    def eliminate(self, rows, basis):
+        n = self.degree + 1
+        pivots = quotient._echelon(rows)
+        self.bases[n], self.words[n] = pivots, basis
+        drop = n - max(self.scheme.letter_weights())
+        self.bases.pop(drop, None)
+        self.words.pop(drop, None)
+        self.degree = n
+        return pivots
+
+
+def degree_loop(rho, top):
+    """(rank, divisors, F_p ranks) of each whole degree d..top."""
+    sweep = DegreeSweep(rho)
+    out = []
+    for _ in range(rho.degree, top + 1):
+        rows, basis = sweep.next_rows()
+        ranks = fp_ranks(rows, PRIMES)
+        result = quotient._smith_from_echelon(sweep.eliminate(rows, basis))
+        out.append((result.rank, result.divisors, ranks))
+    return out
+
+
+S212 = WeightScheme(2, 1, 2)
+
+# (scheme, relator, top degree, the grading the blocks follow); the
+# corpus relators first (trivial_v's [x1,x2] over (2,1,3) is
+# commutator_basic's), [[x1,x2],x3] only through degree 10: degree 13
+# has 143,055 columns over (3,1,4)
+DEGREE_LOOP_CASES = [
+    (S213, comm(S213), 13, "content"),
+    (S214, bracket(comm(S214), x(S214, 0)), 13, "content"),
+    (S314, bracket(comm(S314), x(S314, 2)), 10, "content"),
+    (S112, x(S112, 0).scale(2), 13, "content"),
+    # neither multihomogeneous nor monic: leads 2 and 3 throughout
+    (S201, bracket(comm(S201), x(S201, 0)).scale(2)
+     + bracket(comm(S201), x(S201, 1)).scale(3), 11, "x and y"),
+    # the divisor 2 of every block must survive the merge
+    (S213, comm(S213).scale(2), 11, "content"),
+    # y letters in the relator, in each of the three gradings
+    (S213, bracket(x(S213, 0), x(S213, 2)), 11, "content"),
+    (S213, bracket(x(S213, 0), x(S213, 2))
+     + bracket(x(S213, 1), x(S213, 2)).scale(2), 11, "x and y"),
+    (S212, comm(S212) + x(S212, 2).scale(3), 11, "none"),
+]
+
+
+@pytest.mark.parametrize("scheme, rho, top, grading", DEGREE_LOOP_CASES, ids=[
+    "[x1,x2]", "[[x1,x2],x1]", "[[x1,x2],x3]", "2*x1",
+    "2[[x1,x2],x1]+3[[x1,x2],x2]", "2[x1,x2]", "[x1,y1]", "[x1,y1]+2[x2,y1]",
+    "[x1,x2]+3y1"])
+def test_block_sweep_reports_what_the_degree_loop_did(scheme, rho, top, grading):
+    classes = quotient._letter_classes(rho)
+    assert grading == ("none" if classes is None else
+                       "content" if classes == range(scheme.letters) else "x and y")
+    # the reference loop has no budget; degree 10 of [[x1,x2],x3] is
+    # past the default one
+    cert = torsion_free_certificate(rho, top, budget=10 ** 9, primes=PRIMES)
+    assert cert.aborted_degree is None
+    expected = degree_loop(rho, top)
+    got = [(r.rank, r.divisors, {p: cert.modp_ranks[p][r.degree - rho.degree]
+                                 for p in PRIMES})
+           for r in cert.degrees[rho.degree - 1:]]
+    assert got == expected
+    if rho.content() == 2:
+        # (2 rho) = 2 (rho), and rho's divisors are all 1
+        assert all(r.divisors == (2,) * r.rank for r in cert.degrees)
+
+
+def test_each_block_of_2_comm_has_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rho = comm(S213).scale(2)
+    sweep = quotient._IdealSweep(rho, 7, quotient.DEFAULT_BUDGET)
+    for n in range(rho.degree, 8):
+        for block in sweep.next_degree():
+            rows = sweep.next_rows(block)
+            matrix = sympy.Matrix([[row.get(i, 0) for i in range(len(sweep.words[n]))]
+                                   for row in rows])
+            expected = [abs(int(v)) for v in invariant_factors(matrix, domain=sympy.ZZ)
+                        if v]
+            result = quotient._smith_from_echelon(sweep.eliminate(block, rows))
+            assert list(result.divisors) == expected, (n, block[0])
+            assert 2 in result.divisors, (n, block[0])

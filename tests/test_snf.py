@@ -601,16 +601,20 @@ def test_fp_ranks_on_content_divisible_relators(monkeypatch, scheme, rho, top,
     cert = torsion_free_certificate(rho, top)
     seen = moduli_of_finish(monkeypatch)
     # the rows the certificate's sweep builds, ranked before elimination
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    sweep = quotient._IdealSweep(rho, top, quotient.DEFAULT_BUDGET)
     for n in range(rho.degree, top + 1):
-        rows, basis = sweep.next_rows()
-        ranks = fp_ranks(rows, PRIMES)
-        assert ranks == {p: per_prime_rank(rows, p) for p in PRIMES}, n
+        ranks = dict.fromkeys(PRIMES, 0)
+        for block in sweep.next_degree():
+            rows = sweep.next_rows(block)
+            block_ranks = fp_ranks(rows, PRIMES)
+            assert block_ranks == {p: per_prime_rank(rows, p) for p in PRIMES}, n
+            for p in PRIMES:
+                ranks[p] += block_ranks[p]
+            sweep.eliminate(block, rows)
         divisors = cert.degrees[n - 1].divisors
         assert ranks == {p: sum(1 for d in divisors if d % p) for p in PRIMES}, n
         if mod2_zero:
             assert ranks[2] == 0
-        sweep.eliminate(rows, basis)
     # the split path ran on these rows
     assert any(modulus != 210 for modulus in seen)
 
@@ -638,21 +642,32 @@ def test_fp_ranks_needs_distinct_primes(primes, message):
     assert str(caught.value) == message
 
 
-def test_modp_check_eliminates_once_per_degree(monkeypatch):
+def test_modp_check_eliminates_once_per_block(monkeypatch):
     rho = _comm(S213)
     calls = []
     kernel = quotient.fp_ranks
+    eliminate = quotient._IdealSweep.eliminate
 
     def counting(rows, primes):
         calls.append(tuple(primes))
         return kernel(rows, primes)
 
+    def eliminating(sweep, block, rows):
+        calls.append(("eliminated", sweep.degree))
+        return eliminate(sweep, block, rows)
+
     monkeypatch.setattr(quotient, "fp_ranks", counting)
+    monkeypatch.setattr(quotient._IdealSweep, "eliminate", eliminating)
     cert = torsion_free_certificate(rho, 9, primes=PRIMES)
-    # the certificate ranks each degree once for all the primes; the
-    # check only reads those ranks
+    # the certificate ranks each block once for all the primes, right
+    # before its elimination; the check only reads those ranks
     check = modp_dimension_check(cert)
-    assert calls == [PRIMES] * (9 - rho.degree + 1)
+    assert calls[0::2] == [PRIMES] * (len(calls) // 2)
+    assert [degree for _, degree in calls[1::2]] \
+        == sorted(degree for _, degree in calls[1::2])
+    assert {degree for _, degree in calls[1::2]} == set(range(rho.degree, 10))
+    # [x1,x2] is multihomogeneous: degree 9 splits into blocks
+    assert len(calls) // 2 > 9 - rho.degree + 1
     assert all(len(ranks) == 9 - rho.degree + 1
                for ranks in cert.modp_ranks.values())
     assert check.all_match
@@ -673,25 +688,29 @@ NON_UNIT_RELATORS = [
 
 @pytest.mark.parametrize("rho, top", NON_UNIT_RELATORS)
 def test_sweep_echelons_have_the_general_loop_divisors(monkeypatch, rho, top):
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
-    calls = bounded_echelon(monkeypatch, 4 * (top - rho.degree + 1))
-    non_unit = 0
+    sweep = quotient._IdealSweep(rho, top, quotient.DEFAULT_BUDGET)
+    calls = bounded_echelon(monkeypatch, 4)
+    non_unit = passes = 0
     for n in range(rho.degree, top + 1):
-        pivots = sweep.eliminate(*sweep.next_rows())
-        non_unit += any(abs(row[lead]) != 1 for lead, row in pivots.items())
-        expected = snf._divisor_chain(
-            _smith_diagonal([dict(row) for row in pivots.values()]))
-        result = snf._smith_from_echelon(pivots)
-        assert result.divisors == expected, n
-        assert result.rank == len(expected) == len(pivots), n
-    assert non_unit and calls
+        for block in sweep.next_degree():
+            pivots = sweep.eliminate(block, sweep.next_rows(block))
+            non_unit += any(abs(row[lead]) != 1 for lead, row in pivots.items())
+            expected = snf._divisor_chain(
+                _smith_diagonal([dict(row) for row in pivots.values()]))
+            calls.clear()
+            result = snf._smith_from_echelon(pivots)
+            passes += len(calls)
+            assert result.divisors == expected, n
+            assert result.rank == len(expected) == len(pivots), n
+    assert non_unit and passes
 
 
 def test_smith_from_echelon_leaves_the_basis_intact():
     rho, _ = NON_UNIT_RELATORS[2]
-    sweep = quotient._IdealSweep(rho, quotient.DEFAULT_BUDGET)
+    sweep = quotient._IdealSweep(rho, 9, quotient.DEFAULT_BUDGET)
     for _ in range(rho.degree, 9):
-        pivots = sweep.eliminate(*sweep.next_rows())
+        for block in sweep.next_degree():
+            pivots = sweep.eliminate(block, sweep.next_rows(block))
     assert any(abs(row[lead]) != 1 for lead, row in pivots.items())
     before = copy.deepcopy(pivots)
     snf._smith_from_echelon(pivots)
