@@ -46,13 +46,15 @@ def table() -> int:
 
     scheme = WeightScheme(args.m, args.n, args.e)
     cap = args.max_degree
-    dims = witt_dimensions(scheme, cap)
     if args.relator is None:
         print(f"free Lie ring dimensions for scheme {scheme}:")
-        for k, dim in enumerate(dims, 1):
+        for k, dim in enumerate(witt_dimensions(scheme, cap), 1):
             print(f"  degree {k}: {dim}")
         return EXIT_OK
 
+    if args.dump_matrices:
+        out_dir = Path(args.dump_matrices)
+        out_dir.mkdir(parents=True, exist_ok=True)
     word = parse_word(args.relator, scheme)
     degree, rho = leading_lie_form(word, scheme, cap)
     print(f"relator leading form at degree {degree}: {rho.to_text()}")
@@ -70,15 +72,13 @@ def table() -> int:
     print(f"series cross-check: {table.formula_status}")
 
     if args.dump_matrices:
-        out_dir = Path(args.dump_matrices)
-        out_dir.mkdir(parents=True, exist_ok=True)
         # the rows the certificate eliminates, over the column indices of
         # the degree's Lyndon basis, one matrix row per line, block after
         # block: each block's rows are read between building them and
         # eliminating them
         sweep = _IdealSweep(rho, len(cert.degrees), DEFAULT_BUDGET)
         for n in range(degree, len(cert.degrees) + 1):
-            ncols = dims[n - 1]
+            ncols = cert.degrees[n - 1].dim_free
             lines = []
             for block in sweep.next_degree():
                 rows = sweep.next_rows(block)

@@ -25,11 +25,10 @@ the Lie span.  Each step subtracts an integer multiple of an expansion
 whose leading coefficient is 1, so integer input never leaves the
 integers.
 
-Every LieElement checks each nonzero coordinate when it is built: an
+A LieElement built from outside coordinates checks each nonzero one: an
 integer coefficient, integer letters, and a Lyndon word of the element's
-degree.  The word check is one lookup per word in a memo keyed on the
-letter weights and the word; only a word that fails it is walked letter
-by letter, to name the error.
+degree.  Values that are valid by construction (brackets, sums, the
+generators, recognized components) skip the check: ``LieElement._raw``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class DegreeAboveCutoff(ValueError):
 # -- Lyndon words --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _is_lyndon(word: tuple[int, ...]) -> bool:
     n = len(word)
     if n == 0:
@@ -63,17 +61,6 @@ def _is_lyndon(word: tuple[int, ...]) -> bool:
         if word[i:] + word[:i] <= word:
             return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _lyndon_weight(weights: tuple[int, ...], word: tuple[int, ...]) -> int | None:
-    """Weight of a Lyndon word whose letters all index ``weights``; None
-    for any other word, the empty one included (min and max never see
-    it).  Integer letters only: a float letter hashes like the integer
-    it equals."""
-    if not _is_lyndon(word) or not 0 <= min(word) <= max(word) < len(weights):
-        return None
-    return sum([weights[z] for z in word])
 
 
 @lru_cache(maxsize=None)
@@ -144,12 +131,8 @@ def standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
 # -- associative expansions ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _expand_word(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Associative expansion of the standard bracketing of a Lyndon word.
-
-    Returned dicts are cached and shared: treat them as read-only.
-    """
+    """Associative expansion of the standard bracketing of a Lyndon word."""
     if len(word) == 1:
         return {word: 1}
     left, right = standard_factorization(word)
@@ -199,10 +182,10 @@ class LieElement(Record):
     degree: int
     coords: dict
 
-    # built for every bracket: a direct __init__ beats Record's generic one
+    # the one check of outside coordinates; a direct __init__ beats
+    # Record's generic one
     def __init__(self, scheme: WeightScheme, degree: int, coords: dict):
         clean = {}
-        weights = scheme.letter_weights()
         for word, c in coords.items():
             word = tuple(word)
             if not isinstance(c, int) or isinstance(c, bool):
@@ -210,16 +193,14 @@ class LieElement(Record):
             if not c:
                 continue
             # one C-level pass; a float or Fraction letter makes a float or
-            # Fraction sum, and the memo cannot tell (0.0, 1.0) from (0, 1)
+            # Fraction sum, and (0.0, 1.0) would pass for (0, 1) below
             if sum(word).__class__ is not int:
                 raise TypeError(f"integer letters expected, got {word!r}")
-            if _lyndon_weight(weights, word) != degree:
-                # the per-letter checks name what is wrong
-                if scheme.monomial_weight(word) != degree:
-                    raise ValueError(f"basis word {word} is not homogeneous of "
-                                     f"degree {degree}")
-                if not _is_lyndon(word):
-                    raise ValueError(f"{word} is not a Lyndon word")
+            if scheme.monomial_weight(word) != degree:
+                raise ValueError(f"basis word {word} is not homogeneous of "
+                                 f"degree {degree}")
+            if not _is_lyndon(word):
+                raise ValueError(f"{word} is not a Lyndon word")
             clean[word] = c
         # after the coordinates, so a bad word is named first; a bool
         # degree is not int
@@ -227,10 +208,15 @@ class LieElement(Record):
             if degree.__class__ is not int:
                 raise TypeError(f"integer degree expected, got {degree!r}")
             raise ValueError(f"degree must be positive, got {degree}")
-        state = self.__dict__
-        state["scheme"] = scheme
-        state["degree"] = degree
-        state["coords"] = clean
+        self.__dict__.update(scheme=scheme, degree=degree, coords=clean)
+
+    @classmethod
+    def _raw(cls, scheme: WeightScheme, degree: int, coords: dict) -> "LieElement":
+        """Trusted constructor: nonzero integer coordinates over Lyndon words
+        of a positive integer degree, in a dict the element may own."""
+        self = object.__new__(cls)
+        self.__dict__.update(scheme=scheme, degree=degree, coords=coords)
+        return self
 
     @classmethod
     def zero(cls, scheme: WeightScheme, degree: int) -> "LieElement":
@@ -265,8 +251,11 @@ class LieElement(Record):
         self._check_compatible(other)
         out = dict(self.coords)
         for w, c in other.coords.items():
-            out[w] = out.get(w, 0) + c
-        return LieElement(self.scheme, self.degree, out)
+            if value := out.get(w, 0) + c:
+                out[w] = value
+            else:
+                del out[w]
+        return LieElement._raw(self.scheme, self.degree, out)
 
     def __sub__(self, other):
         if not isinstance(other, LieElement):
@@ -318,7 +307,9 @@ class LieElement(Record):
 
 def generator_element(scheme: WeightScheme, letter: int) -> LieElement:
     """The degree-w(letter) basis generator as a LieElement."""
-    return LieElement(scheme, scheme.letter_weight(letter), {(letter,): 1})
+    if not isinstance(letter, int):
+        raise TypeError(f"integer letters expected, got {(letter,)!r}")
+    return LieElement._raw(scheme, scheme.letter_weight(letter), {(letter,): 1})
 
 
 def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
@@ -334,7 +325,7 @@ def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
     if len(weights) != 1:
         raise ValueError(f"component is not homogeneous: weights {sorted(weights)}")
     degree = weights.pop()
-    return LieElement(scheme, degree, _lyndon_rewrite(dict(component.terms())))
+    return LieElement._raw(scheme, degree, _lyndon_rewrite(dict(component.terms())))
 
 
 @lru_cache(maxsize=None)
@@ -391,8 +382,8 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Lie bracket, bilinear over the bracket table of Lyndon words."""
     if a.scheme != b.scheme:
         raise ValueError("scheme mismatch")
-    return LieElement(a.scheme, a.degree + b.degree,
-                      _add_bracket({}, a.coords, b.coords))
+    return LieElement._raw(a.scheme, a.degree + b.degree,
+                           _add_bracket({}, a.coords, b.coords))
 
 
 def leading_lie_form(word: Word, scheme: WeightScheme, cutoff: int) -> tuple[int, LieElement]:

@@ -157,6 +157,9 @@ class Series:
                 _check_int(coeff, "coefficient")
                 if not coeff:
                     continue
+                # (0.0, 1.0) would pass for (0, 1) in the weight below
+                if sum(mono).__class__ is not int:
+                    raise TypeError(f"integer letters expected, got {mono!r}")
                 w = scheme.monomial_weight(mono)
                 if w > cutoff:
                     continue

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
@@ -7,6 +9,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import magnuslie
 from magnuslie import (DegreeAboveCutoff, LieElement, NotLieElement, Series,
                        WeightScheme, bracket, filtration_degree,
                        generator_element, group_commutator, leading_lie_form,
@@ -14,7 +17,7 @@ from magnuslie import (DegreeAboveCutoff, LieElement, NotLieElement, Series,
 from magnuslie import free_reduce, standard_factorization, word_multiply
 from magnuslie.checks import random_lie_element
 from magnuslie.liebasis import (_bracket_words, _is_lyndon, _lyndon_bucket,
-                                _lyndon_rewrite, _lyndon_weight)
+                                _lyndon_rewrite)
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
@@ -480,7 +483,7 @@ def test_with_scheme_into_a_smaller_alphabet():
 
 @pytest.mark.parametrize("word", [(0.0, 1.0), (0, 1.0), (Fraction(0), 1)])
 def test_non_integer_letters_are_rejected(word):
-    # (0.0, 1.0) equals and hashes like (0, 1), which this memoizes first
+    # (0.0, 1.0) equals and hashes like (0, 1), which this builds first
     LieElement(S20, 2, {(0, 1): 1})
     with pytest.raises(TypeError) as caught:
         LieElement(S20, 2, {word: 1})
@@ -499,20 +502,60 @@ def test_bool_letters_are_the_integers_they_equal():
 
 
 @pytest.mark.parametrize("scheme", [S20, S112, S211, S213, WeightScheme(3, 1, 4)])
-def test_lyndon_weight_memo_agrees_with_the_per_letter_checks(scheme):
+def test_construction_accepts_exactly_the_lyndon_words_of_its_degree(scheme):
     rng = Random(10 * scheme.letters + scheme.e)
     words = [()] + lyndon_words(scheme, 5) + [
         tuple(rng.randrange(-2, scheme.letters + 2) for _ in range(rng.randrange(1, 8)))
         for _ in range(3000)]
-    weights = scheme.letter_weights()
     for word in words:
         try:
             weight = scheme.monomial_weight(word)
         except ValueError:  # a letter out of range
             weight = None
-        memo = _lyndon_weight(weights, word)
         for degree in range(9):
-            assert (memo == degree) == (weight == degree and _is_lyndon(word))
+            try:
+                built = LieElement(scheme, degree, {word: 1}).coords == {word: 1}
+            except ValueError:
+                built = False
+            assert built == (weight == degree and _is_lyndon(word))
+
+
+@pytest.mark.parametrize("scheme", [S20, S213, WeightScheme(3, 1, 4)])
+def test_unchecked_results_pass_the_checked_constructor(scheme):
+    # bracket, +, generator_element and to_lyndon_coords build their
+    # values without the per-word checks
+    rng = Random(10 * scheme.letters + scheme.e)
+    degrees = [k for k in range(1, 5) if lyndon_words(scheme, k)]
+    results = [generator_element(scheme, z) for z in range(scheme.letters)]
+    for _ in range(100):
+        a = random_lie_element(rng, scheme, rng.choice(degrees))
+        b = random_lie_element(rng, scheme, rng.choice(degrees))
+        c = random_lie_element(rng, scheme, a.degree)
+        ab = bracket(a, b)
+        results += [ab, a + c, a + (-a), to_lyndon_coords(a.to_series(), scheme)]
+        if not ab.is_zero():
+            results.append(to_lyndon_coords(ab.to_series(), scheme))
+    assert any(x.is_zero() for x in results)
+    for x in results:
+        assert x == LieElement(scheme, x.degree, dict(x.coords))
+        assert 0 not in x.coords.values()
+    with pytest.raises(TypeError) as caught:
+        generator_element(scheme, 1.0)
+    assert str(caught.value) == "integer letters expected, got (1.0,)"
+
+
+def test_the_package_keeps_three_memos():
+    # the only module-level state: pure memos whose gain was measured
+    memos = set()
+    for info in pkgutil.iter_modules(magnuslie.__path__, "magnuslie."):
+        if info.name == "magnuslie.__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(info.name)
+        memos |= {f"{info.name}.{name}" for name, value in vars(module).items()
+                  if hasattr(value, "cache_clear") and value.__module__ == info.name}
+    assert memos == {"magnuslie.liebasis._lyndon_bucket",
+                     "magnuslie.liebasis._bracket_words",
+                     "magnuslie.liebasis.standard_factorization"}
 
 
 def _build_each(scheme, degree, words):
@@ -529,11 +572,9 @@ def test_construction_on_four_threads_matches_a_serial_run(on_four_threads):
     words = [w for n in range(1, 5) for w in product(range(-1, 4), repeat=n)]
     calls = [(_build_each, scheme, degree, words)
              for scheme, degree in ((S211, 2), (S213, 4), (S211, 4), (S213, 2))]
-    _lyndon_weight.cache_clear()
     serial = [fn(*args) for fn, *args in calls]
     assert all({(0, 2): 1} in out and "(2, 0) is not a Lyndon word" in out
                for out in serial[:2])
-    _lyndon_weight.cache_clear()
     assert on_four_threads(calls) == serial
 
 

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import magnuslie
 from magnuslie import (WeightScheme, ideal_component, leading_lie_form,
-                       lyndon_words, parse_word)
+                       lyndon_words, parse_word, witt_dimensions)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -39,6 +40,37 @@ def test_dumped_matrices_match_ideal_components(tmp_path, monkeypatch, capsys):
         assert dumped == "\n".join(" ".join(str(row.get(w, 0)) for w in basis)
                                    for row in ideal_component(rho, n)) + "\n"
     assert len(list(tmp_path.iterdir())) == 8 - degree
+
+
+def test_only_the_free_table_counts_dimensions(tmp_path, monkeypatch, capsys):
+    # the relator's table and dump take each degree's column count from
+    # the certificate instead of counting up to the cap first
+    counted = []
+
+    def spy(scheme, up_to):
+        counted.append(up_to)
+        return witt_dimensions(scheme, up_to)
+
+    monkeypatch.setattr(magnuslie, "witt_dimensions", spy)
+    args = ["--m", "2", "--n", "1", "--e", "3", "--max-degree", "7"]
+    assert run_script("dimension_table.py", args + ["--relator", "[x1,x2]",
+                      "--dump-matrices", str(tmp_path)], monkeypatch) == 0
+    assert counted == [] and len(list(tmp_path.iterdir())) == 6
+    assert run_script("dimension_table.py", args, monkeypatch) == 0
+    assert counted == [7]
+    assert capsys.readouterr().out.endswith("  degree 7: 36\n")
+
+
+def test_a_dump_directory_that_cannot_be_made_ends_the_run_first(
+        tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ["--m", "2", "--relator", "[x1,x2]", "--max-degree", "6",
+            "--dump-matrices", str(blocker / "out")]
+    assert run_script("dimension_table.py", args, monkeypatch) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("dimension_table.py: error: ")
 
 
 @pytest.mark.parametrize("args, exit_code, message", [

@@ -143,6 +143,17 @@ def test_coefficients_and_scalars_must_be_ints(coeff):
         Series.letter(S212, 3, 0) * coeff
 
 
+@pytest.mark.parametrize("mono", [(0.0, 1.0), (0, 1.0), (Fraction(0), 1)])
+def test_letters_must_be_ints(mono):
+    # to_lyndon_coords builds its Lie element from these letters unchecked
+    with pytest.raises(TypeError) as caught:
+        Series(S212, 3, {mono: 1})
+    assert str(caught.value) == f"integer letters expected, got {mono!r}"
+    with pytest.raises(TypeError):
+        Series.letter(S212, 3, 1.0)
+    assert Series(S212, 3, {(False, True): 1}) == Series(S212, 3, {(0, 1): 1})
+
+
 @pytest.mark.parametrize("cutoff", [True, 2.5, 3.0, Fraction(3)])
 def test_cutoffs_must_be_ints(cutoff):
     with pytest.raises(TypeError, match="integer cutoff expected"):
