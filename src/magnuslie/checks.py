@@ -250,8 +250,6 @@ def valuation_mult_suite(scheme: WeightScheme, samples: int = 500,
 
 def random_lie_element(rng: Random, scheme: WeightScheme, degree: int) -> LieElement:
     basis = lyndon_words(scheme, degree)
-    if not basis:
-        return LieElement.zero(scheme, degree)
     coords = {}
     for word in basis:
         if rng.randrange(2):

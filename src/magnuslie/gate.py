@@ -64,10 +64,6 @@ class HypothesisReport(Record):
     failures: tuple[str, ...]
     cutoff: int
 
-    @property
-    def scheme(self) -> WeightScheme | None:
-        return None if self.rho is None else self.rho.scheme
-
 
 # without a cutoff, u is embedded at the windows 4, 8 and 12 at most
 _UNCAPPED_CUTOFF = 12

@@ -278,10 +278,6 @@ class LieElement(Record):
                     del out[mono]
         return out
 
-    def to_series(self, cutoff: int | None = None) -> Series:
-        cutoff = self.degree if cutoff is None else cutoff
-        return Series(self.scheme, cutoff, self.expansion())
-
     def to_text(self) -> str:
         """Report form: ``1*L[x1 x2] - 3*L[x1 x1 x2]``, words sorted."""
         if not self.coords:

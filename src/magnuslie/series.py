@@ -1,10 +1,14 @@
-"""Truncated exact arithmetic for power series in noncommuting letters.
+"""Truncated integer power series in noncommuting letters.
 
 The alphabet has m letters X1..Xm of weight 1 and n letters Y1..Yn of
 weight e.  A series keeps only terms of weight at most its cutoff and is
 stored in canonical form: no zero coefficients, terms grouped by weight.
 Coefficients are arbitrary-precision integers, exact and never
 floating point: the graded quotients this package certifies are Z-modules.
+
+A series offers its terms, valuation and homogeneous components, the
+truncated product of two series and a text form.  There is no sum, scalar
+multiple or inverse: the Magnus embedding builds its images in place.
 
 The weighted valuation of a series is the least weight carrying a
 nonzero term.  The zero series gets the distinguished value INFINITY,
@@ -36,12 +40,6 @@ class InfiniteValuation:
 
     def __repr__(self):
         return "INFINITY"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("magnuslie.INFINITY")
 
     def __lt__(self, other):
         return False
@@ -139,11 +137,11 @@ class WeightScheme(Record):
 class Series:
     """An element of the truncated weighted algebra.
 
-    Immutable by convention: every operation returns a fresh series.
-    Equality compares scheme and the term association; the
-    cutoff is bookkeeping about how much was computed, not part of the
-    value, so truncations of the same series at different depths that
-    happen to agree term by term compare equal.
+    Immutable: attributes cannot be reassigned, and the product and
+    ``homogeneous_component`` return fresh series.  Equality compares
+    scheme and the term association; the cutoff is bookkeeping about how
+    much was computed, not part of the value, so truncations of the same
+    series at different depths that agree term by term compare equal.
     """
 
     __slots__ = ("scheme", "cutoff", "_buckets")
@@ -188,22 +186,6 @@ class Series:
         object.__setattr__(self, "_buckets", buckets)
         return self
 
-    @classmethod
-    def zero(cls, scheme, cutoff):
-        return cls(scheme, cutoff)
-
-    @classmethod
-    def constant(cls, scheme, cutoff, value):
-        return cls(scheme, cutoff, {(): value})
-
-    @classmethod
-    def one(cls, scheme, cutoff):
-        return cls.constant(scheme, cutoff, 1)
-
-    @classmethod
-    def letter(cls, scheme, cutoff, index):
-        return cls(scheme, cutoff, {(index,): 1})
-
     # -- inspection ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -221,14 +203,6 @@ class Series:
                 out.append((mono, bucket[mono]))
         return out
 
-    def coefficient(self, mono) -> int:
-        mono = tuple(mono)
-        w = self.scheme.monomial_weight(mono)
-        return self._buckets.get(w, {}).get(mono, 0)
-
-    def constant_term(self):
-        return self.coefficient(())
-
     def valuation(self):
         """Least weight with a nonzero term; INFINITY if there is none."""
         if not self._buckets:
@@ -238,70 +212,17 @@ class Series:
     def homogeneous_component(self, weight: int) -> "Series":
         bucket = self._buckets.get(weight)
         if not bucket:
-            return Series.zero(self.scheme, self.cutoff)
+            return Series._raw(self.scheme, self.cutoff, {})
         return Series._raw(self.scheme, self.cutoff, {weight: dict(bucket)})
 
-    def __len__(self):
-        return sum(len(b) for b in self._buckets.values())
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _check_compatible(self, other: "Series"):
-        if self.scheme != other.scheme:
-            raise ValueError(f"scheme mismatch: {self.scheme} vs {other.scheme}")
-
-    def __add__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_compatible(other)
-        cutoff = min(self.cutoff, other.cutoff)
-        buckets = {}
-        for w, bucket in self._buckets.items():
-            if w <= cutoff:
-                buckets[w] = dict(bucket)
-        for w, bucket in other._buckets.items():
-            if w > cutoff:
-                continue
-            mine = buckets.setdefault(w, {})
-            for mono, c in bucket.items():
-                value = mine.get(mono)
-                value = c if value is None else value + c
-                if value:
-                    mine[mono] = value
-                elif mono in mine:
-                    del mine[mono]
-            if not mine:
-                del buckets[w]
-        return Series._raw(self.scheme, cutoff, buckets)
-
-    def __neg__(self):
-        buckets = {
-            w: {mono: -c for mono, c in bucket.items()}
-            for w, bucket in self._buckets.items()
-        }
-        return Series._raw(self.scheme, self.cutoff, buckets)
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, scalar: int) -> "Series":
-        _check_int(scalar, "scalar")
-        if not scalar:
-            return Series.zero(self.scheme, self.cutoff)
-        buckets = {
-            w: {mono: c * scalar for mono, c in bucket.items()}
-            for w, bucket in self._buckets.items()
-        }
-        return Series._raw(self.scheme, self.cutoff, buckets)
+    # -- product -------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+        """The truncated product of two series; there is no scalar one."""
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_compatible(other)
+        if self.scheme != other.scheme:
+            raise ValueError(f"scheme mismatch: {self.scheme} vs {other.scheme}")
         cutoff = min(self.cutoff, other.cutoff)
         out: dict[int, dict[tuple[int, ...], int]] = {}
         for w1, terms1 in self._buckets.items():
@@ -324,29 +245,6 @@ class Series:
             if clean:
                 buckets[w] = clean
         return Series._raw(self.scheme, cutoff, buckets)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def inverse(self) -> "Series":
-        """Two-sided inverse up to the cutoff, by the geometric series.
-
-        Requires constant term exactly 1.
-        """
-        if self.constant_term() != 1:
-            raise ValueError("inverse requires constant term exactly 1")
-        one = Series.one(self.scheme, self.cutoff)
-        x = one - self
-        acc = one
-        power = one
-        for _ in range(self.cutoff):
-            power = power * x
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc
 
     # -- canonical text form --------------------------------------------
 

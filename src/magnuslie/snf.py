@@ -23,6 +23,7 @@ in ``fprank``.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from math import gcd
 
 from .record import Record
@@ -53,22 +54,26 @@ def _rounded_quotient(a: int, b: int) -> int:
 
 
 def _divisor_chain(values: list[int]) -> tuple[int, ...]:
-    """Normalize a diagonal to the divisibility chain via gcd/lcm passes.
+    """Normalize a diagonal to the divisibility chain via gcd/lcm steps.
 
-    Units divide everything, so they are set aside before the passes.
+    Units divide everything, so they are set aside first.  The others are
+    counted by value: a step turns k copies each of a and b, neither
+    dividing the other, into k copies each of their gcd and lcm, k the
+    smaller count, so many equal values cost one step.  Each step keeps
+    the Smith form and raises the sum of squares, so the steps end.
     """
-    units = tuple(1 for v in values if abs(v) == 1)
-    vals = [abs(v) for v in values if abs(v) != 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if vals[j] % vals[i]:
-                    g = gcd(vals[i], vals[j])
-                    vals[i], vals[j] = g, vals[i] * vals[j] // g
-                    changed = True
-    return units + tuple(sorted(vals))
+    counts = Counter(abs(v) for v in values if abs(v) != 1)
+    units = (1,) * (len(values) - counts.total())
+    while True:
+        distinct = sorted(counts)
+        pair = next(((a, b) for i, a in enumerate(distinct)
+                     for b in distinct[i + 1:] if b % a), None)
+        if pair is None:
+            return units + tuple(sorted(counts.elements()))
+        a, b = pair
+        k, g = min(counts[a], counts[b]), gcd(a, b)
+        counts.subtract({a: k, b: k})
+        counts = Counter({g: k, a // g * b: k}) + counts
 
 
 class SmithResult(Record):

@@ -33,9 +33,9 @@ def test_monomial_weight_range_error():
 
 
 def test_valuation_examples():
-    assert Series.letter(S213, 6, 0).valuation() == 1
-    assert Series.letter(S213, 6, 2).valuation() == 3
-    assert Series.zero(S213, 6).valuation() is INFINITY
+    assert Series(S213, 6, {(0,): 1}).valuation() == 1
+    assert Series(S213, 6, {(2,): 1}).valuation() == 3
+    assert Series(S213, 6).valuation() is INFINITY
     f = Series(S213, 6, {(0, 1): 3, (2,): 1})
     assert f.valuation() == 2
 
@@ -54,58 +54,56 @@ def test_infinity_semantics():
 
 
 def test_mul_binomial():
-    one = Series.one(S212, 4)
-    x1 = Series.letter(S212, 4, 0)
-    x2 = Series.letter(S212, 4, 1)
-    assert ((one + x1) * (one + x2)).to_text() == "1 + X1 + X2 + X1*X2"
+    one_plus_x1 = Series(S212, 4, {(): 1, (0,): 1})
+    one_plus_x2 = Series(S212, 4, {(): 1, (1,): 1})
+    assert (one_plus_x1 * one_plus_x2).to_text() == "1 + X1 + X2 + X1*X2"
 
 
 def test_mul_noncommutative():
-    one = Series.one(S212, 4)
-    x1 = Series.letter(S212, 4, 0)
-    x2 = Series.letter(S212, 4, 1)
-    left = (one + x1) * (one + x2)
-    right = (one + x2) * (one + x1)
+    one_plus_x1 = Series(S212, 4, {(): 1, (0,): 1})
+    one_plus_x2 = Series(S212, 4, {(): 1, (1,): 1})
+    left = one_plus_x1 * one_plus_x2
+    right = one_plus_x2 * one_plus_x1
     assert right.to_text() == "1 + X1 + X2 + X2*X1"
     assert left != right
 
 
 def test_mul_truncates():
-    one = Series.one(S212, 1)
-    x1 = Series.letter(S212, 1, 0)
-    y1 = Series.letter(S212, 1, 2)  # weight 2, dropped at cutoff 1
+    y1 = Series(S212, 1, {(2,): 1})  # weight 2, dropped at cutoff 1
     assert y1.is_zero()
-    product = (one + x1 + y1) * (one + x1)
+    product = (Series(S212, 1, {(): 1, (0,): 1, (2,): 1})
+               * Series(S212, 1, {(): 1, (0,): 1}))
     assert product.to_text() == "1 + 2*X1"
 
 
 def test_mul_cutoff_narrows():
-    a = Series.one(S212, 5)
-    b = Series.one(S212, 3)
+    a = Series(S212, 5, {(): 1})
+    b = Series(S212, 3, {(): 1})
     assert (a * b).cutoff == 3
-    assert (a + b).cutoff == 3
 
 
 def test_mul_domain_mismatch():
-    a = Series.one(S212, 3)
-    c = Series.one(S213, 3)
+    a = Series(S212, 3, {(): 1})
+    c = Series(S213, 3, {(): 1})
     with pytest.raises(ValueError):
         a * c
 
 
-def test_inverse_examples():
-    assert Series.one(S212, 3).inverse().to_text() == "1"
-    f = Series.one(S212, 2) + Series.letter(S212, 2, 0)
-    assert f.inverse().to_text() == "1 - X1 + X1*X1"
-    g = Series.one(S212, 2) + Series.letter(S212, 2, 0) + Series.letter(S212, 2, 1)
-    assert g.inverse().to_text() == "1 - X1 - X2 + X1*X1 + X1*X2 + X2*X1 + X2*X2"
-
-
-def test_inverse_requires_unit_constant():
-    with pytest.raises(ValueError):
-        Series.letter(S212, 3, 0).inverse()
-    with pytest.raises(ValueError):
-        Series.constant(S212, 3, 2).inverse()
+def test_series_offer_only_the_product_and_zero_is_falsy():
+    f = Series(S212, 3, {(): 1, (0,): 2})
+    with pytest.raises(TypeError):
+        f + f
+    with pytest.raises(TypeError):
+        f * 2
+    with pytest.raises(TypeError):
+        2 * f
+    zero = Series(S212, 3, {(0,): 0})
+    assert f and not zero and not zero * f and not Series(S212, 3)
+    assert sorted(name for name in vars(Series) if name != "__doc__") == [
+        "__bool__", "__eq__", "__hash__", "__init__", "__module__", "__mul__",
+        "__repr__", "__setattr__", "__slots__", "_buckets", "_raw", "cutoff",
+        "homogeneous_component", "is_zero", "scheme", "terms", "to_text",
+        "valuation"]
 
 
 def test_is_prime_matches_trial_division():
@@ -137,10 +135,6 @@ def test_is_prime_rejects_values_past_the_exact_range():
 def test_coefficients_and_scalars_must_be_ints(coeff):
     with pytest.raises(TypeError, match="integer coefficient expected"):
         Series(S212, 3, {(0,): coeff})
-    with pytest.raises(TypeError, match="integer coefficient expected"):
-        Series.constant(S212, 3, coeff)
-    with pytest.raises(TypeError):
-        Series.letter(S212, 3, 0) * coeff
 
 
 @pytest.mark.parametrize("mono", [(0.0, 1.0), (0, 1.0), (Fraction(0), 1)])
@@ -150,7 +144,7 @@ def test_letters_must_be_ints(mono):
         Series(S212, 3, {mono: 1})
     assert str(caught.value) == f"integer letters expected, got {mono!r}"
     with pytest.raises(TypeError):
-        Series.letter(S212, 3, 1.0)
+        Series(S212, 3, {(1.0,): 1})
     assert Series(S212, 3, {(False, True): 1}) == Series(S212, 3, {(0, 1): 1})
 
 
@@ -159,7 +153,7 @@ def test_cutoffs_must_be_ints(cutoff):
     with pytest.raises(TypeError, match="integer cutoff expected"):
         Series(S212, cutoff)
     with pytest.raises(TypeError, match="integer cutoff expected"):
-        Series.zero(S212, cutoff)
+        Series(S212, cutoff, {(0,): 1})
     with pytest.raises(TypeError, match="integer cutoff expected"):
         magnus_embed((1,), S212, cutoff)
 
@@ -227,17 +221,6 @@ def _series(terms, cutoff=6):
 
 
 @given(term_dicts, term_dicts)
-def test_ultrametric(t1, t2):
-    f, g = _series(t1), _series(t2)
-    vf, vg = f.valuation(), g.valuation()
-    vs = (f + g).valuation()
-    floor = min(vf, vg)
-    assert vs >= floor
-    if vf != vg:
-        assert vs == floor
-
-
-@given(term_dicts, term_dicts)
 def test_valuation_multiplicative_over_z(t1, t2):
     f, g = _series(t1), _series(t2)
     vf, vg = f.valuation(), g.valuation()
@@ -253,15 +236,6 @@ def test_valuation_multiplicative_over_z(t1, t2):
 def test_associative_distributive(t1, t2, t3):
     f, g, h = _series(t1), _series(t2), _series(t3)
     assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
-    assert (f + g) * h == f * h + g * h
-
-
-@given(term_dicts)
-def test_inverse_round_trip(t):
-    f = Series.one(S212, 5) + _series(t, cutoff=5) * Series.letter(S212, 5, 0)
-    assert (f * f.inverse()) == Series.one(S212, 5)
-    assert (f.inverse() * f) == Series.one(S212, 5)
 
 
 def test_canonical_equality():

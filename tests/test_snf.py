@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from random import Random
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -248,8 +249,25 @@ def _smith_diagonal(mat: list[dict[int, int]]) -> list[int]:
     return diagonal
 
 
+def reference_divisor_chain(values):
+    """The pairwise gcd/lcm passes over every non-unit value, one copy at a
+    time: quadratic in the count of non-unit values."""
+    units = tuple(1 for v in values if abs(v) == 1)
+    vals = [abs(v) for v in values if abs(v) != 1]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                if vals[j] % vals[i]:
+                    g = gcd(vals[i], vals[j])
+                    vals[i], vals[j] = g, vals[i] * vals[j] // g
+                    changed = True
+    return units + tuple(sorted(vals))
+
+
 def general_loop(rows):
-    return snf._divisor_chain(_smith_diagonal(snf._sparse_rows(rows)))
+    return reference_divisor_chain(_smith_diagonal(snf._sparse_rows(rows)))
 
 
 def reference_hermite(rows, ncols):
@@ -415,6 +433,24 @@ def test_fp_rank_counts_divisors_prime_to_p_at_scale(cases):
 ])
 def test_divisor_chain_sets_units_aside(diagonal, chain):
     assert snf._divisor_chain(list(diagonal)) == chain
+
+
+def test_divisor_chain_matches_the_pairwise_passes():
+    rng = Random(41)
+    values = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 25, 27, 30, 36, 60, 7 * 2 ** 40)
+    for _ in range(3000):
+        diagonal = [rng.choice(values) * rng.choice((1, 1, -1, 2, 3, 5))
+                    for _ in range(rng.randrange(13))]
+        assert snf._divisor_chain(diagonal) == reference_divisor_chain(diagonal)
+
+
+def test_divisor_chain_of_many_equal_values_is_fast():
+    # the pairwise passes compare every pair of the 20,000 copies of 2
+    diagonal = [2] * 20_000 + [-1, 1, 6, 3]
+    start = time.perf_counter()
+    chain = snf._divisor_chain(diagonal)
+    assert time.perf_counter() - start < 2.0
+    assert chain == (1, 1, 1) + (2,) * 19_999 + (6, 6)
 
 
 # -- fp_ranks: one elimination mod the product of the primes ---------------
