@@ -22,7 +22,7 @@ from pathlib import Path
 from magnuslie import (EXIT_CHECK_FAILED, EXIT_INCONCLUSIVE, EXIT_OK,
                        WeightScheme, hilbert_crosscheck, leading_lie_form,
                        parse_word, torsion_free_certificate, witt_dimensions)
-from magnuslie.cli import _Parser, run_command
+from magnuslie.cli import _Parser, invariants_text, run_command
 from magnuslie.quotient import DEFAULT_BUDGET, _IdealSweep
 
 PROG = "dimension_table.py"
@@ -64,7 +64,7 @@ def table() -> int:
           f"{'torsion':>12} {'candidate':>10} {'match':>6}")
     for report in cert.degrees:
         k = report.degree
-        torsion = ",".join(str(v) for v in report.torsion) or "none"
+        torsion = invariants_text(report.torsion) or "none"
         print(f"{k:>4} {report.dim_free:>6} {report.rank:>6} "
               f"{report.dim_quotient:>6} {torsion:>12} "
               f"{table.candidate[k]:>10} {str(table.matches[k]):>6}")

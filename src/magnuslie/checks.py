@@ -78,9 +78,11 @@ def floor_bound_suite(scheme: WeightScheme, samples: int = 1000, max_len: int = 
 
 # -- basic commutators under e = 1 -----------------------------------------
 
+_BASIC_LETTERS = 2  # the basic commutators are those of the first two letters
 
-def left_normed_basic_sequences(scheme: WeightScheme, max_weight: int,
-                                num_letters: int = 2) -> list[tuple[int, ...]]:
+
+def left_normed_basic_sequences(scheme: WeightScheme,
+                                max_weight: int) -> list[tuple[int, ...]]:
     """Index sequences of the left-normed basic commutators.
 
     Weight-1 sequences are the bare generators.  Longer ones satisfy
@@ -88,7 +90,7 @@ def left_normed_basic_sequences(scheme: WeightScheme, max_weight: int,
     left-normed bracket to be basic; their weighted degrees stay within
     max_weight.  Ordered by weight, then lexicographically.
     """
-    letters = list(range(min(num_letters, scheme.letters)))
+    letters = list(range(min(_BASIC_LETTERS, scheme.letters)))
     weights = {g: scheme.letter_weight(g) for g in letters}
     out: list[tuple[int, ...]] = []
     for g in letters:
@@ -126,8 +128,7 @@ def _left_normed_bracket(scheme: WeightScheme, seq: tuple[int, ...]) -> LieEleme
     return elem
 
 
-def magnus_e1_suite(scheme: WeightScheme, max_weight: int = 6,
-                    num_letters: int = 2) -> SuiteResult:
+def magnus_e1_suite(scheme: WeightScheme) -> SuiteResult:
     """Basic commutators pin the e = 1 filtration exactly.
 
     Every left-normed basic commutator word must have e = 1 degree equal
@@ -136,7 +137,8 @@ def magnus_e1_suite(scheme: WeightScheme, max_weight: int = 6,
     weighted letter sum.  Deterministic, no sampling.
     """
     e1_scheme = WeightScheme(scheme.m, scheme.n, 1)
-    sequences = left_normed_basic_sequences(scheme, max_weight, num_letters)
+    max_weight = 6
+    sequences = left_normed_basic_sequences(scheme, max_weight)
     failures = 0
     counterexample = None
 
@@ -168,7 +170,7 @@ def magnus_e1_suite(scheme: WeightScheme, max_weight: int = 6,
     return SuiteResult(
         name="magnus_e1", cases=len(sequences), failures=failures,
         counterexample=counterexample,
-        detail={"max_weight": max_weight, "num_letters": num_letters},
+        detail={"max_weight": max_weight, "num_letters": _BASIC_LETTERS},
     )
 
 
@@ -176,14 +178,14 @@ def magnus_e1_suite(scheme: WeightScheme, max_weight: int = 6,
 
 
 def homomorphism_suite(scheme: WeightScheme, samples: int = 500,
-                       max_len: int = 6, seed: int = 0,
-                       cutoff: int = 5) -> SuiteResult:
+                       seed: int = 0) -> SuiteResult:
     """Embedding of a product equals the product of the embeddings.
 
     The two sides take different code paths: the left one is the
     embedding's in-place letter steps alone, the right one multiplies two
     images with the general truncated product, Series.__mul__.
     """
+    max_len, cutoff = 6, 5
     rng = Random(seed)
     failures = 0
     counterexample = None
@@ -206,11 +208,11 @@ def homomorphism_suite(scheme: WeightScheme, samples: int = 500,
 
 
 def random_series(rng: Random, scheme: WeightScheme, cutoff: int,
-                  max_terms: int = 5, max_term_weight: int | None = None) -> Series:
-    """A random nonzero integer series with small support."""
+                  max_term_weight: int | None = None) -> Series:
+    """A random nonzero integer series of at most five terms."""
     max_term_weight = cutoff if max_term_weight is None else max_term_weight
     terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1, 6)):
         length = rng.randrange(0, max_term_weight + 1)
         mono = tuple(rng.randrange(scheme.letters) for _ in range(length))
         if scheme.monomial_weight(mono) > max_term_weight:
@@ -223,8 +225,9 @@ def random_series(rng: Random, scheme: WeightScheme, cutoff: int,
 
 
 def valuation_mult_suite(scheme: WeightScheme, samples: int = 500,
-                         seed: int = 0, cutoff: int = 8) -> SuiteResult:
+                         seed: int = 0) -> SuiteResult:
     """Valuations add under multiplication when the sum fits the window."""
+    cutoff = 8
     rng = Random(seed)
     failures = 0
     applicable = 0
@@ -259,9 +262,9 @@ def random_lie_element(rng: Random, scheme: WeightScheme, degree: int) -> LieEle
     return LieElement(scheme, degree, coords)
 
 
-def jacobi_suite(scheme: WeightScheme, samples: int = 500, seed: int = 0,
-                 max_degree: int = 3) -> SuiteResult:
+def jacobi_suite(scheme: WeightScheme, samples: int = 500, seed: int = 0) -> SuiteResult:
     """Antisymmetry and the Jacobi identity on random homogeneous triples."""
+    max_degree = 3
     rng = Random(seed)
     failures = 0
     counterexample = None
@@ -299,9 +302,9 @@ def _row_space(rows, basis) -> tuple[tuple[int, ...], ...]:
                              len(basis))
 
 
-def strategy_independence_suite(samples: int = 500, seed: int = 0,
-                                max_extra: int = 3) -> SuiteResult:
+def strategy_independence_suite(samples: int = 500, seed: int = 0) -> SuiteResult:
     """Both ideal generation strategies span the same integer row space."""
+    max_extra = 3
     rng = Random(seed)
     failures = 0
     counterexample = None

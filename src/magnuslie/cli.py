@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 
 from .liebasis import DegreeAboveCutoff
 from .quotient import DEFAULT_BUDGET
@@ -65,6 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def invariants_text(chain) -> str:
+    """Each distinct value of a divisor chain with its count: "2 x 2, 6 x 1"."""
+    return ", ".join(f"{value} x {len(list(run))}" for value, run in groupby(chain))
+
+
 def _print_summary(report):
     gate = report.gate
     if gate.inconclusive:
@@ -88,7 +94,8 @@ def _print_summary(report):
             print(f"  budget exceeded at degree {t.aborted_degree}")
         for r in t.degrees:
             if r.torsion:
-                print(f"  degree {r.degree}: torsion invariants {r.torsion}")
+                print(f"  degree {r.degree}: torsion invariants "
+                      f"{invariants_text(r.torsion)}")
     if report.hilbert is not None:
         h = report.hilbert
         print(f"hilbert: {'match' if h.all_match else 'MISMATCH'} "

@@ -32,7 +32,7 @@ class PresentationSyntaxError(ValueError):
         self.column = column
 
 
-_INT_LINE = re.compile(r"^(generators\s+x|generators\s+y|e|max_degree)\s*:\s*(-?\d+)\s*$")
+_INT_LINE = re.compile(r"^(generators\s+x|generators\s+y|e|max_degree)\s*:\s*(-?[0-9]+)\s*$")
 _RELATOR_LINE = re.compile(r"^relator\s*:\s*(.*)$")
 
 
@@ -54,7 +54,11 @@ def parse_presentation_file(text: str) -> PresentationFile:
         match = _INT_LINE.match(stripped)
         if match:
             key = re.sub(r"\s+", " ", match.group(1))
-            value = int(match.group(2))
+            try:
+                value = int(match.group(2))
+            except ValueError:  # more digits than int converts
+                raise PresentationSyntaxError(
+                    f"{key} has too many digits", lineno) from None
             if key in values:
                 raise PresentationSyntaxError(f"duplicate '{key}' line", lineno)
             if value < 1:

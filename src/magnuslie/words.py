@@ -279,117 +279,100 @@ def random_word(rng: Random, scheme: WeightScheme, max_len: int) -> Word:
 # rejected before any letter is built.
 MAX_POWER_LENGTH = 10_000
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[xy]\d+)|(?P<power>\^-?\d+)"
-                       r"|(?P<one>1)|(?P<punct>[\[\](),]))")
+_TOKEN_RE = re.compile(r"(?P<name>[xy][0-9]+)|(?P<power>\^-?[0-9]+)|(?P<one>1)"
+                       r"|(?P<punct>[\[\](),])|(?P<space>\s+)|(?P<bad>.)")
+
+_EXPECTED = {")": "expected ')'", ",": "expected ',' inside commutator",
+             "]": "expected ']'"}
 
 
-class _WordParser:
-    def __init__(self, text: str, scheme: WeightScheme):
-        self.text = text
-        self.scheme = scheme
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if match is None:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                column = len(text) - len(rest)
-                raise WordSyntaxError(f"unexpected character {rest[0]!r}", column)
-            for kind in ("name", "power", "one", "punct"):
-                value = match.group(kind)
-                if value is not None:
-                    self.tokens.append((kind, value, match.start(kind)))
-                    break
-            pos = match.end()
-        self.index = 0
+def _tokens(text: str):
+    """(kind, value, column) for each token, then (None, None, len(text))."""
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "bad":
+            raise WordSyntaxError(f"unexpected character {match[0]!r}", match.start())
+        if match.lastgroup != "space":
+            yield match.lastgroup, match[0], match.start()
+    yield None, None, len(text)
 
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return (None, None, len(self.text))
 
-    def advance(self):
-        token = self.peek()
-        self.index += 1
-        return token
+def _integer(digits: str, column: int) -> int:
+    """int(digits), or a WordSyntaxError where int refuses that many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise WordSyntaxError("integer has too many digits", column) from None
 
-    def parse(self) -> Word:
-        word = self.parse_word()
-        kind, value, column = self.peek()
-        if kind is not None:
-            raise WordSyntaxError(f"unexpected {value!r}", column)
-        return word
 
-    def parse_word(self) -> Word:
-        out: Word = ()
-        while True:
-            kind, value, _ = self.peek()
-            if kind is None or (kind == "punct" and value in ",])"):
-                return out
-            out = word_multiply(out, self.parse_factor())
+class _Group(Record, frozen=False):
+    """An open '(' or '[' at ``column``, or the whole text (closer None):
+    a commutator's first word once its ',' is read, the product so far,
+    and the last factor apart, since a following power may raise it."""
 
-    def parse_factor(self) -> Word:
-        base = self.parse_atom()
-        kind, value, column = self.peek()
-        if kind == "power":
-            self.advance()
-            exponent = int(value[1:])
+    closer: str | None
+    column: int
+    first: Word | None = None
+    product: Word = ()
+    last: Word | None = None
+
+    def word(self) -> Word:
+        return word_multiply(self.product, self.last) if self.last else self.product
+
+    def push(self, factor: Word):
+        self.product, self.last = self.word(), factor
+
+
+def parse_word(text: str, scheme: WeightScheme) -> Word:
+    """Parse the word grammar; raises WordSyntaxError with a column.
+
+    One loop over a stack of open groups, so nesting depth is unbounded.
+    All tokens are read first: a bad character is the error wherever it is."""
+    m, n = scheme.m, scheme.n
+    stack = [_Group(None, 0)]
+    for kind, value, column in list(_tokens(text)):
+        group = stack[-1]
+        if kind == "one":
+            group.push(())
+        elif kind == "name":
+            index = _integer(value[1:], column)
+            offset, count, size = (0, m, "m") if value[0] == "x" else (m, n, "n")
+            if not 1 <= index <= count:
+                raise WordSyntaxError(
+                    f"generator {value} out of range ({size}={count})", column)
+            group.push((offset + index,))
+        elif kind == "power":
+            base = group.last
+            if base is None:
+                raise WordSyntaxError(f"unexpected {value!r}", column)
+            exponent = _integer(value[1:], column)
             if abs(exponent) * len(base) > MAX_POWER_LENGTH:
                 raise WordSyntaxError(
                     f"power {value} of a word of length {len(base)} exceeds "
                     f"{MAX_POWER_LENGTH} letters", column)
-            if exponent < 0:
-                base = invert_word(base)
-            return free_reduce(base * abs(exponent), self.scheme)
-        return base
-
-    def parse_atom(self) -> Word:
-        kind, value, column = self.advance()
-        if kind == "one":
-            return ()
-        if kind == "name":
-            letter = value[0]
-            idx = int(value[1:])
-            if letter == "x":
-                if not 1 <= idx <= self.scheme.m:
+            base = invert_word(base) if exponent < 0 else base
+            group.product = word_multiply(group.product, base * abs(exponent))
+            group.last = None  # a power is not raised again
+        elif value in ("(", "["):
+            stack.append(_Group(")" if value == "(" else ",", column))
+        elif value != group.closer:  # a ',', ']', ')' or the end out of place
+            raise WordSyntaxError(
+                _EXPECTED.get(group.closer, f"unexpected {value!r}"), column)
+        elif value is None:
+            return group.word()
+        elif value == ",":
+            group.closer, group.first = "]", group.word()
+            group.product, group.last = (), None
+        else:
+            word = group.word()
+            if value == "]":
+                if 2 * (len(group.first) + len(word)) > MAX_POWER_LENGTH:
                     raise WordSyntaxError(
-                        f"generator {value} out of range (m={self.scheme.m})", column)
-                return (idx,)
-            if not 1 <= idx <= self.scheme.n:
-                raise WordSyntaxError(
-                    f"generator {value} out of range (n={self.scheme.n})", column)
-            return (self.scheme.m + idx,)
-        if kind == "punct" and value == "(":
-            inner = self.parse_word()
-            kind, value, column = self.advance()
-            if value != ")":
-                raise WordSyntaxError("expected ')'", column)
-            return inner
-        if kind == "punct" and value == "[":
-            start = column
-            first = self.parse_word()
-            kind, value, column = self.advance()
-            if value != ",":
-                raise WordSyntaxError("expected ',' inside commutator", column)
-            second = self.parse_word()
-            kind, value, column = self.advance()
-            if value != "]":
-                raise WordSyntaxError("expected ']'", column)
-            if 2 * (len(first) + len(second)) > MAX_POWER_LENGTH:
-                raise WordSyntaxError(
-                    f"commutator of words of lengths {len(first)} and "
-                    f"{len(second)} exceeds {MAX_POWER_LENGTH} letters", start)
-            return group_commutator(first, second)
-        if kind is None:
-            raise WordSyntaxError("unexpected end of word", column)
-        raise WordSyntaxError(f"unexpected {value!r}", column)
-
-
-def parse_word(text: str, scheme: WeightScheme) -> Word:
-    """Parse the word grammar; raises WordSyntaxError with a column."""
-    return _WordParser(text, scheme).parse()
+                        f"commutator of words of lengths {len(group.first)} and "
+                        f"{len(word)} exceeds {MAX_POWER_LENGTH} letters",
+                        group.column)
+                word = group_commutator(group.first, word)
+            stack.pop()
+            stack[-1].push(word)
 
 
 def word_to_text(word: Word, scheme: WeightScheme) -> str:

@@ -155,7 +155,7 @@ def test_floor_bound_sampling_zero_violations():
 
 def test_magnus_e1_specialization():
     scheme = WeightScheme(2, 0, 1)
-    result = magnus_e1_suite(scheme, max_weight=6)
+    result = magnus_e1_suite(scheme)
     assert result.cases == 17
     assert result.failures == 0, result.counterexample
     _report("basic commutators of weight <= 6 on two generators: "

@@ -38,14 +38,14 @@ def test_basic_sequences_respect_weight_bound():
 
 
 def test_magnus_e1_suite_passes():
-    result = magnus_e1_suite(S20, max_weight=6)
+    result = magnus_e1_suite(S20)
     assert result.cases == 17
     assert result.failures == 0
     assert result.passed
 
 
 def test_magnus_e1_suite_mixed_letters():
-    result = magnus_e1_suite(WeightScheme(1, 1, 3), max_weight=6)
+    result = magnus_e1_suite(WeightScheme(1, 1, 3))
     assert result.passed
 
 
@@ -59,7 +59,7 @@ def test_magnus_e1_suite_counts_an_uncertified_degree_as_failure(monkeypatch):
         return real(word, scheme, cutoff)
 
     monkeypatch.setattr(checks, "leading_lie_form", leading_lie_form)
-    result = magnus_e1_suite(S20, max_weight=6)
+    result = magnus_e1_suite(S20)
     assert result.failures == 1
     assert result.counterexample == word_to_text(target, S20)
 
@@ -76,7 +76,7 @@ def test_magnus_e1_suite_embeds_an_x_only_sequence_once(monkeypatch):
 
     monkeypatch.setattr(words, "magnus_embed", spy)
     monkeypatch.setattr(liebasis, "magnus_embed", spy)
-    assert magnus_e1_suite(S20, max_weight=6).passed
+    assert magnus_e1_suite(S20).passed
     assert len(calls) == 17
 
 
@@ -89,7 +89,7 @@ def test_magnus_e1_suite_keeps_the_weighted_check_for_y_letters(monkeypatch):
         return DegreeBound(1, exact=True)
 
     monkeypatch.setattr(checks, "filtration_degree", too_low)
-    result = magnus_e1_suite(scheme, max_weight=6)
+    result = magnus_e1_suite(scheme)
     with_y = [seq for seq in left_normed_basic_sequences(scheme, 6) if 1 in seq]
     assert with_y and result.failures == len(with_y)
     assert seen == [checks._left_normed_word(seq) for seq in with_y]
@@ -160,7 +160,7 @@ def test_floor_bound_suite_passes_and_is_deterministic():
 
 
 def test_homomorphism_suite_passes():
-    result = homomorphism_suite(S212, samples=60, max_len=6, seed=2)
+    result = homomorphism_suite(S212, samples=60, seed=2)
     assert result.passed and result.cases == 60
 
 

@@ -117,6 +117,19 @@ def test_run_report_forced_downstream(tmp_path):
     assert payload["torsion"]["hypotheses_met"] is False
 
 
+def test_torsion_invariants_print_once_with_their_counts(tmp_path, capsys):
+    assert cli.invariants_text((2, 2, 6, 12, 12)) == "2 x 2, 6 x 1, 12 x 2"
+    assert cli.invariants_text(()) == ""
+    square = _write(tmp_path, "square.pres", ACCEPTED.replace("[x1,x2] =", "[x1,x2]^2 ="))
+    code = main(["--input", square, "--force-downstream", "--check", "torsion",
+                 "--max-degree", "6"])
+    out = capsys.readouterr().out
+    assert code == EXIT_CHECK_FAILED
+    assert [line for line in out.splitlines() if "invariants" in line] == [
+        f"  degree {k}: torsion invariants 2 x {count}"
+        for k, count in ((2, 1), (3, 2), (4, 3), (5, 7), (6, 13))]
+
+
 def test_run_report_trivial_v(tmp_path):
     config = _config(_write(tmp_path, "trivial.pres", TRIVIAL_V))
     report = run_report(config)

@@ -73,6 +73,16 @@ def test_a_dump_directory_that_cannot_be_made_ends_the_run_first(
     assert err.startswith("dimension_table.py: error: ")
 
 
+def test_the_torsion_column_counts_each_invariant(monkeypatch, capsys):
+    args = ["--m", "2", "--n", "1", "--e", "3", "--relator", "[x1,x2]^2",
+            "--max-degree", "6"]
+    assert run_script("dimension_table.py", args, monkeypatch) == 2
+    rows = capsys.readouterr().out.splitlines()[2:8]
+    # the fifth column, right-aligned in 12 characters
+    assert [row[26:38].strip() for row in rows] == ["none"] + [
+        f"2 x {count}" for count in (1, 2, 3, 7, 13)]
+
+
 @pytest.mark.parametrize("args, exit_code, message", [
     # the embedding of the relator trips words.MAX_EMBED_LETTERS; its
     # exponent sums are all zero, so it is embedded at the full cap
