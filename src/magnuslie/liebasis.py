@@ -326,19 +326,15 @@ def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
 
 @lru_cache(maxsize=None)
 def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict:
-    """Lyndon coordinates of [u, v] for Lyndon words u, v.  Read-only cache.
+    """Lyndon coordinates of [u, v] for Lyndon words u < v.  Read-only cache.
 
     Scheme independent: only the letter order enters, so one table
-    serves every weighting of the same alphabet.  The rule and the sweep
-    read pairs u < v only; reversed ones come from ``bracket`` alone.
-    The Jacobi terms [u1, [u2, v]] and -[u2, [u1, v]] are summed straight
-    into the result, each pair read in stored order: every word w of
-    [u2, v] exceeds u2, which exceeds u1.
+    serves every weighting of the same alphabet.  Only ``bracket`` of
+    general elements fills it; the ideal sweep has its own
+    ``brackets.BracketTable``.  The Jacobi terms [u1, [u2, v]] and
+    -[u2, [u1, v]] are summed straight into the result, each pair read
+    in stored order: every word w of [u2, v] exceeds u2, which exceeds u1.
     """
-    if u == v:
-        return {}
-    if u > v:
-        return {w: -c for w, c in _bracket_words(v, u).items()}
     if len(u) == 1:
         return {u + v: 1}
     u1, u2 = standard_factorization(u)
@@ -361,11 +357,14 @@ def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict:
 
 
 def _add_bracket(out: dict, a: dict, b: dict) -> dict:
-    """Add [a, b] to out, everything in Lyndon coordinates."""
+    """Add [a, b] to out, in Lyndon coordinates; [v, u] = -[u, v] for u < v."""
     for u, cu in a.items():
         for v, cv in b.items():
-            scale = cu * cv
-            for w, c in _bracket_words(u, v).items():
+            if u == v:
+                continue
+            pair, scale = ((_bracket_words(u, v), cu * cv) if u < v
+                           else (_bracket_words(v, u), -cu * cv))
+            for w, c in pair.items():
                 value = out.get(w, 0) + scale * c
                 if value:
                     out[w] = value

@@ -33,7 +33,7 @@ class PresentationSyntaxError(ValueError):
 
 
 _INT_LINE = re.compile(r"^(generators\s+x|generators\s+y|e|max_degree)\s*:\s*(-?[0-9]+)\s*$")
-_RELATOR_LINE = re.compile(r"^relator\s*:\s*(.*)$")
+_RELATOR_LINE = re.compile(r"^\s*relator\s*:\s*(.*)$")
 
 
 class PresentationFile(Record):
@@ -43,9 +43,8 @@ class PresentationFile(Record):
 
 def parse_presentation_file(text: str) -> PresentationFile:
     values: dict[str, int] = {}
-    relator_parts: tuple[str, str] | None = None
-    relator_line = 0
-    relator_cols = (0, 0)
+    # the relator's line, and each side's text with its 0-based column
+    relator: tuple | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -65,40 +64,38 @@ def parse_presentation_file(text: str) -> PresentationFile:
                 raise PresentationSyntaxError(f"{key} must be positive", lineno)
             values[key] = value
             continue
-        match = _RELATOR_LINE.match(stripped)
+        match = _RELATOR_LINE.match(line)
         if match:
-            if relator_parts is not None:
+            if relator is not None:
                 raise PresentationSyntaxError("duplicate 'relator' line", lineno)
             body = match.group(1)
             if body.count("=") != 1:
                 raise PresentationSyntaxError(
                     "relator line needs exactly one '='", lineno)
             left, right = body.split("=")
-            relator_parts = (left.strip(), right.strip())
-            relator_line = lineno
-            relator_cols = (raw.index(":") + 1, raw.index("=") + 1)
+            relator = lineno, ((left.strip(), match.start(1)),
+                               (right.strip(), match.end(1) - len(right.strip())))
             continue
         raise PresentationSyntaxError(f"cannot read line {stripped!r}", lineno)
 
     for key in ("generators x", "generators y"):
         if key not in values:
             raise PresentationSyntaxError(f"missing '{key}' line", 0)
-    if relator_parts is None:
+    if relator is None:
         raise PresentationSyntaxError("missing 'relator' line", 0)
 
     m = values["generators x"]
     n = values["generators y"]
     scheme = WeightScheme(m, n, 1)
-    try:
-        u = parse_word(relator_parts[0], scheme)
-    except WordSyntaxError as ex:
-        raise PresentationSyntaxError(
-            f"in u: {ex}", relator_line, relator_cols[0]) from ex
-    try:
-        v = parse_word(relator_parts[1], scheme)
-    except WordSyntaxError as ex:
-        raise PresentationSyntaxError(
-            f"in v: {ex}", relator_line, relator_cols[1]) from ex
+    sides = []
+    for name, (side, at) in zip("uv", relator[1]):
+        try:
+            sides.append(parse_word(side, scheme))
+        except WordSyntaxError as ex:
+            # one column: the line's, 1-based, not the word's offset
+            raise PresentationSyntaxError(f"in {name}: {ex.message}", relator[0],
+                                          at + ex.column + 1) from ex
+    u, v = sides
     presentation = Presentation(m=m, n=n, u=u, v=v, e=values.get("e"))
     return PresentationFile(presentation=presentation,
                             max_degree=values.get("max_degree"))

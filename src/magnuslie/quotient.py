@@ -22,7 +22,7 @@ blocks' merged into one chain (``snf._divisor_chain``), so nothing the
 certificate reports depends on the split.  Each generator's brackets
 go through one ad table, in column indices, over the columns that its
 source block uses; the table lives only while that generator's rows are
-built (``_ad_table``).
+built, and it is read from the sweep's ``brackets.BracketTable``.
 
 The certificate (``torsion_free_certificate``) takes each block through
 one pass: the sweep builds the block's rows, ``fprank.fp_ranks`` ranks
@@ -50,9 +50,10 @@ the same integer row space as the sweep's rows (``ideal_component``).
 
 from __future__ import annotations
 
+from .brackets import BracketTable
 from .fprank import _distinct_primes, fp_ranks
-from .liebasis import (LieElement, _bracket_words, bracket, generator_element,
-                       lyndon_words, witt_dimensions)
+from .liebasis import (LieElement, bracket, generator_element, lyndon_words,
+                       witt_dimensions)
 from .record import Record, field
 from .snf import SmithResult, _divisor_chain, _echelon, _smith_from_echelon
 
@@ -136,22 +137,23 @@ class _IdealSweep:
     elimination step mixes two blocks, as they share no column.  A
     block's basis is kept only while a degree up to ``top`` still reads
     it; the sweep never goes past ``top``.  A sweep belongs to one
-    computation and is never shared.
+    computation and is never shared; its bracket table is its own
+    unless the caller passes one.
     """
 
-    def __init__(self, rho: LieElement, top: int, budget: int):
+    def __init__(self, rho: LieElement, top: int, budget: int,
+                 brackets: BracketTable | None = None):
         self.rho = rho
         self.scheme = rho.scheme
         self.top = top
         self.budget = budget
         self.degree = rho.degree - 1
         self.classes = _letter_classes(rho)
+        self.brackets = BracketTable(rho.scheme) if brackets is None else brackets
         # degree -> block key -> the block's echelon basis as _echelon
-        # returns it; degree -> its Lyndon words, the basis columns; the
-        # current degree's word -> column
+        # returns it; degree -> its Lyndon words, the basis columns
         self.bases = {}
         self.words = {}
-        self.index = {}
 
     def next_degree(self) -> list[tuple]:
         """Advance to the next degree and return its blocks, each its key
@@ -177,8 +179,8 @@ class _IdealSweep:
                 self.bases.pop(k, None)
                 del self.words[k]
         self.degree = n
-        self.words[n] = basis = lyndon_words(self.scheme, n)
-        self.index = {word: i for i, word in enumerate(basis)}
+        self.words[n] = lyndon_words(self.scheme, n)
+        self.brackets.register(n)
         classes = self.classes
         blocks: dict[tuple, list] = {}
         if n == self.rho.degree:
@@ -198,13 +200,13 @@ class _IdealSweep:
         the table is dropped once g's rows are built.
         """
         if self.degree == self.rho.degree:
-            return [{self.index[w]: c for w, c in self.rho.coords.items()}]
+            ids, first = self.brackets.ids, self.brackets.offset[self.degree]
+            return [{ids[w] - first: c for w, c in self.rho.coords.items()}]
         rows = []
         for letter, key in block[1]:
             k = self.degree - self.scheme.letter_weight(letter)
             source = self.bases[k][key]
-            table = _ad_table((letter,), self.words[k], self.index,
-                              set().union(*source.values()))
+            table = self.brackets.ad(letter, k, set().union(*source.values()))
             for coords in source.values():
                 row: dict[int, int] = {}
                 for j, c in coords.items():
@@ -243,26 +245,6 @@ def _letter_classes(rho: LieElement):
     return None
 
 
-def _ad_table(g: tuple[int], words: list[tuple[int, ...]],
-              index: dict[tuple[int, ...], int], used: set[int]) -> list[tuple]:
-    """ad g over one degree's Lyndon words: entry j holds the (target
-    column, coefficient) pairs of [g, words[j]] for each used column j,
-    and nothing for the others.
-
-    For a letter g < v the standard-factorization rule gives gv itself;
-    only v < g reads the bracket memo, in its stored order, as
-    [g, v] = -[v, g]; and [g, g] = 0.
-    """
-    table: list[tuple] = [()] * len(words)
-    for j in used:
-        v = words[j]
-        if g < v:
-            table[j] = ((index[g + v], 1),)
-        elif v < g:
-            table[j] = tuple([(index[w], -c) for w, c in _bracket_words(v, g).items()])
-    return table
-
-
 def _check_relator(rho: LieElement, n: int) -> None:
     if rho.is_zero():
         raise ValueError("the relator must be nonzero")
@@ -277,8 +259,14 @@ def ideal_component(rho: LieElement, n: int, *,
     generator with the echelon basis of the degree below it.  These are
     the rows the certificate ranks and eliminates at degree n, block
     after block, with each column index replaced by its word."""
+    return _ideal_rows(rho, n, budget=budget)
+
+
+def _ideal_rows(rho: LieElement, n: int, brackets: BracketTable | None = None,
+                budget: int = DEFAULT_BUDGET) -> list[dict]:
+    """``ideal_component``, with a bracket table the caller may reuse."""
     _check_relator(rho, n)
-    sweep = _IdealSweep(rho, n, budget)
+    sweep = _IdealSweep(rho, n, budget, brackets)
     while sweep.degree < n - 1:
         for block in sweep.next_degree():
             sweep.eliminate(block, sweep.next_rows(block))
@@ -301,7 +289,7 @@ def ideal_component_alt(rho: LieElement, n: int) -> tuple[LieElement, ...]:
     scheme, d = rho.scheme, rho.degree
     levels = {d: [rho]}
     for k in range(d + 1, n + 1):
-        found = [bracket(LieElement(scheme, k - d, {word: 1}), rho)
+        found = [bracket(LieElement._raw(scheme, k - d, {word: 1}), rho)
                  for word in lyndon_words(scheme, k - d)]
         for letter in range(scheme.letters):
             for q in levels.get(k - scheme.letter_weight(letter), ()):

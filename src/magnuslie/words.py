@@ -51,6 +51,7 @@ class WordSyntaxError(ValueError):
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
+        self.message = message
         self.column = column
 
 

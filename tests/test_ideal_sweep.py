@@ -11,13 +11,16 @@ step whole.  The certificate must report the same ranks, divisors and
 F_p ranks as that loop.
 """
 
+import weakref
+
 import pytest
 
 from magnuslie import (BudgetExceeded, LieElement, WeightScheme, bracket, fp_ranks,
                        generator_element, integer_row_space, lyndon_words,
                        modp_dimension_check, smith_normal_form,
-                       torsion_free_certificate)
-from magnuslie import liebasis, quotient
+                       strategy_independence_suite, torsion_free_certificate)
+from magnuslie import checks, liebasis, quotient
+from magnuslie.brackets import BracketTable
 from magnuslie.liebasis import _add_bracket
 from test_snf import per_prime_rank
 
@@ -304,7 +307,8 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
 
     for n in range(2, 13):
         with monkeypatch.context() as patch:
-            patch.setattr(quotient, "_bracket_words", unused)
+            for name in ("register", "ad", "pair"):
+                patch.setattr(BracketTable, name, unused)
             patch.setattr(quotient, "_echelon", unused)
             sweep.budget = 0
             with pytest.raises(BudgetExceeded) as err:
@@ -327,30 +331,82 @@ def test_budget_is_checked_before_any_bracket_or_elimination(monkeypatch):
 ], ids=["[x1,x2]", "[[x1,x2],x3]", "2*x1"])
 def test_certificate_reads_each_bracket_pair_once_in_stored_order(
         monkeypatch, rho, top):
-    # the rule recurses through the module name, so the spy sees every
-    # request, the ones the memo answers included
-    table = liebasis._bracket_words
-    requests = []
+    # the Jacobi step recurses through the method, so the spy sees every
+    # request, the ones the table answers included
+    pair = BracketTable.pair
+    requests, tables = [], set()
+    depth, fills = [0], [0]
 
-    def spy(u, v):
-        requests.append((u, v))
-        return table(u, v)
+    def spy(table, u, v):
+        tables.add(table)
+        requests.append((u, v, depth[0]))
+        fills[0] += (u, v) not in table.concat and (u, v) not in table.memo
+        depth[0] += 1
+        try:
+            return pair(table, u, v)
+        finally:
+            depth[0] -= 1
 
-    swept = []
-
-    def sweep_spy(u, v):
-        swept.append((u, v))
-        return spy(u, v)
-
-    table.cache_clear()
-    monkeypatch.setattr(liebasis, "_bracket_words", spy)
-    monkeypatch.setattr(quotient, "_bracket_words", sweep_spy)
+    monkeypatch.setattr(BracketTable, "pair", spy)
     torsion_free_certificate(rho, top)
-    assert requests and all(u < v for u, v in requests)
-    assert table.cache_info().currsize == len(set(requests))
-    # the sweep builds [g, v] = gv for g < v itself: it asks the memo only
+    (table,) = tables
+    words = table.words
+    assert requests and all(words[u] < words[v] for u, v, _ in requests)
+    # each pair past the rule's first case is computed once
+    jacobi = {(u, v) for u, v, _ in requests if (u, v) not in table.concat}
+    assert set(table.memo) == jacobi and fills[0] == len(jacobi)
+    # the sweep builds [g, v] = gv for g < v itself: it asks the table only
     # for [v, g] with v < g, g the generator
-    assert swept and all(len(g) == 1 for _, g in swept)
+    assert all(len(words[v]) == 1 for _, v, level in requests if level == 0)
+
+
+def test_a_certificate_leaves_the_bracket_memo_alone():
+    rho = comm(S213)
+    bracket(rho, x(S213, 0))  # the memo is not empty to begin with
+    before = liebasis._bracket_words.cache_info().currsize
+    torsion_free_certificate(rho, 12)
+    quotient.ideal_component(rho, 9)
+    assert liebasis._bracket_words.cache_info().currsize == before
+
+
+def test_no_bracket_table_outlives_its_call(monkeypatch):
+    made = []
+    init = BracketTable.__init__
+
+    def record(table, scheme):
+        made.append(weakref.ref(table))
+        init(table, scheme)
+
+    monkeypatch.setattr(BracketTable, "__init__", record)
+    rho = comm(S213)
+    cert = torsion_free_certificate(rho, 10, primes=PRIMES)
+    rows = quotient.ideal_component(rho, 8)
+    strategy_independence_suite(samples=20, seed=3)
+    assert cert.aborted_degree is None and rows
+    # one per call, and one per scheme of the suite's run
+    assert len(made) == 2 + len(checks._STRATEGY_SCHEMES)
+    assert all(ref() is None for ref in made)
+
+
+@pytest.mark.parametrize("scheme", [S213, S314, S201, S112],
+                         ids=["(2,1,3)", "(3,1,4)", "(2,0,1)", "(1,1,2)"])
+def test_every_pair_the_table_fills_equals_the_bracket_memo(scheme, top=9):
+    table = BracketTable(scheme)
+    table.register(top)
+    words = table.words
+    # every ad table of every degree, so each reachable pair is filled
+    for k in range(1, top):
+        for g, w in enumerate(scheme.letter_weights()):
+            if k + w <= top:
+                table.ad(g, k, range(table.offset[k + 1] - table.offset[k]))
+    assert table.memo
+    for (u, v), out in list(table.memo.items()) + [
+            ((a, b), {w: 1}) for (a, b), w in table.concat.items()]:
+        assert words[u] < words[v]
+        assert {words[z]: c for z, c in out.items()} \
+            == liebasis._bracket_words(words[u], words[v]), (words[u], words[v])
+    assert table.offset[-1] == len(words) == sum(
+        len(lyndon_words(scheme, k)) for k in range(1, top + 1))
 
 
 def test_budget_counts_the_columns_before_enumerating_them(monkeypatch):
@@ -386,6 +442,21 @@ def test_budget_abort_degree_follows_the_bound():
 # -- the degree loop the block sweep replaced ------------------------------
 
 
+def ad_table(g, words, index, used):
+    """ad g over one degree's Lyndon words, from the bracket memo of
+    ``liebasis``, keyed by words: entry j holds the (target column,
+    coefficient) pairs of [g, words[j]] for each used column j."""
+    table = [()] * len(words)
+    for j in used:
+        v = words[j]
+        if g < v:
+            table[j] = ((index[g + v], 1),)
+        elif v < g:
+            table[j] = tuple((index[w], -c)
+                             for w, c in liebasis._bracket_words(v, g).items())
+    return table
+
+
 class DegreeSweep:
     """The echelon-fed sweep as it ran before blocks: each degree's rows
     are [g, e] for each generator g and each row e of the whole echelon
@@ -409,8 +480,8 @@ class DegreeSweep:
             source = self.bases.get(n - w)
             if not source:
                 continue
-            table = quotient._ad_table((letter,), self.words[n - w], index,
-                                       set().union(*source.values()))
+            table = ad_table((letter,), self.words[n - w], index,
+                             set().union(*source.values()))
             for coords in source.values():
                 row = {}
                 for j, c in coords.items():

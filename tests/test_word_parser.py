@@ -241,7 +241,9 @@ def test_cli_deep_brackets_end_in_one_syntax_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "exceeds 10000 letters" in captured.err
-    assert "(column 2987) (line 3, column 8)" in captured.err
+    # the thirteenth '[' from the inside, in the line's frame alone
+    assert captured.err.endswith("letters (line 3, column 2997)\n")
+    assert "(column" not in captured.err
 
 
 def test_cli_deep_parentheses_reach_the_gate(tmp_path, capsys):
@@ -315,8 +317,22 @@ def test_an_over_long_integer_line_is_a_syntax_error(line):
 def test_an_over_long_integer_in_a_relator_names_its_line():
     with pytest.raises(PresentationSyntaxError) as err:
         parse_presentation_file(_presentation(f"x1^{LONG}"))
-    assert (err.value.line, err.value.column) == (3, 8)
-    assert "in u: integer has too many digits (column 2)" in str(err.value)
+    assert (err.value.line, err.value.column) == (3, 12)
+    assert str(err.value) == "in u: integer has too many digits (line 3, column 12)"
+
+
+@pytest.mark.parametrize("relator, column, token", [
+    ("  [x1,x2] x3 = y1", 20, "x3"), ("y1 = [x1,  x9]", 21, "x9"),
+    ("\t x1 x3=y1", 15, "x3"), ("x1 =\tx1 x3", 18, "x3"),
+], ids=["u", "v", "u-after-a-tab", "v-after-a-tab"])
+def test_a_word_error_names_one_column_of_its_line(relator, column, token):
+    text = f"generators x: 2\ngenerators y: 1\nrelator: {relator}\n"
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation_file(text)
+    assert (err.value.line, err.value.column) == (3, column)
+    assert str(err.value).endswith(f"out of range (m=2) (line 3, column {column})")
+    line = text.splitlines()[2]
+    assert line[column - 1:].startswith(token)
 
 
 _PRESENTATION_PIECES = st.sampled_from([
