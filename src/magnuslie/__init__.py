@@ -9,10 +9,11 @@ from .words import (DegreeBound, EmbeddingTooLarge, Word, WordSyntaxError,
                     filtration_degree, free_reduce, generator,
                     group_commutator, invert_word, magnus_embed, parse_word,
                     random_word, word_multiply, word_to_text)
-from .liebasis import (DegreeAboveCutoff, LieElement, NotLieElement, bracket,
+from .liebasis import (DegreeAboveCutoff, LieElement, NotLieElement,
                        generator_element, leading_lie_form, lyndon_words,
                        standard_factorization, to_lyndon_coords,
                        witt_dimensions)
+from .brackets import bracket
 from .snf import SmithResult, integer_row_space, smith_normal_form
 from .fprank import fp_ranks
 from .gate import HypothesisReport, Presentation, check_relator_hypotheses

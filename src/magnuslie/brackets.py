@@ -1,14 +1,16 @@
-"""Brackets of Lyndon words by the rule of ``liebasis._bracket_words``
-(Reutenauer, Free Lie Algebras, 5.1), keyed by int ids, not by words:
-column j of degree k is the id ``offset[k] + j``.  ``concat`` maps
-(left id, right id) to the word's id, [u, v] = uv in each case u < v the
+"""The bracket of Lyndon words (Reutenauer, Free Lie Algebras, 5.1): for
+u < v, [u, v] = uv when u is a letter or the right factor of u is >= v;
+otherwise u = (u1, u2) and Jacobi gives [u1, [u2, v]] - [u2, [u1, v]].
+A ``BracketTable`` keeps this rule for one scheme, keyed by int ids, not
+by words: column j of degree k is the id ``offset[k] + j``.  ``concat``
+maps (left id, right id) to the word's id, [u, v] = uv in each case the
 rule settles without Jacobi, and ``memo`` holds the rest.  A table
-belongs to the call that runs the sweeps reading it; it is not shared.
+belongs to the call or the suite run that reads it; it is not shared.
 """
 
 from __future__ import annotations
 
-from .liebasis import _lyndon_bucket
+from .liebasis import LieElement, _lyndon_bucket
 from .series import WeightScheme
 
 
@@ -77,3 +79,45 @@ class BracketTable:
             elif v != letter:
                 table[j] = tuple([(i - shift, -c) for i, c in self.pair(v, letter).items()])
         return table
+
+
+def bracket(a: LieElement, b: LieElement,
+            brackets: BracketTable | None = None) -> LieElement:
+    """Lie bracket, bilinear over the pairs of Lyndon words it reads from
+    ``brackets``, a table of the elements' letter weights that a caller
+    who brackets often keeps for its run, or else a fresh table:
+    [v, u] = -[u, v] for u < v, [u, u] = 0."""
+    scheme, n = a.scheme, a.degree + b.degree
+    if scheme != b.scheme:
+        raise ValueError("scheme mismatch")
+    brackets = BracketTable(scheme) if brackets is None else brackets
+    if brackets.weights != scheme.letter_weights():
+        raise ValueError(f"bracket table of letter weights {brackets.weights}, "
+                         f"not {scheme.letter_weights()}")
+    if not (a.coords and b.coords):
+        return LieElement._raw(scheme, n, {})
+    if len(brackets.offset) <= n + 1:
+        brackets.register(n)
+    ids, concat, memo = brackets.ids, brackets.concat, brackets.memo
+    right = [(v, ids[v], cv) for v, cv in b.coords.items()]
+    out: dict[int, int] = {}
+    for u, cu in a.coords.items():
+        i = ids[u]
+        for v, j, cv in right:
+            if u == v:
+                continue
+            key, scale = ((i, j), cu * cv) if u < v else ((j, i), -cu * cv)
+            # most pairs are the rule's first case: no call, no dict
+            if (w := concat.get(key)) is not None:
+                if value := out.get(w, 0) + scale:
+                    out[w] = value
+                else:
+                    del out[w]
+                continue
+            for z, c in (memo.get(key) or brackets.pair(*key)).items():
+                if value := out.get(z, 0) + scale * c:
+                    out[z] = value
+                else:
+                    del out[z]
+    words = brackets.words
+    return LieElement._raw(scheme, n, {words[z]: c for z, c in out.items()})

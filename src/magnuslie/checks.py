@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from random import Random
 
-from .liebasis import (DegreeAboveCutoff, LieElement, bracket, generator_element,
+from .liebasis import (DegreeAboveCutoff, LieElement, generator_element,
                        leading_lie_form, lyndon_words)
-from .brackets import BracketTable
+from .brackets import BracketTable, bracket
 from .quotient import _ideal_rows, ideal_component_alt
 from .record import Record, field
 from .series import INFINITY, Series, WeightScheme
@@ -122,10 +122,11 @@ def _left_normed_word(seq: tuple[int, ...]) -> Word:
     return word
 
 
-def _left_normed_bracket(scheme: WeightScheme, seq: tuple[int, ...]) -> LieElement:
+def _left_normed_bracket(scheme: WeightScheme, seq: tuple[int, ...],
+                         brackets: BracketTable) -> LieElement:
     elem = generator_element(scheme, seq[0])
     for g in seq[1:]:
-        elem = bracket(elem, generator_element(scheme, g))
+        elem = bracket(elem, generator_element(scheme, g), brackets)
     return elem
 
 
@@ -138,6 +139,7 @@ def magnus_e1_suite(scheme: WeightScheme) -> SuiteResult:
     weighted letter sum.  Deterministic, no sampling.
     """
     e1_scheme = WeightScheme(scheme.m, scheme.n, 1)
+    brackets = BracketTable(e1_scheme)
     max_weight = 6
     sequences = left_normed_basic_sequences(scheme, max_weight)
     failures = 0
@@ -157,7 +159,7 @@ def magnus_e1_suite(scheme: WeightScheme) -> SuiteResult:
         except DegreeAboveCutoff:
             fail(word)
             continue
-        if degree != length or form != _left_normed_bracket(e1_scheme, seq):
+        if degree != length or form != _left_normed_bracket(e1_scheme, seq, brackets):
             fail(word)
             continue
         weighted_total = sum(scheme.letter_weight(g) for g in seq)
@@ -270,13 +272,15 @@ def jacobi_suite(scheme: WeightScheme, samples: int = 500, seed: int = 0) -> Sui
     failures = 0
     counterexample = None
     degrees = [k for k in range(1, max_degree + 1) if lyndon_words(scheme, k)]
+    brackets = BracketTable(scheme)
     for _ in range(samples):
         a = random_lie_element(rng, scheme, rng.choice(degrees))
         b = random_lie_element(rng, scheme, rng.choice(degrees))
         c = random_lie_element(rng, scheme, rng.choice(degrees))
-        anti = bracket(a, b) + bracket(b, a)
-        jac = (bracket(bracket(a, b), c) + bracket(bracket(b, c), a)
-               + bracket(bracket(c, a), b))
+        anti = bracket(a, b, brackets) + bracket(b, a, brackets)
+        jac = (bracket(bracket(a, b, brackets), c, brackets)
+               + bracket(bracket(b, c, brackets), a, brackets)
+               + bracket(bracket(c, a, brackets), b, brackets))
         if not (anti.is_zero() and jac.is_zero()):
             failures += 1
             if counterexample is None:
@@ -318,8 +322,9 @@ def strategy_independence_suite(samples: int = 500, seed: int = 0) -> SuiteResul
         rho = random_lie_element(rng, scheme, d)
         n = d + rng.randrange(1, max_extra + 1)
         basis = lyndon_words(scheme, n)
-        primary = _row_space(_ideal_rows(rho, n, tables[scheme]), basis)
-        alt = _row_space((e.coords for e in ideal_component_alt(rho, n)), basis)
+        table = tables[scheme]
+        primary = _row_space(_ideal_rows(rho, n, table), basis)
+        alt = _row_space((e.coords for e in ideal_component_alt(rho, n, table)), basis)
         if primary != alt:
             failures += 1
             if counterexample is None:

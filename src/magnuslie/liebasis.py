@@ -6,13 +6,11 @@ of the Lyndon words of weighted degree k over the ordered alphabet
 xi_1 < .. < xi_m < eta_1 < .. < eta_n, each word carrying its standard
 factorization bracketing.
 
-One classical rule both builds the basis and brackets it (Reutenauer,
-Free Lie Algebras, 5.1; Lothaire, Combinatorics on Words, ch. 5): for
-Lyndon words u < v, uv is Lyndon with standard factorization (u, v)
-exactly when u is a letter or the right factor of u is >= v.  Each
-Lyndon word of length >= 2 comes from exactly one such pair, and
-[u, v] = uv when the rule holds; otherwise u = (u1, u2) and Jacobi gives
-[u, v] = [u1, [u2, v]] - [u2, [u1, v]], which recurses to the rule.
+One classical rule builds the basis (Reutenauer, Free Lie Algebras, 5.1;
+Lothaire, Combinatorics on Words, ch. 5): for Lyndon words u < v, uv is
+Lyndon with standard factorization (u, v) exactly when u is a letter or
+the right factor of u is >= v, and each Lyndon word of length >= 2
+comes from exactly one such pair.  ``brackets`` brackets by the rule.
 
 Associative expansion serves only recognition of series components and
 the map back into series.  Recognition rests on triangularity: expanding
@@ -116,7 +114,6 @@ def witt_dimensions(scheme: WeightScheme, up_to: int) -> list[int]:
     return dims[1:]
 
 
-@lru_cache(maxsize=None)
 def standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a Lyndon word at its lexicographically least proper suffix."""
     if len(word) < 2:
@@ -322,63 +319,6 @@ def to_lyndon_coords(component: Series, scheme: WeightScheme) -> LieElement:
         raise ValueError(f"component is not homogeneous: weights {sorted(weights)}")
     degree = weights.pop()
     return LieElement._raw(scheme, degree, _lyndon_rewrite(dict(component.terms())))
-
-
-@lru_cache(maxsize=None)
-def _bracket_words(u: tuple[int, ...], v: tuple[int, ...]) -> dict:
-    """Lyndon coordinates of [u, v] for Lyndon words u < v.  Read-only cache.
-
-    Scheme independent: only the letter order enters, so one table
-    serves every weighting of the same alphabet.  Only ``bracket`` of
-    general elements fills it; the ideal sweep has its own
-    ``brackets.BracketTable``.  The Jacobi terms [u1, [u2, v]] and
-    -[u2, [u1, v]] are summed straight into the result, each pair read
-    in stored order: every word w of [u2, v] exceeds u2, which exceeds u1.
-    """
-    if len(u) == 1:
-        return {u + v: 1}
-    u1, u2 = standard_factorization(u)
-    if u2 >= v:
-        return {u + v: 1}
-    terms = [(_bracket_words(u1, w), c) for w, c in _bracket_words(u2, v).items()]
-    for w, c in _bracket_words(u1, v).items():
-        if u2 < w:
-            terms.append((_bracket_words(u2, w), -c))
-        elif w < u2:
-            terms.append((_bracket_words(w, u2), c))
-    out: dict = {}
-    for pair, c in terms:
-        for z, b in pair.items():
-            if value := out.get(z, 0) + c * b:
-                out[z] = value
-            else:
-                del out[z]
-    return out
-
-
-def _add_bracket(out: dict, a: dict, b: dict) -> dict:
-    """Add [a, b] to out, in Lyndon coordinates; [v, u] = -[u, v] for u < v."""
-    for u, cu in a.items():
-        for v, cv in b.items():
-            if u == v:
-                continue
-            pair, scale = ((_bracket_words(u, v), cu * cv) if u < v
-                           else (_bracket_words(v, u), -cu * cv))
-            for w, c in pair.items():
-                value = out.get(w, 0) + scale * c
-                if value:
-                    out[w] = value
-                else:
-                    del out[w]
-    return out
-
-
-def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Lie bracket, bilinear over the bracket table of Lyndon words."""
-    if a.scheme != b.scheme:
-        raise ValueError("scheme mismatch")
-    return LieElement._raw(a.scheme, a.degree + b.degree,
-                           _add_bracket({}, a.coords, b.coords))
 
 
 def leading_lie_form(word: Word, scheme: WeightScheme, cutoff: int) -> tuple[int, LieElement]:

@@ -50,10 +50,9 @@ the same integer row space as the sweep's rows (``ideal_component``).
 
 from __future__ import annotations
 
-from .brackets import BracketTable
+from .brackets import BracketTable, bracket
 from .fprank import _distinct_primes, fp_ranks
-from .liebasis import (LieElement, bracket, generator_element, lyndon_words,
-                       witt_dimensions)
+from .liebasis import LieElement, generator_element, lyndon_words, witt_dimensions
 from .record import Record, field
 from .snf import SmithResult, _divisor_chain, _echelon, _smith_from_echelon
 
@@ -276,24 +275,27 @@ def _ideal_rows(rho: LieElement, n: int, brackets: BracketTable | None = None,
             for block in blocks for row in sweep.next_rows(block)]
 
 
-def ideal_component_alt(rho: LieElement, n: int) -> tuple[LieElement, ...]:
+def ideal_component_alt(rho: LieElement, n: int,
+                        brackets: BracketTable | None = None) -> tuple[LieElement, ...]:
     """Alternative generating set for the degree-n ideal piece.
 
     Brackets rho directly with every Lyndon basis element of each
     intermediate weight and closes with one more round of generator
     brackets at each step, keeping each distinct nonzero value once.
     Spans the same row space as the echelon-fed sweep; small-instance
-    tests compare the two.
+    tests compare the two.  Every bracket reads one table: ``brackets``,
+    which a caller may reuse, or the call's own.
     """
     _check_relator(rho, n)
     scheme, d = rho.scheme, rho.degree
+    brackets = BracketTable(scheme) if brackets is None else brackets
     levels = {d: [rho]}
     for k in range(d + 1, n + 1):
-        found = [bracket(LieElement._raw(scheme, k - d, {word: 1}), rho)
+        found = [bracket(LieElement._raw(scheme, k - d, {word: 1}), rho, brackets)
                  for word in lyndon_words(scheme, k - d)]
         for letter in range(scheme.letters):
             for q in levels.get(k - scheme.letter_weight(letter), ()):
-                found.append(bracket(generator_element(scheme, letter), q))
+                found.append(bracket(generator_element(scheme, letter), q, brackets))
         levels[k] = list({tuple(sorted(e.coords.items())): e
                           for e in found if not e.is_zero()}.values())
     return tuple(levels[n])

@@ -8,7 +8,8 @@ elementary divisors and F_p ranks.  The second reference is the
 echelon-fed sweep as it ran before it split each degree into blocks:
 one matrix per degree, ranked, eliminated and put through the Smith
 step whole.  The certificate must report the same ranks, divisors and
-F_p ranks as that loop.
+F_p ranks as that loop.  Both references bracket by the word-keyed
+recursion of ``test_liebasis``, not by the package's bracket table.
 """
 
 import weakref
@@ -19,9 +20,9 @@ from magnuslie import (BudgetExceeded, LieElement, WeightScheme, bracket, fp_ran
                        generator_element, integer_row_space, lyndon_words,
                        modp_dimension_check, smith_normal_form,
                        strategy_independence_suite, torsion_free_certificate)
-from magnuslie import checks, liebasis, quotient
+from magnuslie import checks, quotient
 from magnuslie.brackets import BracketTable
-from magnuslie.liebasis import _add_bracket
+from test_liebasis import add_bracket, bracket_words
 from test_snf import per_prime_rank
 
 S112 = WeightScheme(1, 1, 2)
@@ -52,7 +53,7 @@ def dedup_sweep_rows(rho, max_degree):
             if source < 0:
                 continue
             for coords in levels[source]:
-                image = _add_bracket({}, {(letter,): 1}, coords)
+                image = add_bracket({}, {(letter,): 1}, coords)
                 key = tuple(sorted(image.items()))
                 if image and key not in fresh:
                     fresh[key] = image
@@ -150,17 +151,17 @@ def test_certificate_rows_are_the_ideal_components_over_column_indices(
                     assert all(c.__class__ is int for c in row), n
 
 
-def bracket_rows(sweep, n, block):
-    """A block's rows by ``bracket``: [g, e] for each (generator g, source
-    block) pair of the block and each kept basis row e of that source,
-    in the sweep's order, word-keyed."""
+def bracket_rows(sweep, n, block, table):
+    """A block's rows by ``bracket`` over ``table``: [g, e] for each
+    (generator g, source block) pair of the block and each kept basis
+    row e of that source, in the sweep's order, word-keyed."""
     scheme = sweep.scheme
     rows = []
     for g, key in block[1]:
         k = n - scheme.letter_weight(g)
         for coords in sweep.bases[k][key].values():
             e = LieElement(scheme, k, {sweep.words[k][j]: c for j, c in coords.items()})
-            image = bracket(x(scheme, g), e)
+            image = bracket(x(scheme, g), e, table)
             if not image.is_zero():
                 rows.append(image.coords)
     return rows
@@ -172,10 +173,11 @@ def bracket_rows(sweep, n, block):
 def test_ad_table_rows_equal_brackets_with_the_kept_bases(scheme, make):
     rho = make(scheme)
     sweep = quotient._IdealSweep(rho, 9, quotient.DEFAULT_BUDGET)
+    table = BracketTable(scheme)  # not the sweep's own
     advance(sweep)
     for n in range(rho.degree + 1, 10):
         for block in sweep.next_degree():
-            expected = bracket_rows(sweep, n, block)
+            expected = bracket_rows(sweep, n, block, table)
             rows = sweep.next_rows(block)
             basis = sweep.words[n]
             assert [{basis[i]: c for i, c in row.items()} for row in rows] \
@@ -360,16 +362,8 @@ def test_certificate_reads_each_bracket_pair_once_in_stored_order(
     assert all(len(words[v]) == 1 for _, v, level in requests if level == 0)
 
 
-def test_a_certificate_leaves_the_bracket_memo_alone():
-    rho = comm(S213)
-    bracket(rho, x(S213, 0))  # the memo is not empty to begin with
-    before = liebasis._bracket_words.cache_info().currsize
-    torsion_free_certificate(rho, 12)
-    quotient.ideal_component(rho, 9)
-    assert liebasis._bracket_words.cache_info().currsize == before
-
-
 def test_no_bracket_table_outlives_its_call(monkeypatch):
+    rho = comm(S213)  # before the spy: its own table is not counted
     made = []
     init = BracketTable.__init__
 
@@ -378,13 +372,16 @@ def test_no_bracket_table_outlives_its_call(monkeypatch):
         init(table, scheme)
 
     monkeypatch.setattr(BracketTable, "__init__", record)
-    rho = comm(S213)
     cert = torsion_free_certificate(rho, 10, primes=PRIMES)
     rows = quotient.ideal_component(rho, 8)
+    alt = quotient.ideal_component_alt(rho, 8)
     strategy_independence_suite(samples=20, seed=3)
-    assert cert.aborted_degree is None and rows
-    # one per call, and one per scheme of the suite's run
-    assert len(made) == 2 + len(checks._STRATEGY_SCHEMES)
+    suites = [checks.jacobi_suite(S213, samples=20, seed=3), checks.magnus_e1_suite(S213)]
+    assert cert.aborted_degree is None and rows and alt
+    assert all(suite.passed for suite in suites)
+    # one per call, one per scheme of the strategy suite's run (its
+    # ideal_component_alt calls read those), one per other suite run
+    assert len(made) == 3 + len(checks._STRATEGY_SCHEMES) + 2
     assert all(ref() is None for ref in made)
 
 
@@ -404,7 +401,7 @@ def test_every_pair_the_table_fills_equals_the_bracket_memo(scheme, top=9):
             ((a, b), {w: 1}) for (a, b), w in table.concat.items()]:
         assert words[u] < words[v]
         assert {words[z]: c for z, c in out.items()} \
-            == liebasis._bracket_words(words[u], words[v]), (words[u], words[v])
+            == bracket_words(words[u], words[v]), (words[u], words[v])
     assert table.offset[-1] == len(words) == sum(
         len(lyndon_words(scheme, k)) for k in range(1, top + 1))
 
@@ -443,8 +440,8 @@ def test_budget_abort_degree_follows_the_bound():
 
 
 def ad_table(g, words, index, used):
-    """ad g over one degree's Lyndon words, from the bracket memo of
-    ``liebasis``, keyed by words: entry j holds the (target column,
+    """ad g over one degree's Lyndon words, from the word-keyed bracket
+    memo of ``test_liebasis``: entry j holds the (target column,
     coefficient) pairs of [g, words[j]] for each used column j."""
     table = [()] * len(words)
     for j in used:
@@ -453,7 +450,7 @@ def ad_table(g, words, index, used):
             table[j] = ((index[g + v], 1),)
         elif v < g:
             table[j] = tuple((index[w], -c)
-                             for w, c in liebasis._bracket_words(v, g).items())
+                             for w, c in bracket_words(v, g).items())
     return table
 
 

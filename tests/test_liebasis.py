@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, gcd
 from random import Random
@@ -16,8 +17,8 @@ from magnuslie import (DegreeAboveCutoff, LieElement, NotLieElement, Series,
                        lyndon_words, to_lyndon_coords, witt_dimensions)
 from magnuslie import free_reduce, standard_factorization, word_multiply
 from magnuslie.checks import random_lie_element
-from magnuslie.liebasis import (_bracket_words, _is_lyndon, _lyndon_bucket,
-                                _lyndon_rewrite)
+from magnuslie.brackets import BracketTable
+from magnuslie.liebasis import _is_lyndon, _lyndon_bucket, _lyndon_rewrite
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
@@ -238,15 +239,101 @@ def associative_bracket(a, b):
     return _lyndon_rewrite(comm)
 
 
+@lru_cache(maxsize=None)
+def bracket_words(u, v):
+    """Lyndon coordinates of [u, v] for Lyndon words u < v, keyed by words:
+    the standard-factorization rule as a recursion of its own, a reference
+    for the package's bracket table.  The Jacobi terms [u1, [u2, v]] and
+    -[u2, [u1, v]] are read in stored order: every word w of [u2, v]
+    exceeds u2, which exceeds u1."""
+    if len(u) == 1:
+        return {u + v: 1}
+    u1, u2 = standard_factorization(u)
+    if u2 >= v:
+        return {u + v: 1}
+    terms = [(bracket_words(u1, w), c) for w, c in bracket_words(u2, v).items()]
+    for w, c in bracket_words(u1, v).items():
+        if u2 < w:
+            terms.append((bracket_words(u2, w), -c))
+        elif w < u2:
+            terms.append((bracket_words(w, u2), c))
+    out = {}
+    for pair, c in terms:
+        for z, b in pair.items():
+            if value := out.get(z, 0) + c * b:
+                out[z] = value
+            else:
+                del out[z]
+    return out
+
+
+def add_bracket(out, a, b):
+    """Add [a, b] of word-keyed coordinates to out, by ``bracket_words``;
+    [v, u] = -[u, v] for u < v."""
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if u == v:
+                continue
+            pair, scale = ((bracket_words(u, v), cu * cv) if u < v
+                           else (bracket_words(v, u), -cu * cv))
+            for w, c in pair.items():
+                if value := out.get(w, 0) + scale * c:
+                    out[w] = value
+                else:
+                    del out[w]
+    return out
+
+
 @pytest.mark.parametrize("scheme", [S20, S213, S314])
 def test_bracket_of_basis_words_matches_associative_oracle(scheme, top=8):
-    _bracket_words.cache_clear()  # every entry checked is filled here
+    table = BracketTable(scheme)  # every pair checked is filled here
     elems = [LieElement(scheme, k, {w: 1})
              for k in range(1, top) for w in lyndon_words(scheme, k)]
     for a in elems:
         for b in elems:
             if a.degree + b.degree <= top:
-                assert bracket(a, b).coords == associative_bracket(a, b)
+                expected = associative_bracket(a, b)
+                assert bracket(a, b, table).coords == expected
+                assert add_bracket({}, a.coords, b.coords) == expected
+
+
+@pytest.mark.parametrize("scheme", [S20, S213, S314])
+def test_a_shared_table_gives_what_a_fresh_one_gives(scheme):
+    rng = Random(scheme.letters + scheme.e)
+    degrees = [k for k in range(1, 5) if lyndon_words(scheme, k)]
+    table = BracketTable(scheme)
+    for _ in range(60):
+        a = random_lie_element(rng, scheme, rng.choice(degrees))
+        b = random_lie_element(rng, scheme, rng.choice(degrees))
+        ab = bracket(a, b, table)
+        assert ab == bracket(a, b) == LieElement(scheme, ab.degree,
+                                                 add_bracket({}, a.coords, b.coords))
+        assert list(ab.coords) == list(bracket(a, b).coords)
+    assert table.memo
+
+
+def test_a_zero_factor_numbers_no_words():
+    table = BracketTable(S213)
+    zero = LieElement.zero(S213, 40)
+    for a, b in ((zero, generator_element(S213, 0)), (generator_element(S213, 1), zero)):
+        assert bracket(a, b, table) == LieElement.zero(S213, 41)
+    assert table.words == [] and table.offset == [0, 0]
+
+
+@pytest.mark.parametrize("table_scheme, scheme", [
+    (WeightScheme(2, 1, 4), S213),  # once a TypeError from inside the table
+    (S213, WeightScheme(2, 1, 4)),  # once a silent fill of useless words
+])
+def test_a_table_of_other_letter_weights_is_refused(table_scheme, scheme):
+    table = BracketTable(table_scheme)
+    a, b = generator_element(scheme, 0), generator_element(scheme, 2)
+    with pytest.raises(ValueError, match="bracket table of letter weights"):
+        bracket(a, b, table)
+    assert table.words == []
+    # equal letter weights make the same table, whatever the schemes
+    s301 = WeightScheme(3, 0, 1)
+    a, b = generator_element(s301, 0), generator_element(s301, 2)
+    assert bracket(a, b, BracketTable(S211)) == bracket(a, b)
 
 
 @pytest.mark.parametrize("scheme", [S20, S213, S314])
@@ -527,11 +614,12 @@ def test_unchecked_results_pass_the_checked_constructor(scheme):
     rng = Random(10 * scheme.letters + scheme.e)
     degrees = [k for k in range(1, 5) if lyndon_words(scheme, k)]
     results = [generator_element(scheme, z) for z in range(scheme.letters)]
+    table = BracketTable(scheme)
     for _ in range(100):
         a = random_lie_element(rng, scheme, rng.choice(degrees))
         b = random_lie_element(rng, scheme, rng.choice(degrees))
         c = random_lie_element(rng, scheme, a.degree)
-        ab = bracket(a, b)
+        ab = bracket(a, b, table)
         results += [ab, a + c, a + (-a),
                     to_lyndon_coords(Series(scheme, a.degree, a.expansion()), scheme)]
         if not ab.is_zero():
@@ -546,8 +634,9 @@ def test_unchecked_results_pass_the_checked_constructor(scheme):
     assert str(caught.value) == "integer letters expected, got (1.0,)"
 
 
-def test_the_package_keeps_three_memos():
-    # the only module-level state: pure memos whose gain was measured
+def test_the_package_keeps_one_memo():
+    # the only module-level state: a pure memo whose gain was measured;
+    # every bracket reads a table owned by one call or one suite run
     memos = set()
     for info in pkgutil.iter_modules(magnuslie.__path__, "magnuslie."):
         if info.name == "magnuslie.__main__":  # importing it runs the CLI
@@ -555,9 +644,7 @@ def test_the_package_keeps_three_memos():
         module = importlib.import_module(info.name)
         memos |= {f"{info.name}.{name}" for name, value in vars(module).items()
                   if hasattr(value, "cache_clear") and value.__module__ == info.name}
-    assert memos == {"magnuslie.liebasis._lyndon_bucket",
-                     "magnuslie.liebasis._bracket_words",
-                     "magnuslie.liebasis.standard_factorization"}
+    assert memos == {"magnuslie.liebasis._lyndon_bucket"}
 
 
 def _build_each(scheme, degree, words):
