@@ -10,10 +10,10 @@ from .words import (DegreeBound, EmbeddingTooLarge, Word, WordSyntaxError,
                     group_commutator, invert_word, magnus_embed, parse_word,
                     random_word, word_multiply, word_to_text)
 from .liebasis import (DegreeAboveCutoff, LieElement, NotLieElement,
-                       generator_element, leading_lie_form, lyndon_words,
+                       generator_element, leading_lie_form,
                        standard_factorization, to_lyndon_coords,
                        witt_dimensions)
-from .brackets import bracket
+from .brackets import bracket, lyndon_words
 from .snf import SmithResult, integer_row_space, smith_normal_form
 from .fprank import fp_ranks
 from .gate import HypothesisReport, Presentation, check_relator_hypotheses

@@ -1,16 +1,22 @@
-"""The bracket of Lyndon words (Reutenauer, Free Lie Algebras, 5.1): for
-u < v, [u, v] = uv when u is a letter or the right factor of u is >= v;
-otherwise u = (u1, u2) and Jacobi gives [u1, [u2, v]] - [u2, [u1, v]].
-A ``BracketTable`` keeps this rule for one scheme, keyed by int ids, not
-by words: column j of degree k is the id ``offset[k] + j``.  ``concat``
-maps (left id, right id) to the word's id, [u, v] = uv in each case the
-rule settles without Jacobi, and ``memo`` holds the rest.  A table
-belongs to the call or the suite run that reads it; it is not shared.
+"""The Lyndon basis of the free Lie ring and its bracket, by one rule
+(Reutenauer, Free Lie Algebras, 5.1; Lothaire, Combinatorics on Words,
+ch. 5): for Lyndon words u < v, uv is Lyndon with standard factorization
+(u, v) exactly when u is a letter or right(u) >= v, each Lyndon word of
+length >= 2 comes from one such pair, and then [u, v] = uv; otherwise
+u = (u1, u2) and Jacobi gives [u1, [u2, v]] - [u2, [u1, v]].
+A ``BracketTable`` enumerates one scheme's words by the rule and keys
+them by int ids, not by words: column j of degree k is the id
+``offset[k] + j``.  ``concat`` maps (left id, right id) to the word's
+id, [u, v] = uv in each case the rule settles without Jacobi, and
+``memo`` holds the rest.  A table belongs to the call or the suite run
+that reads it; it is not shared.
 """
 
 from __future__ import annotations
 
-from .liebasis import LieElement, _lyndon_bucket
+from bisect import bisect_right
+
+from .liebasis import LieElement
 from .series import WeightScheme
 
 
@@ -24,17 +30,34 @@ class BracketTable:
         self.concat, self.memo = {}, {}
 
     def register(self, n: int) -> None:
-        """Number the Lyndon words of each degree up to n, lowest first."""
-        words, ids = self.words, self.ids
-        for k in range(len(self.offset) - 1, n + 1):
-            for word, right in zip(*_lyndon_bucket(self.weights, k)):
-                ids[word] = len(words)
-                pair = None if right is None else (ids[word[:-len(right)]], ids[right])
+        """Number the Lyndon words of each degree up to n, lowest first:
+        degree k is its letters and uv for each standard pair (u, v) of
+        lower degrees, v bisected in (u, right(u)], or > u for a letter u."""
+        words, factors, ids, offset = self.words, self.factors, self.ids, self.offset
+        for k in range(len(offset) - 1, n + 1):
+            found = [((z,), None) for z, w in enumerate(self.weights) if w == k]
+            for a in range(1, k):
+                start, end = offset[k - a], offset[k - a + 1]
+                for u in words[offset[a]:offset[a + 1]]:
+                    i = ids[u]
+                    pair = factors[i]
+                    lo = bisect_right(words, u, start, end)
+                    hi = end if pair is None else bisect_right(words, words[pair[1]], lo, end)
+                    # stored id objects: a new int per pair costs memory
+                    found += [(u + v, (i, ids[v])) for v in words[lo:hi]]
+            found.sort()
+            for word, pair in found:
+                ids[word] = i = len(words)
                 if pair:
-                    self.concat[pair] = len(words)
+                    self.concat[pair] = i
                 words.append(word)
-                self.factors.append(pair)
-            self.offset.append(len(words))
+                factors.append(pair)
+            offset.append(len(words))
+
+    def basis(self, k: int) -> list[tuple[int, ...]]:
+        """The Lyndon words of degree k in order, numbered first if need be."""
+        self.register(k)
+        return self.words[self.offset[k]:self.offset[k + 1]]
 
     def pair(self, u: int, v: int) -> dict[int, int]:
         """[u, v] for the ids of words u < v, as id -> coefficient; read-only.
@@ -79,6 +102,14 @@ class BracketTable:
             elif v != letter:
                 table[j] = tuple([(i - shift, -c) for i, c in self.pair(v, letter).items()])
         return table
+
+
+def lyndon_words(scheme: WeightScheme, weight: int) -> list[tuple[int, ...]]:
+    """Lyndon words of the given weighted degree, in lexicographic order,
+    read from a fresh table."""
+    if weight < 1:
+        raise ValueError("weight must be positive")
+    return BracketTable(scheme).basis(weight)
 
 
 def bracket(a: LieElement, b: LieElement,

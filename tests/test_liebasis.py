@@ -18,7 +18,7 @@ from magnuslie import (DegreeAboveCutoff, LieElement, NotLieElement, Series,
 from magnuslie import free_reduce, standard_factorization, word_multiply
 from magnuslie.checks import random_lie_element
 from magnuslie.brackets import BracketTable
-from magnuslie.liebasis import _is_lyndon, _lyndon_bucket, _lyndon_rewrite
+from magnuslie.liebasis import _is_lyndon, _lyndon_rewrite
 
 S20 = WeightScheme(2, 0, 1)
 S112 = WeightScheme(1, 1, 2)
@@ -184,10 +184,11 @@ def _change_one_coefficient(rng, terms):
 @pytest.mark.parametrize("scheme, seed", [(S20, 1), (S212, 2), (S213, 3)])
 def test_recognition_agrees_with_the_dynkin_oracle(scheme, seed):
     rng = Random(seed)
+    table = BracketTable(scheme)
     verdicts = {"lie": 0, "not lie": 0}
     for _ in range(60):
         degree = rng.randrange(1, 7)
-        elem = random_lie_element(rng, scheme, degree)
+        elem = random_lie_element(rng, scheme, degree, table)
         if elem.is_zero():
             continue
         lie = elem.expansion()
@@ -303,8 +304,8 @@ def test_a_shared_table_gives_what_a_fresh_one_gives(scheme):
     degrees = [k for k in range(1, 5) if lyndon_words(scheme, k)]
     table = BracketTable(scheme)
     for _ in range(60):
-        a = random_lie_element(rng, scheme, rng.choice(degrees))
-        b = random_lie_element(rng, scheme, rng.choice(degrees))
+        a = random_lie_element(rng, scheme, rng.choice(degrees), table)
+        b = random_lie_element(rng, scheme, rng.choice(degrees), table)
         ab = bracket(a, b, table)
         assert ab == bracket(a, b) == LieElement(scheme, ab.degree,
                                                  add_bracket({}, a.coords, b.coords))
@@ -338,22 +339,45 @@ def test_a_table_of_other_letter_weights_is_refused(table_scheme, scheme):
 
 @pytest.mark.parametrize("scheme", [S20, S213, S314])
 def test_pair_table_right_factors_match_suffix_scan(scheme, top=8):
-    lyndon_words(scheme, top)
-    for k in range(1, top + 1):
-        for word, right in zip(*_lyndon_bucket(scheme.letter_weights(), k)):
-            if len(word) >= 2:
-                assert right == standard_factorization(word)[1]
-            else:
-                assert right is None
+    table = BracketTable(scheme)
+    table.register(top)
+    words = table.words
+    assert words and len(table.factors) == len(words)
+    for word, pair in zip(words, table.factors):
+        if len(word) >= 2:
+            assert (words[pair[0]], words[pair[1]]) == standard_factorization(word)
+            assert table.concat[pair] == table.ids[word]
+        else:
+            assert pair is None
 
 
 @pytest.mark.parametrize("scheme", [S20, S112, S213, S314, WeightScheme(2, 2, 2)])
 def test_witt_count_matches_enumeration(scheme, top=14):
-    try:
-        assert witt_dimensions(scheme, top) == [len(lyndon_words(scheme, k))
-                                                for k in range(1, top + 1)]
-    finally:
-        _lyndon_bucket.cache_clear()  # weight 14 over (3,1,4) holds ~600k words
+    assert witt_dimensions(scheme, top) == [len(lyndon_words(scheme, k))
+                                            for k in range(1, top + 1)]
+
+
+def quadratic_witt_dimensions(scheme, up_to):
+    """The Newton and Moebius recursions summed over every index below k,
+    a reference for the package's sparse sums and divisor sieve."""
+    c = [0] * (up_to + 1)
+    c[1] -= scheme.m
+    if scheme.e <= up_to:
+        c[scheme.e] -= scheme.n
+    p = [0] * (up_to + 1)
+    for k in range(1, up_to + 1):
+        p[k] = -k * c[k] - sum(c[i] * p[k - i] for i in range(1, k))
+    dims = [0] * (up_to + 1)
+    for k in range(1, up_to + 1):
+        dims[k] = (p[k] - sum(d * dims[d] for d in range(1, k) if k % d == 0)) // k
+    return dims[1:]
+
+
+@pytest.mark.parametrize("scheme", [S213, S314, S20,
+                                    WeightScheme(1, 1, 1), WeightScheme(5, 3, 2)])
+def test_witt_dimensions_match_the_quadratic_recursions(scheme):
+    for top in (1, 2, 300):
+        assert witt_dimensions(scheme, top) == quadratic_witt_dimensions(scheme, top)
 
 
 def test_lyndon_buckets_built_concurrently_match_the_witt_count(on_four_threads):
@@ -616,9 +640,9 @@ def test_unchecked_results_pass_the_checked_constructor(scheme):
     results = [generator_element(scheme, z) for z in range(scheme.letters)]
     table = BracketTable(scheme)
     for _ in range(100):
-        a = random_lie_element(rng, scheme, rng.choice(degrees))
-        b = random_lie_element(rng, scheme, rng.choice(degrees))
-        c = random_lie_element(rng, scheme, a.degree)
+        a = random_lie_element(rng, scheme, rng.choice(degrees), table)
+        b = random_lie_element(rng, scheme, rng.choice(degrees), table)
+        c = random_lie_element(rng, scheme, a.degree, table)
         ab = bracket(a, b, table)
         results += [ab, a + c, a + (-a),
                     to_lyndon_coords(Series(scheme, a.degree, a.expansion()), scheme)]
@@ -634,9 +658,9 @@ def test_unchecked_results_pass_the_checked_constructor(scheme):
     assert str(caught.value) == "integer letters expected, got (1.0,)"
 
 
-def test_the_package_keeps_one_memo():
-    # the only module-level state: a pure memo whose gain was measured;
-    # every bracket reads a table owned by one call or one suite run
+def test_the_package_keeps_no_memo():
+    # no module-level state: the Lyndon words and their brackets live in
+    # a table owned by one call or one suite run
     memos = set()
     for info in pkgutil.iter_modules(magnuslie.__path__, "magnuslie."):
         if info.name == "magnuslie.__main__":  # importing it runs the CLI
@@ -644,7 +668,7 @@ def test_the_package_keeps_one_memo():
         module = importlib.import_module(info.name)
         memos |= {f"{info.name}.{name}" for name, value in vars(module).items()
                   if hasattr(value, "cache_clear") and value.__module__ == info.name}
-    assert memos == {"magnuslie.liebasis._lyndon_bucket"}
+    assert memos == set()
 
 
 def _build_each(scheme, degree, words):
