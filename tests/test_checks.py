@@ -10,6 +10,7 @@ import pytest
 from magnuslie import checks, liebasis, words
 from magnuslie.checks import SuiteResult
 from magnuslie.report import algebra_law_suites
+from magnuslie.series import Series
 from magnuslie.words import DegreeBound, filtration_degree, random_word
 
 S20 = WeightScheme(2, 0, 1)
@@ -35,6 +36,42 @@ def test_basic_sequences_respect_weight_bound():
     scheme = WeightScheme(1, 1, 3)
     for seq in left_normed_basic_sequences(scheme, 6):
         assert sum(scheme.letter_weight(g) for g in seq) <= 6
+
+
+def recursive_basic_sequences(scheme, max_weight):
+    """The enumerator the closed form replaced: it extends i1 > i2 by
+    letters that never decrease."""
+    letters = list(range(min(2, scheme.letters)))
+    weights = {g: scheme.letter_weight(g) for g in letters}
+    out = [(g,) for g in letters if weights[g] <= max_weight]
+
+    def extend(seq, weight):
+        if len(seq) >= 2:
+            out.append(seq)
+        for g in letters:
+            if g >= seq[-1] and weight + weights[g] <= max_weight:
+                extend(seq + (g,), weight + weights[g])
+
+    for first in letters:
+        for second in letters:
+            if first > second and weights[first] + weights[second] <= max_weight:
+                extend((first, second), weights[first] + weights[second])
+    out.sort(key=lambda seq: (sum(weights[g] for g in seq), seq))
+    return out
+
+
+def test_basic_sequences_match_the_recursive_enumeration():
+    cases = 0
+    for m in (1, 2, 3):
+        for n in (0, 1, 2):
+            for e in (1, 2, 3, 4):
+                scheme = WeightScheme(m, n, e)
+                for max_weight in range(10):
+                    assert left_normed_basic_sequences(scheme, max_weight) \
+                        == recursive_basic_sequences(scheme, max_weight), \
+                        (scheme, max_weight)
+                    cases += 1
+    assert cases == 360
 
 
 def test_magnus_e1_suite_passes():
@@ -178,6 +215,53 @@ def test_jacobi_suite_passes():
 def test_strategy_suite_passes():
     result = strategy_independence_suite(samples=25, seed=5)
     assert result.passed
+
+
+def test_homomorphism_suite_reports_a_planted_failure(monkeypatch):
+    # an embedding that drops the last letter of long words breaks the
+    # product side only
+    real = checks.magnus_embed
+    monkeypatch.setattr(checks, "magnus_embed",
+                        lambda word, scheme, cutoff:
+                        real(word[:-1] if len(word) > 6 else word, scheme, cutoff))
+    result = homomorphism_suite(S212, samples=60, seed=2)
+    assert result.failures == 12
+    assert result.counterexample == "w = x2^-1 x1 x2^2, z = x1^-3 x2^-1"
+
+
+def test_valuation_suite_reports_a_planted_failure(monkeypatch):
+    # a product that multiplies by g twice adds g's valuation twice
+    real = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda f, g: real(real(f, g), g))
+    result = valuation_mult_suite(S212, samples=120, seed=3)
+    assert (result.failures, result.applicable) == (56, 120)
+    assert result.counterexample \
+        == "f = -2 - 3*X2 + 3*X2*Y1 + 3*X1*X2*Y1, g = Y1 - 2*Y1*Y1"
+
+
+def test_jacobi_suite_reports_a_planted_failure(monkeypatch):
+    # a bracket that puts the lower degree first is no longer antisymmetric
+    real = checks.bracket
+
+    def bracket(a, b, table):
+        return real(b, a, table) if a.degree > b.degree else real(a, b, table)
+
+    monkeypatch.setattr(checks, "bracket", bracket)
+    result = jacobi_suite(S212, samples=40, seed=4)
+    assert result.failures == 31
+    assert result.counterexample \
+        == "a = -3*L[x1] + 1*L[x2], b = 1*L[x1], c = -3*L[x1 x2]"
+
+
+def test_strategy_suite_reports_a_planted_failure(monkeypatch):
+    # the alternative strategy loses its last generator
+    real = checks.ideal_component_alt
+    monkeypatch.setattr(checks, "ideal_component_alt",
+                        lambda rho, n, table: real(rho, n, table)[:-1])
+    result = strategy_independence_suite(samples=25, seed=5)
+    assert result.failures == 22
+    assert result.counterexample \
+        == "scheme (m=1, n=1, e=2), rho = 3*L[x1 y1], degree 6"
 
 
 def test_algebra_law_bundle():

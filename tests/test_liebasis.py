@@ -93,6 +93,24 @@ def test_lyndon_against_brute_force(scheme, weight):
     assert lyndon_words(scheme, weight) == brute_force_lyndon(scheme, weight)
 
 
+def _is_lyndon_by_rotation(word):
+    return all(word[i:] + word[:i] > word for i in range(1, len(word)))
+
+
+def test_lyndon_scan_matches_the_rotation_definition(letters=3, top=8):
+    # Lyndon means smaller than every proper rotation; the standard
+    # factorization's right factor is the longest proper Lyndon suffix
+    for length in range(1, top + 1):
+        for word in product(range(letters), repeat=length):
+            lyndon = _is_lyndon_by_rotation(word)
+            assert _is_lyndon(word) == lyndon, word
+            if lyndon and length >= 2:
+                cut = next(i for i in range(1, length)
+                           if _is_lyndon_by_rotation(word[i:]))
+                assert standard_factorization(word) == (word[:cut], word[cut:])
+    assert not _is_lyndon(())
+
+
 def test_witt_dimension_examples():
     assert witt_dimensions(S20, 5) == [2, 1, 2, 3, 6]
     assert witt_dimensions(S112, 4) == [1, 1, 1, 1]
