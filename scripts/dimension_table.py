@@ -13,7 +13,8 @@ Exit codes follow the magnuslie CLI: 0 torsion-free through the cap, 2
 torsion found, 3 inconclusive (the relator's degree is above the cap,
 its embedding is too large, the ideal budget stopped the table early,
 or the run ran out of memory or recursion depth), 4 a bad scheme,
-relator or output directory, or a usage error.
+relator or output directory, a free dimension too long to print, or a
+usage error.
 """
 
 import sys
@@ -47,8 +48,16 @@ def table() -> int:
     scheme = WeightScheme(args.m, args.n, args.e)
     cap = args.max_degree
     if args.relator is None:
+        dims = witt_dimensions(scheme, cap)
+        # str() refuses an int of more digits than the interpreter's limit
+        limit = sys.get_int_max_str_digits()
+        first_unprintable = 10 ** limit if limit else None
+        for k, dim in enumerate(dims, 1):
+            if first_unprintable is not None and dim >= first_unprintable:
+                raise ValueError(f"the dimension at degree {k} has more than "
+                                 f"{limit} digits, too many to print")
         print(f"free Lie ring dimensions for scheme {scheme}:")
-        for k, dim in enumerate(witt_dimensions(scheme, cap), 1):
+        for k, dim in enumerate(dims, 1):
             print(f"  degree {k}: {dim}")
         return EXIT_OK
 

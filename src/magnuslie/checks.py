@@ -1,8 +1,10 @@
 """Seeded property suites behind the CLI and the acceptance tests.
 
 Each suite draws its cases from a private random.Random(seed), so a
-report is a pure function of its arguments.  Failures carry a textual
-counterexample; pass counts and seeds go into the run report.
+report is a pure function of its arguments.  Every suite records its
+failed cases in one ``_Tally``, which counts them and keeps the text of
+the first as the counterexample; pass counts and seeds go into the run
+report.
 """
 
 from __future__ import annotations
@@ -35,25 +37,39 @@ class SuiteResult(Record):
         return self.failures == 0
 
 
+class _Tally(Record, frozen=False):
+    """A suite's failed cases: their count and the first one's text."""
+
+    failures: int = 0
+    counterexample: str | None = None
+
+    def fail(self, text: str) -> None:
+        self.failures += 1
+        if self.counterexample is None:
+            self.counterexample = text
+
+    def result(self, name: str, cases: int, **fields) -> SuiteResult:
+        return SuiteResult(name=name, cases=cases, failures=self.failures,
+                           counterexample=self.counterexample, **fields)
+
+
 # -- weighted filtration vs lower central series --------------------------
 
 
 def floor_bound_suite(scheme: WeightScheme, samples: int = 1000, max_len: int = 12,
-                 seed: int = 0, cutoff: int | None = None) -> SuiteResult:
+                      seed: int = 0) -> SuiteResult:
     """Sampled floor bound between the two filtrations.
 
     For every sampled word whose weighted degree i is certified by the
-    window and satisfies i >= e, the e = 1 degree of the same word must
-    be at least floor(i / e).  The e = 1 degree only needs certifying
-    down to that floor, so a tiny second window suffices.
+    window e + 3 and satisfies i >= e, the e = 1 degree of the same word
+    must be at least floor(i / e).  The e = 1 degree only needs
+    certifying down to that floor, so a tiny second window suffices.
     """
-    if cutoff is None:
-        cutoff = scheme.e + 3
+    cutoff = scheme.e + 3
     e1_scheme = WeightScheme(scheme.m, scheme.n, 1)
     rng = Random(seed)
     applicable = 0
-    failures = 0
-    counterexample = None
+    tally = _Tally()
     for _ in range(samples):
         word = random_word(rng, scheme, max_len)
         window = _decided_cutoff(word, scheme, cutoff)
@@ -67,14 +83,9 @@ def floor_bound_suite(scheme: WeightScheme, samples: int = 1000, max_len: int = 
         floor = weighted // scheme.e
         lower = filtration_degree(word, e1_scheme, max(floor, 1))
         if not lower.at_least(floor):
-            failures += 1
-            if counterexample is None:
-                counterexample = word_to_text(word, scheme)
-    return SuiteResult(
-        name="floor_bound", cases=samples, failures=failures, seed=seed,
-        applicable=applicable, counterexample=counterexample,
-        detail={"cutoff": cutoff, "max_word_len": max_len, "e": scheme.e},
-    )
+            tally.fail(word_to_text(word, scheme))
+    return tally.result("floor_bound", samples, seed=seed, applicable=applicable,
+                        detail={"cutoff": cutoff, "max_word_len": max_len, "e": scheme.e})
 
 
 # -- basic commutators under e = 1 -----------------------------------------
@@ -88,31 +99,19 @@ def left_normed_basic_sequences(scheme: WeightScheme,
 
     Weight-1 sequences are the bare generators.  Longer ones satisfy
     i1 > i2 <= i3 <= ... <= ik, the standard collection condition for a
-    left-normed bracket to be basic; their weighted degrees stay within
-    max_weight.  Ordered by weight, then lexicographically.
+    left-normed bracket to be basic; over the two letters 0 and 1 that is
+    exactly the shape (1, 0, 0^a, 1^b).  Those whose weighted degree is
+    at most max_weight, ordered by weight, then lexicographically.
     """
-    letters = list(range(min(_BASIC_LETTERS, scheme.letters)))
-    weights = {g: scheme.letter_weight(g) for g in letters}
-    out: list[tuple[int, ...]] = []
-    for g in letters:
-        if weights[g] <= max_weight:
-            out.append((g,))
-
-    def extend(seq: tuple[int, ...], weight: int):
-        if len(seq) >= 2:
-            out.append(seq)
-        for g in letters:
-            if g >= seq[-1] and weight + weights[g] <= max_weight:
-                extend(seq + (g,), weight + weights[g])
-
-    for first in letters:
-        for second in letters:
-            if first > second:
-                w = weights[first] + weights[second]
-                if w <= max_weight:
-                    extend((first, second), w)
-    out.sort(key=lambda seq: (sum(weights[g] for g in seq), seq))
-    return out
+    weight = scheme.monomial_weight
+    letters = min(_BASIC_LETTERS, scheme.letters)
+    sequences = [(g,) for g in range(letters)]
+    if letters == _BASIC_LETTERS:
+        # every letter weighs at least 1, so a, b < max_weight
+        sequences += [(1, 0) + (0,) * a + (1,) * b
+                      for a in range(max_weight) for b in range(max_weight)]
+    return sorted((seq for seq in sequences if weight(seq) <= max_weight),
+                  key=lambda seq: (weight(seq), seq))
 
 
 def _left_normed_word(seq: tuple[int, ...]) -> Word:
@@ -142,39 +141,24 @@ def magnus_e1_suite(scheme: WeightScheme) -> SuiteResult:
     brackets = BracketTable(e1_scheme)
     max_weight = 6
     sequences = left_normed_basic_sequences(scheme, max_weight)
-    failures = 0
-    counterexample = None
-
-    def fail(word):
-        nonlocal failures, counterexample
-        failures += 1
-        if counterexample is None:
-            counterexample = word_to_text(word, scheme)
-
+    tally = _Tally()
     for seq in sequences:
         word = _left_normed_word(seq)
         length = len(seq)
         try:
             degree, form = leading_lie_form(word, e1_scheme, length)
         except DegreeAboveCutoff:
-            fail(word)
-            continue
-        if degree != length or form != _left_normed_bracket(e1_scheme, seq, brackets):
-            fail(word)
-            continue
+            degree = form = None
         weighted_total = sum(scheme.letter_weight(g) for g in seq)
         # with every letter of weight 1 the weighted embedding is the one
         # just checked, at the same cutoff
-        if weighted_total == length:
-            continue
-        weighted = filtration_degree(word, scheme, weighted_total)
-        if not weighted.at_least(weighted_total):
-            fail(word)
-    return SuiteResult(
-        name="magnus_e1", cases=len(sequences), failures=failures,
-        counterexample=counterexample,
-        detail={"max_weight": max_weight, "num_letters": _BASIC_LETTERS},
-    )
+        if (degree != length or form != _left_normed_bracket(e1_scheme, seq, brackets)
+                or weighted_total != length
+                and not filtration_degree(word, scheme, weighted_total)
+                .at_least(weighted_total)):
+            tally.fail(word_to_text(word, scheme))
+    return tally.result("magnus_e1", len(sequences),
+                        detail={"max_weight": max_weight, "num_letters": _BASIC_LETTERS})
 
 
 # -- algebra law suites -----------------------------------------------------
@@ -190,8 +174,7 @@ def homomorphism_suite(scheme: WeightScheme, samples: int = 500,
     """
     max_len, cutoff = 6, 5
     rng = Random(seed)
-    failures = 0
-    counterexample = None
+    tally = _Tally()
     for _ in range(samples):
         w = random_word(rng, scheme, max_len)
         z = random_word(rng, scheme, max_len)
@@ -199,21 +182,15 @@ def homomorphism_suite(scheme: WeightScheme, samples: int = 500,
         lhs = magnus_embed(product, scheme, cutoff)
         rhs = magnus_embed(w, scheme, cutoff) * magnus_embed(z, scheme, cutoff)
         if lhs != rhs:
-            failures += 1
-            if counterexample is None:
-                counterexample = (f"w = {word_to_text(w, scheme)}, "
-                                  f"z = {word_to_text(z, scheme)}")
-    return SuiteResult(
-        name="mu_homomorphism", cases=samples, failures=failures, seed=seed,
-        counterexample=counterexample,
-        detail={"cutoff": cutoff, "max_word_len": max_len},
-    )
+            tally.fail(f"w = {word_to_text(w, scheme)}, z = {word_to_text(z, scheme)}")
+    return tally.result("mu_homomorphism", samples, seed=seed,
+                        detail={"cutoff": cutoff, "max_word_len": max_len})
 
 
 def random_series(rng: Random, scheme: WeightScheme, cutoff: int,
-                  max_term_weight: int | None = None) -> Series:
-    """A random nonzero integer series of at most five terms."""
-    max_term_weight = cutoff if max_term_weight is None else max_term_weight
+                  max_term_weight: int) -> Series:
+    """A random nonzero integer series of at most five terms, each of
+    weight at most max_term_weight."""
     terms = {}
     for _ in range(rng.randrange(1, 6)):
         length = rng.randrange(0, max_term_weight + 1)
@@ -232,26 +209,18 @@ def valuation_mult_suite(scheme: WeightScheme, samples: int = 500,
     """Valuations add under multiplication when the sum fits the window."""
     cutoff = 8
     rng = Random(seed)
-    failures = 0
     applicable = 0
-    counterexample = None
-    half = cutoff // 2
+    tally = _Tally()
     for _ in range(samples):
-        f = random_series(rng, scheme, cutoff, max_term_weight=half)
-        g = random_series(rng, scheme, cutoff, max_term_weight=half)
+        f = random_series(rng, scheme, cutoff, cutoff // 2)
+        g = random_series(rng, scheme, cutoff, cutoff // 2)
         if f.is_zero() or g.is_zero():
             continue
         applicable += 1
-        expected = f.valuation() + g.valuation()
-        if (f * g).valuation() != expected:
-            failures += 1
-            if counterexample is None:
-                counterexample = f"f = {f.to_text()}, g = {g.to_text()}"
-    return SuiteResult(
-        name="valuation_multiplicativity", cases=samples, failures=failures,
-        seed=seed, applicable=applicable, counterexample=counterexample,
-        detail={"cutoff": cutoff},
-    )
+        if (f * g).valuation() != f.valuation() + g.valuation():
+            tally.fail(f"f = {f.to_text()}, g = {g.to_text()}")
+    return tally.result("valuation_multiplicativity", samples, seed=seed,
+                        applicable=applicable, detail={"cutoff": cutoff})
 
 
 def random_lie_element(rng: Random, scheme: WeightScheme, degree: int,
@@ -270,8 +239,7 @@ def jacobi_suite(scheme: WeightScheme, samples: int = 500, seed: int = 0) -> Sui
     """Antisymmetry and the Jacobi identity on random homogeneous triples."""
     max_degree = 3
     rng = Random(seed)
-    failures = 0
-    counterexample = None
+    tally = _Tally()
     brackets = BracketTable(scheme)
     degrees = [k for k in range(1, max_degree + 1) if brackets.basis(k)]
     for _ in range(samples):
@@ -283,14 +251,9 @@ def jacobi_suite(scheme: WeightScheme, samples: int = 500, seed: int = 0) -> Sui
                + bracket(bracket(b, c, brackets), a, brackets)
                + bracket(bracket(c, a, brackets), b, brackets))
         if not (anti.is_zero() and jac.is_zero()):
-            failures += 1
-            if counterexample is None:
-                counterexample = f"a = {a}, b = {b}, c = {c}"
-    return SuiteResult(
-        name="jacobi_antisymmetry", cases=samples, failures=failures,
-        seed=seed, counterexample=counterexample,
-        detail={"max_degree": max_degree},
-    )
+            tally.fail(f"a = {a}, b = {b}, c = {c}")
+    return tally.result("jacobi_antisymmetry", samples, seed=seed,
+                        detail={"max_degree": max_degree})
 
 
 _STRATEGY_SCHEMES = (
@@ -312,8 +275,7 @@ def strategy_independence_suite(samples: int = 500, seed: int = 0) -> SuiteResul
     """Both ideal generation strategies span the same integer row space."""
     max_extra = 3
     rng = Random(seed)
-    failures = 0
-    counterexample = None
+    tally = _Tally()
     tables = {scheme: BracketTable(scheme) for scheme in _STRATEGY_SCHEMES}
     for _ in range(samples):
         scheme = _STRATEGY_SCHEMES[rng.randrange(len(_STRATEGY_SCHEMES))]
@@ -327,11 +289,6 @@ def strategy_independence_suite(samples: int = 500, seed: int = 0) -> SuiteResul
         primary = _row_space(ideal_component(rho, n, brackets=table), basis)
         alt = _row_space((e.coords for e in ideal_component_alt(rho, n, table)), basis)
         if primary != alt:
-            failures += 1
-            if counterexample is None:
-                counterexample = f"scheme {scheme}, rho = {rho}, degree {n}"
-    return SuiteResult(
-        name="ideal_strategy_independence", cases=samples, failures=failures,
-        seed=seed, counterexample=counterexample,
-        detail={"max_extra": max_extra},
-    )
+            tally.fail(f"scheme {scheme}, rho = {rho}, degree {n}")
+    return tally.result("ideal_strategy_independence", samples, seed=seed,
+                        detail={"max_extra": max_extra})

@@ -50,14 +50,19 @@ class DegreeAboveCutoff(ValueError):
 # -- Lyndon words --------------------------------------------------------
 
 
+def _least_suffix(word: tuple[int, ...]) -> int:
+    """The start of the least proper suffix of a word of length >= 2."""
+    best = 1
+    for i in range(2, len(word)):
+        if word[i:] < word[best:]:
+            best = i
+    return best
+
+
 def _is_lyndon(word: tuple[int, ...]) -> bool:
-    n = len(word)
-    if n == 0:
-        return False
-    for i in range(1, n):
-        if word[i:] + word[:i] <= word:
-            return False
-    return True
+    """A letter, or a word smaller than its least proper suffix, hence
+    smaller than every proper rotation."""
+    return len(word) == 1 or len(word) > 1 and word < word[_least_suffix(word):]
 
 
 def witt_dimensions(scheme: WeightScheme, up_to: int) -> list[int]:
@@ -86,10 +91,7 @@ def standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     """Split a Lyndon word at its lexicographically least proper suffix."""
     if len(word) < 2:
         raise ValueError("factorization needs length at least 2")
-    best = 1
-    for i in range(2, len(word)):
-        if word[i:] < word[best:]:
-            best = i
+    best = _least_suffix(word)
     return word[:best], word[best:]
 
 

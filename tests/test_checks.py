@@ -132,13 +132,12 @@ def test_magnus_e1_suite_keeps_the_weighted_check_for_y_letters(monkeypatch):
     assert seen == [checks._left_normed_word(seq) for seq in with_y]
 
 
-def head_floor_bound(scheme, samples, max_len, seed, cutoff=None):
+def head_floor_bound(scheme, samples, max_len, seed):
     """The floor-bound loop as it was before it skipped samples by their
     decided cutoff: every sample is embedded in the weighted scheme.  It
     embeds through ``checks``, so a patched embedding reaches both."""
     filtration_degree = checks.filtration_degree
-    if cutoff is None:
-        cutoff = scheme.e + 3
+    cutoff = scheme.e + 3
     e1_scheme = WeightScheme(scheme.m, scheme.n, 1)
     rng = Random(seed)
     applicable = failures = 0
@@ -163,12 +162,12 @@ def head_floor_bound(scheme, samples, max_len, seed, cutoff=None):
 
 @pytest.mark.parametrize("scheme, cutoff", [
     (S213, None), (S212, None), (WeightScheme(3, 1, 4), None),
-    (WeightScheme(1, 1, 2), None), (WeightScheme(3, 1, 4), 2),
+    (WeightScheme(1, 1, 2), None),
 ])
 def test_floor_bound_suite_skips_only_samples_that_cannot_apply(scheme, cutoff):
     for seed in range(5):
-        assert floor_bound_suite(scheme, samples=200, seed=seed, cutoff=cutoff) \
-            == head_floor_bound(scheme, 200, 12, seed, cutoff), seed
+        assert floor_bound_suite(scheme, samples=200, seed=seed) \
+            == head_floor_bound(scheme, 200, 12, seed), seed
 
 
 def test_floor_bound_suite_skip_keeps_a_planted_failure(monkeypatch):

@@ -61,6 +61,21 @@ def test_only_the_free_table_counts_dimensions(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("  degree 7: 36\n")
 
 
+def test_a_dimension_too_long_to_print_ends_the_table_before_it_starts(
+        monkeypatch, capsys):
+    # over (2,1,3) degree 12530 is the first whose dimension has more
+    # digits than str() takes at the interpreter's default limit, 4300
+    args = ["--m", "2", "--n", "1", "--e", "3", "--max-degree"]
+    assert run_script("dimension_table.py", args + ["20000"], monkeypatch) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("dimension_table.py: error: the dimension at degree 12530 has "
+                   "more than 4300 digits, too many to print\n")
+    assert run_script("dimension_table.py", args + ["12500"], monkeypatch) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 12501
+
+
 def test_a_dump_directory_that_cannot_be_made_ends_the_run_first(
         tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file"
