@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -713,3 +714,47 @@ def test_lie_element_text():
     elem = LieElement(S20, 3, {(0, 0, 1): -3, (0, 1, 1): 1})
     assert elem.to_text() == "-3*L[x1 x1 x2] + 1*L[x1 x2 x2]"
     assert LieElement.zero(S20, 2).to_text() == "0"
+
+
+def test_differences_negatives_and_zero_multiples():
+    rng = Random(7)
+    table = BracketTable(S213)
+    for _ in range(20):
+        a = random_lie_element(rng, S213, 4, table)
+        b = random_lie_element(rng, S213, 4, table)
+        assert a - b == a + (-b)
+        assert (a - a).is_zero() and a.scale(0).is_zero()
+        assert a.scale(0) == LieElement.zero(S213, 4)
+        assert a.scale(-3) == LieElement(S213, 4, {w: -3 * c for w, c in a.coords.items()})
+        assert -(-a) == a and (-a).degree == 4 and (-a).scheme == S213
+    with pytest.raises(TypeError):
+        a - 1
+
+
+@pytest.mark.parametrize("scalar", [0.5, 2.0, Fraction(1, 2), True, False])
+def test_scalars_must_be_ints(scalar):
+    with pytest.raises(TypeError):
+        LieElement(S20, 2, {(0, 1): 3}).scale(scalar)
+
+
+def test_sums_need_one_scheme_and_one_degree():
+    a = LieElement(S20, 2, {(0, 1): 1})
+    for other, message in ((LieElement(S211, 2, {(0, 1): 1}), "scheme mismatch"),
+                           (generator_element(S20, 0), "degree mismatch: 2 vs 1")):
+        for combine in (a.__add__, a.__sub__):
+            with pytest.raises(ValueError) as caught:
+                combine(other)
+            assert str(caught.value) == message
+
+
+class _Small(IntEnum):
+    TWO = 2
+
+
+def test_an_int_enum_is_not_an_integer():
+    with pytest.raises(TypeError) as caught:
+        Series(S20, 3, {(0,): _Small.TWO})
+    assert str(caught.value) == "integer coefficient expected, got <_Small.TWO: 2>"
+    with pytest.raises(TypeError) as caught:
+        LieElement(S20, 1, {(0,): _Small.TWO})
+    assert str(caught.value) == "integer coordinate expected, got <_Small.TWO: 2>"

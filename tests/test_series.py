@@ -106,6 +106,29 @@ def test_series_offer_only_the_product_and_zero_is_falsy():
         "valuation"]
 
 
+@pytest.mark.parametrize("name", ["scheme", "cutoff", "_buckets", "unknown"])
+def test_series_refuse_assignment(name):
+    f = Series(S212, 3, {(): 1, (0,): 2})
+    with pytest.raises(AttributeError):
+        setattr(f, name, getattr(f, name, None))
+    assert repr(f) == "Series('1 + 2*X1', cutoff=3)"
+
+
+@pytest.mark.parametrize("name", ["scheme", "cutoff", "_buckets"])
+def test_series_refuse_deletion(name):
+    f = Series(S212, 3, {(): 1, (0,): 2})
+    with pytest.raises(AttributeError):
+        delattr(f, name)
+    assert repr(f) == "Series('1 + 2*X1', cutoff=3)"
+
+
+def test_series_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(Series(S212, 3, {(0,): 1}))
+    with pytest.raises(TypeError):
+        hash(Series(S212, 3))
+
+
 def test_is_prime_matches_trial_division():
     def trial(p):
         return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
