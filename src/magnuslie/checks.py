@@ -281,8 +281,6 @@ def strategy_independence_suite(samples: int = 500, seed: int = 0) -> SuiteResul
         scheme = _STRATEGY_SCHEMES[rng.randrange(len(_STRATEGY_SCHEMES))]
         table = tables[scheme]
         d = rng.randrange(1, 4)
-        while not table.basis(d):
-            d = rng.randrange(1, 4)
         rho = random_lie_element(rng, scheme, d, table)
         n = d + rng.randrange(1, max_extra + 1)
         basis = table.basis(n)

@@ -26,8 +26,9 @@ integers.
 
 A LieElement built from outside coordinates checks each nonzero one: an
 integer coefficient, integer letters, and a Lyndon word of the element's
-degree.  Values that are valid by construction (brackets, sums, the
-generators, recognized components) skip the check: ``LieElement._raw``.
+degree.  Values that are valid by construction (brackets, sums,
+differences, scalar multiples and negatives, the generators, recognized
+components) skip the check: ``LieElement._raw``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from math import gcd
 
 from .record import Record
-from .series import INFINITY, Series, WeightScheme
+from .series import INFINITY, Series, WeightScheme, _check_int, _signed_sum
 from .words import Word, _decided_cutoff, _image_valuation, magnus_embed
 
 
@@ -155,8 +156,7 @@ class LieElement(Record):
         clean = {}
         for word, c in coords.items():
             word = tuple(word)
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer coordinate expected, got {c!r}")
+            _check_int(c, "coordinate")
             if not c:
                 continue
             # one C-level pass; a float or Fraction letter makes a float or
@@ -169,11 +169,9 @@ class LieElement(Record):
             if not _is_lyndon(word):
                 raise ValueError(f"{word} is not a Lyndon word")
             clean[word] = c
-        # after the coordinates, so a bad word is named first; a bool
-        # degree is not int
-        if degree.__class__ is not int or degree < 1:
-            if degree.__class__ is not int:
-                raise TypeError(f"integer degree expected, got {degree!r}")
+        # after the coordinates, so a bad word is named first
+        _check_int(degree, "degree")
+        if degree < 1:
             raise ValueError(f"degree must be positive, got {degree}")
         self.__dict__.update(scheme=scheme, degree=degree, coords=clean)
 
@@ -200,8 +198,9 @@ class LieElement(Record):
         return g
 
     def scale(self, scalar: int) -> "LieElement":
-        return LieElement(self.scheme, self.degree,
-                          {w: c * scalar for w, c in self.coords.items()})
+        _check_int(scalar, "scalar")
+        coords = {w: c * scalar for w, c in self.coords.items()} if scalar else {}
+        return LieElement._raw(self.scheme, self.degree, coords)
 
     def __neg__(self):
         return self.scale(-1)
@@ -247,19 +246,9 @@ class LieElement(Record):
 
     def to_text(self) -> str:
         """Report form: ``1*L[x1 x2] - 3*L[x1 x1 x2]``, words sorted."""
-        if not self.coords:
-            return "0"
-        pieces = []
-        for word in sorted(self.coords):
-            c = self.coords[word]
-            spelled = " ".join(self.scheme.generator_name(z) for z in word)
-            if not pieces:
-                sign = "-" if c < 0 else ""
-                pieces.append(f"{sign}{abs(c)}*L[{spelled}]")
-            else:
-                sign = " - " if c < 0 else " + "
-                pieces.append(f"{sign}{abs(c)}*L[{spelled}]")
-        return "".join(pieces)
+        name = self.scheme.generator_name
+        return _signed_sum((c < 0, f"{abs(c)}*L[{' '.join(map(name, word))}]")
+                           for word, c in sorted(self.coords.items()))
 
     def __str__(self):
         return self.to_text()

@@ -1,15 +1,18 @@
 """Value records: the base of the package's result and configuration classes.
 
 A record declares its fields as annotated class lines, in order; a
-field's default is its class attribute, or ``field(...)`` for a fresh
-value per instance (``default_factory``) or a field left out of ==, hash
+field's default is its class attribute.  A field declared with
+``field(...)`` leaves no class attribute: it has a fresh default per
+instance (``default_factory``) or none, and may be left out of ==, hash
 (``compare=False``) or repr (``repr=False``).  A record takes its fields
 positionally or by keyword, then runs its ``__post_init__``; it compares
 equal to a record of the same class with equal compared fields, hashes by
-them, refuses attribute assignment, and has a dataclass-style repr.  A
-class declared with ``frozen=False`` may be assigned to and is
-unhashable.  Records are not subclassed: a class's fields are its own
-annotations.
+them, refuses attribute assignment and deletion, and has a
+dataclass-style repr.  A value class that checks its input (``Series``,
+``LieElement``) defines its own ``__init__``, which fills
+``self.__dict__`` in one update.  A class declared with ``frozen=False``
+may be assigned to and is unhashable.  Records are not subclassed: a
+class's fields are its own annotations.
 
 ``dataclasses`` is not used because each certificate comes from a fresh
 process that imports the package: importing ``dataclasses`` pulls in
@@ -33,9 +36,9 @@ class _Field:
         self.repr = repr
 
 
-def field(*, default=_MISSING, default_factory=None, compare=True, repr=True):
+def field(*, default_factory=None, compare=True, repr=True):
     """A field with a per-instance default, or one that == or repr skips."""
-    return _Field(default, default_factory, compare, repr)
+    return _Field(_MISSING, default_factory, compare, repr)
 
 
 class Record:
@@ -52,10 +55,8 @@ class Record:
             spec = cls.__dict__.get(name, _MISSING)
             if spec.__class__ is not _Field:
                 spec = _Field(spec, None, True, True)
-            elif spec.default is _MISSING:
-                delattr(cls, name)
             else:
-                setattr(cls, name, spec.default)
+                delattr(cls, name)
             if spec.default_factory is not None:
                 cls._defaults[name] = spec
             elif spec.default is not _MISSING:

@@ -129,20 +129,17 @@ def run_report(config: RunConfig) -> RunReport:
         max_degree=max_degree,
     )
 
-    quotient_ok = gate.rho is not None and max_degree is not None \
-        and max_degree >= gate.d
+    # rho's degree is at most the cap, which is d + 6 when none is set
+    quotient_ok = gate.rho is not None
     run_quotient = (gate.accepted or config.force_downstream) and quotient_ok
 
     for name in ("torsion", "hilbert", "modp"):
         if name not in selected:
             report.skip_reasons[name] = "not selected"
+        elif not quotient_ok:
+            report.skip_reasons[name] = "no leading form available"
         elif not run_quotient:
-            if gate.rho is None:
-                report.skip_reasons[name] = "no leading form available"
-            elif not gate.accepted:
-                report.skip_reasons[name] = "gate rejected (pass --force-downstream to run)"
-            else:
-                report.skip_reasons[name] = "degree window below the relator degree"
+            report.skip_reasons[name] = "gate rejected (pass --force-downstream to run)"
 
     if run_quotient:
         if "torsion" in selected or "hilbert" in selected or "modp" in selected:
@@ -205,9 +202,9 @@ def _exit_code(report: RunReport, selected) -> int:
     failed = False
     if report.torsion is not None and "torsion" in selected:
         failed = failed or not report.torsion.torsion_free
-    if report.hilbert is not None and "hilbert" in selected:
+    if report.hilbert is not None:
         failed = failed or not report.hilbert.all_match
-    if report.modp is not None and "modp" in selected:
+    if report.modp is not None:
         failed = failed or not report.modp.all_match
     if report.floor_bound is not None:
         failed = failed or not report.floor_bound.passed
@@ -215,9 +212,8 @@ def _exit_code(report: RunReport, selected) -> int:
         failed = failed or not report.magnus_e1.passed
     if failed:
         return EXIT_CHECK_FAILED
-    aborted = (report.torsion is not None and report.torsion.aborted_degree is not None) \
-        or (report.modp is not None and report.modp.aborted_degree is not None)
-    if aborted:
+    # mod-p's aborted_degree is the certificate's
+    if report.torsion is not None and report.torsion.aborted_degree is not None:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -6,9 +6,10 @@ stored in canonical form: no zero coefficients, terms grouped by weight.
 Coefficients are arbitrary-precision integers, exact and never
 floating point: the graded quotients this package certifies are Z-modules.
 
-A series offers its terms, valuation and homogeneous components, the
-truncated product of two series and a text form.  There is no sum, scalar
-multiple or inverse: the Magnus embedding builds its images in place.
+A series is a record of its scheme, cutoff and terms.  It offers its
+terms, valuation and homogeneous components, the truncated product of
+two series and a text form.  There is no sum, scalar multiple or
+inverse: the Magnus embedding builds its images in place.
 
 The weighted valuation of a series is the least weight carrying a
 nonzero term.  The zero series gets the distinguished value INFINITY,
@@ -19,7 +20,7 @@ series here are truncations, a valuation of INFINITY only certifies
 
 from __future__ import annotations
 
-from .record import Record
+from .record import Record, field
 
 
 class InfiniteValuation:
@@ -61,6 +62,19 @@ def _check_int(value, what: str) -> None:
     """TypeError unless value is an int; a bool, float or Fraction is not."""
     if value.__class__ is not int:
         raise TypeError(f"integer {what} expected, got {value!r}")
+
+
+def _signed_sum(terms) -> str:
+    """Join (negative, text) pairs as ``a - b + c``: a leading ``-`` when
+    the first term is negative, ``0`` when there are none."""
+    pieces = []
+    for negative, text in terms:
+        if pieces:
+            pieces.append(" - " if negative else " + ")
+        elif negative:
+            pieces.append("-")
+        pieces.append(text)
+    return "".join(pieces) or "0"
 
 
 def _check_cutoff(cutoff) -> None:
@@ -134,17 +148,20 @@ class WeightScheme(Record):
         return f"(m={self.m}, n={self.n}, e={self.e})"
 
 
-class Series:
+class Series(Record):
     """An element of the truncated weighted algebra.
 
-    Immutable: attributes cannot be reassigned, and the product and
-    ``homogeneous_component`` return fresh series.  Equality compares
+    A record: its fields cannot be assigned or deleted, and the product
+    and ``homogeneous_component`` return fresh series.  Equality compares
     scheme and the term association; the cutoff is bookkeeping about how
     much was computed, not part of the value, so truncations of the same
     series at different depths that agree term by term compare equal.
+    The terms are a dict, so a series is unhashable.
     """
 
-    __slots__ = ("scheme", "cutoff", "_buckets")
+    scheme: WeightScheme
+    cutoff: int = field(compare=False)
+    _buckets: dict
 
     def __init__(self, scheme: WeightScheme, cutoff: int, terms=None):
         _check_cutoff(cutoff)
@@ -170,20 +187,13 @@ class Series:
                     del bucket[mono]
             for w in [w for w, b in buckets.items() if not b]:
                 del buckets[w]
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "_buckets", buckets)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
+        self.__dict__.update(scheme=scheme, cutoff=cutoff, _buckets=buckets)
 
     @classmethod
     def _raw(cls, scheme, cutoff, buckets):
         """Trusted constructor: buckets already normalized."""
         self = object.__new__(cls)
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "_buckets", buckets)
+        self.__dict__.update(scheme=scheme, cutoff=cutoff, _buckets=buckets)
         return self
 
     # -- inspection ----------------------------------------------------
@@ -250,28 +260,13 @@ class Series:
 
     def to_text(self) -> str:
         """Canonical textual form, e.g. ``1 + X1 + X2 + X1*X2``."""
-        terms = self.terms()
-        if not terms:
-            return "0"
         pieces = []
-        for mono, coeff in terms:
-            negative = coeff < 0
-            mag_text = str(-coeff if negative else coeff)
-            if mono:
-                mono_text = "*".join(self.scheme.letter_name(z) for z in mono)
-                body_piece = mono_text if mag_text == "1" else f"{mag_text}*{mono_text}"
-            else:
-                body_piece = mag_text
-            if not pieces:
-                pieces.append(f"-{body_piece}" if negative else body_piece)
-            else:
-                pieces.append(f" - {body_piece}" if negative else f" + {body_piece}")
-        return "".join(pieces)
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.scheme == other.scheme and self._buckets == other._buckets
+        for mono, coeff in self.terms():
+            factors = [self.scheme.letter_name(z) for z in mono]
+            if not mono or abs(coeff) != 1:
+                factors.insert(0, str(abs(coeff)))
+            pieces.append((coeff < 0, "*".join(factors)))
+        return _signed_sum(pieces)
 
     def __repr__(self):
         return f"Series({self.to_text()!r}, cutoff={self.cutoff})"

@@ -100,10 +100,10 @@ def test_series_offer_only_the_product_and_zero_is_falsy():
     zero = Series(S212, 3, {(0,): 0})
     assert f and not zero and not zero * f and not Series(S212, 3)
     assert sorted(name for name in vars(Series) if name != "__doc__") == [
-        "__bool__", "__eq__", "__hash__", "__init__", "__module__", "__mul__",
-        "__repr__", "__setattr__", "__slots__", "_buckets", "_raw", "cutoff",
-        "homogeneous_component", "is_zero", "scheme", "terms", "to_text",
-        "valuation"]
+        "__annotations__", "__bool__", "__dict__", "__init__", "__module__",
+        "__mul__", "__repr__", "__weakref__", "_compared", "_defaults",
+        "_fields", "_raw", "_shown", "homogeneous_component", "is_zero",
+        "terms", "to_text", "valuation"]
 
 
 @pytest.mark.parametrize("name", ["scheme", "cutoff", "_buckets", "unknown"])
