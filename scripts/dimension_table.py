@@ -81,9 +81,9 @@ def table() -> int:
     print(f"series cross-check: {table.formula_status}")
 
     if args.dump_matrices:
-        # the rows the certificate eliminates, over the column indices of
-        # the degree's Lyndon basis, one matrix row per line, block after
-        # block: each block's rows are read between building them and
+        # the rows the certificate eliminates, over the degree's Lyndon
+        # basis in order, one matrix row per line, block after block:
+        # each block's rows are read between building them and
         # eliminating them
         sweep = _IdealSweep(rho, len(cert.degrees), DEFAULT_BUDGET)
         for n in range(degree, len(cert.degrees) + 1):
@@ -91,7 +91,10 @@ def table() -> int:
             lines = []
             for block in sweep.next_degree():
                 rows = sweep.next_rows(block)
-                lines += [" ".join(str(row.get(i, 0)) for i in range(ncols))
+                # the sweep keys rows by the table's word ids, and degree
+                # n's ids start at its offset
+                first = sweep.brackets.offset[n]
+                lines += [" ".join(str(row.get(first + i, 0)) for i in range(ncols))
                           for row in rows]
                 sweep.eliminate(block, rows)
             path = out_dir / f"ideal_degree_{n}.txt"

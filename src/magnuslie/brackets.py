@@ -5,23 +5,26 @@ ch. 5): for Lyndon words u < v, uv is Lyndon with standard factorization
 length >= 2 comes from one such pair, and then [u, v] = uv; otherwise
 u = (u1, u2) and Jacobi gives [u1, [u2, v]] - [u2, [u1, v]].
 A ``BracketTable`` enumerates one scheme's words by the rule and keys
-them by int ids, not by words: column j of degree k is the id
-``offset[k] + j``.  ``concat`` maps (left id, right id) to the word's
-id, [u, v] = uv in each case the rule settles without Jacobi, and
-``memo`` holds the rest.  A table belongs to the call or the suite run
-that reads it; it is not shared.
+them by int ids, not by words: degree k holds the ids ``offset[k]`` to
+``offset[k + 1] - 1``, in the order of its words.  The ideal sweep keys
+its rows and echelon bases by these ids too, so no bracket is re-keyed.
+``concat`` maps (left id, right id) to the word's id, [u, v] = uv in
+each case the rule settles without Jacobi, and ``memo`` holds the rest.
+A table belongs to the call or the suite run that reads it; it is not
+shared.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .liebasis import LieElement
+from .liebasis import LieElement, witt_dimensions
 from .series import WeightScheme
 
 
 class BracketTable:
     def __init__(self, scheme: WeightScheme):
+        self.scheme = scheme
         self.weights = scheme.letter_weights()
         # id -> word and its (left id, right id), None for a letter;
         # word -> id; degree k -> its first id, degree k + 1 -> the end
@@ -59,6 +62,13 @@ class BracketTable:
         self.register(k)
         return self.words[self.offset[k]:self.offset[k + 1]]
 
+    def dimension(self, k: int) -> int:
+        """The number of Lyndon words of degree k >= 1: read from the
+        offsets once degree k is numbered, else counted, not enumerated."""
+        if k + 1 < len(self.offset):
+            return self.offset[k + 1] - self.offset[k]
+        return witt_dimensions(self.scheme, k)[-1]
+
     def pair(self, u: int, v: int) -> dict[int, int]:
         """[u, v] for the ids of words u < v, as id -> coefficient; read-only.
         Past the rule's first case u = (u1, u2), u2 < v, and Jacobi gives
@@ -88,20 +98,15 @@ class BracketTable:
         self.memo[u, v] = out
         return out
 
-    def ad(self, g: int, k: int, used) -> list[tuple]:
-        """ad of the letter g on degree k, in column indices: entry j holds
-        the (column, coefficient) pairs of [g, v], v the word of column j,
-        for each used column j; [g, v] = gv for g < v, -[v, g] for v < g."""
-        words, first = self.words, self.offset[k]
-        shift = self.offset[k + self.weights[g]]
+    def ad(self, g: int, used) -> dict:
+        """ad of the letter g on the used ids v of one degree: the id of
+        [g, v] = gv for g < v, else the table's own [v, g] = -[g, v] as
+        id -> coefficient, which the caller negates; {} for v = g."""
+        words, concat, pair = self.words, self.concat, self.pair
         letter = self.ids[g,]
-        table: list[tuple] = [()] * (self.offset[k + 1] - first)
-        for j in used:
-            if words[letter] < words[v := first + j]:
-                table[j] = ((self.concat[letter, v] - shift, 1),)
-            elif v != letter:
-                table[j] = tuple([(i - shift, -c) for i, c in self.pair(v, letter).items()])
-        return table
+        word = words[letter]
+        return {v: concat[letter, v] if word < words[v]
+                else pair(v, letter) if v != letter else {} for v in used}
 
 
 def lyndon_words(scheme: WeightScheme, weight: int) -> list[tuple[int, ...]]:
@@ -122,7 +127,7 @@ def bracket(a: LieElement, b: LieElement,
     if scheme != b.scheme:
         raise ValueError("scheme mismatch")
     brackets = BracketTable(scheme) if brackets is None else brackets
-    if brackets.weights != scheme.letter_weights():
+    if brackets.scheme is not scheme and brackets.weights != scheme.letter_weights():
         raise ValueError(f"bracket table of letter weights {brackets.weights}, "
                          f"not {scheme.letter_weights()}")
     if not (a.coords and b.coords):

@@ -19,10 +19,12 @@ share no column: block c of degree n is built from the blocks of degree
 n - w_g that g maps to c, and is eliminated on its own.  Ranks add over
 the blocks and the divisors of the block-diagonal matrix are the
 blocks' merged into one chain (``snf._divisor_chain``), so nothing the
-certificate reports depends on the split.  Each generator's brackets
-go through one ad table, in column indices, over the columns that its
-source block uses; the table lives only while that generator's rows are
-built, and it is read from the sweep's ``brackets.BracketTable``.
+certificate reports depends on the split.  Rows and echelon bases are
+keyed by the word ids of the sweep's ``brackets.BracketTable``, the
+table's own key space, so the brackets it returns are read as they are.
+Each generator's brackets go through one ad table over the ids that its
+source block uses; the table holds the bracket table's own dicts and
+lives only while that generator's rows are built.
 
 The certificate (``torsion_free_certificate``) takes each block through
 one pass: the sweep builds the block's rows, ``fprank.fp_ranks`` ranks
@@ -150,7 +152,7 @@ class _IdealSweep:
         self.classes = _letter_classes(rho)
         self.brackets = BracketTable(rho.scheme) if brackets is None else brackets
         # degree -> block key -> the block's echelon basis as _echelon
-        # returns it; the basis columns are the table's words
+        # returns it, keyed by the table's word ids
         self.bases = {}
 
     def next_degree(self) -> list[tuple]:
@@ -158,16 +160,17 @@ class _IdealSweep:
         and the (letter, source block key) pairs that build it.
 
         The row count is bounded by the kept bases, and the columns are
-        counted, not enumerated, before the basis or any bracket is
-        computed; BudgetExceeded when the bound times the columns
-        outgrows the budget, with the sweep left as it was.  Then the
+        counted by the table (``BracketTable.dimension``), which numbers
+        no word, before the basis or any bracket is computed;
+        BudgetExceeded when the bound times the columns outgrows the
+        budget, with the sweep left as it was.  Then the
         bases that no degree from this one to ``top`` reads are dropped.
         """
         n = self.degree + 1
         weights = self.scheme.letter_weights()
         bound = 1 if n == self.rho.degree else sum(
             len(basis) for w in weights for basis in self.bases.get(n - w, {}).values())
-        cols = witt_dimensions(self.scheme, n)[-1]
+        cols = self.brackets.dimension(n)
         if bound * max(cols, 1) > self.budget:
             raise BudgetExceeded(n, bound, cols, self.budget)
         # degree k is read by degrees k + 1 and k + w for the largest
@@ -188,26 +191,32 @@ class _IdealSweep:
         return list(blocks.items())
 
     def next_rows(self, block: tuple) -> list[dict[int, int]]:
-        """One block's rows over the column indices of the current degree's
-        Lyndon basis: rho at the relator's degree, above it [g, e] for
-        each row e of each source block of g.  Each generator g gets one
-        ad table over the columns its source block uses, and each row
-        [g, e] is the sum of the table's entries over the columns of e;
-        the table is dropped once g's rows are built.
+        """One block's rows over the word ids of the current degree: rho at
+        the relator's degree, above it [g, e] for each row e of each
+        source block of g.  Each generator g gets one ad table over the
+        ids its source block uses, and each row [g, e] is the sum over
+        the ids v of e of the id gv or the negated [v, g]; the table is
+        dropped once g's rows are built.
         """
         if self.degree == self.rho.degree:
-            ids, first = self.brackets.ids, self.brackets.offset[self.degree]
-            return [{ids[w] - first: c for w, c in self.rho.coords.items()}]
+            ids = self.brackets.ids
+            return [{ids[w]: c for w, c in self.rho.coords.items()}]
         rows = []
         for letter, key in block[1]:
-            k = self.degree - self.scheme.letter_weight(letter)
-            source = self.bases[k][key]
-            table = self.brackets.ad(letter, k, set().union(*source.values()))
+            source = self.bases[self.degree - self.scheme.letter_weight(letter)][key]
+            table = self.brackets.ad(letter, set().union(*source.values()))
             for coords in source.values():
                 row: dict[int, int] = {}
-                for j, c in coords.items():
-                    for i, b in table[j]:
-                        if value := row.get(i, 0) + c * b:
+                for v, c in coords.items():
+                    image = table[v]
+                    if image.__class__ is int:
+                        if value := row.get(image, 0) + c:
+                            row[image] = value
+                        else:
+                            del row[image]
+                        continue
+                    for i, b in image.items():
+                        if value := row.get(i, 0) - c * b:
                             row[i] = value
                         else:
                             del row[i]
@@ -254,16 +263,16 @@ def ideal_component(rho: LieElement, n: int, *, budget: int = DEFAULT_BUDGET,
     itself at its own degree, above it the nonzero brackets of each
     generator with the echelon basis of the degree below it.  These are
     the rows the certificate ranks and eliminates at degree n, block
-    after block, with each column index replaced by its word.  The
-    sweep reads ``brackets``, a table a caller may reuse, or its own."""
+    after block, with each word id replaced by its word.  The sweep
+    reads ``brackets``, a table a caller may reuse, or its own."""
     _check_relator(rho, n)
     sweep = _IdealSweep(rho, n, budget, brackets)
     while sweep.degree < n - 1:
         for block in sweep.next_degree():
             sweep.eliminate(block, sweep.next_rows(block))
     blocks = sweep.next_degree()
-    basis = sweep.brackets.basis(n)
-    return [{basis[i]: c for i, c in row.items()}
+    words = sweep.brackets.words
+    return [{words[i]: c for i, c in row.items()}
             for block in blocks for row in sweep.next_rows(block)]
 
 
@@ -288,7 +297,7 @@ def ideal_component_alt(rho: LieElement, n: int,
         for letter in range(scheme.letters):
             for q in levels.get(k - scheme.letter_weight(letter), ()):
                 found.append(bracket(generator_element(scheme, letter), q, brackets))
-        levels[k] = list({tuple(sorted(e.coords.items())): e
+        levels[k] = list({frozenset(e.coords.items()): e
                           for e in found if not e.is_zero()}.values())
     return tuple(levels[n])
 
@@ -347,7 +356,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
         # the degree's matrix is block diagonal: its divisors are the
         # blocks' merged into one chain
         result = SmithResult(rank=rank, divisors=_divisor_chain(diagonal))
-        ncols = sweep.brackets.offset[n + 1] - sweep.brackets.offset[n]
+        ncols = sweep.brackets.dimension(n)
         reports.append(DegreeReport(n, ncols, result.rank, result.divisors,
                                     ncols - result.rank, result.nontrivial))
     torsion_free = all(not r.torsion for r in reports)

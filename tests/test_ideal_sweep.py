@@ -78,26 +78,33 @@ def advance(sweep):
 
 def sweep_rows(rho, max_degree):
     """The sweep's rows of degrees d..max_degree, block after block,
-    copied before each block's elimination consumes them."""
+    word-keyed copies taken before each block's elimination consumes
+    them."""
     sweep = quotient._IdealSweep(rho, max_degree, quotient.DEFAULT_BUDGET)
+    words = sweep.brackets.words
     levels = []
     for _ in range(rho.degree, max_degree + 1):
         levels.append([])
         for block in sweep.next_degree():
             rows = sweep.next_rows(block)
-            levels[-1] += [dict(row) for row in rows]
+            levels[-1] += [{words[i]: c for i, c in row.items()} for row in rows]
             sweep.eliminate(block, rows)
     return levels
 
 
 def eliminated_rows(monkeypatch):
-    """Degree -> copies of the rows the sweep's eliminations of that
-    degree's blocks receive, in call order."""
+    """Degree -> word-keyed copies of the rows the sweep's eliminations
+    of that degree's blocks receive, in call order; each row's ids are
+    checked to lie in the degree's range first."""
     seen = {}
     eliminate = quotient._IdealSweep.eliminate
 
     def recording(sweep, block, rows):
-        seen.setdefault(sweep.degree, []).extend(dict(row) for row in rows)
+        words, offset = sweep.brackets.words, sweep.brackets.offset
+        ids = range(offset[sweep.degree], offset[sweep.degree + 1])
+        assert all(i in ids for row in rows for i in row), sweep.degree
+        seen.setdefault(sweep.degree, []).extend(
+            {words[i]: c for i, c in row.items()} for row in rows)
         return eliminate(sweep, block, rows)
 
     monkeypatch.setattr(quotient._IdealSweep, "eliminate", recording)
@@ -125,7 +132,7 @@ def test_row_space_equals_the_dedup_sweep_through_weight_9(scheme, make):
     got = sweep_rows(rho, 9)
     for n, old, new in zip(range(rho.degree, 10), expected, got):
         ncols = len(lyndon_words(scheme, n))
-        assert integer_row_space(new, ncols) \
+        assert integer_row_space(indexed(new, scheme, n), ncols) \
             == integer_row_space(indexed(old, scheme, n), ncols), n
 
 
@@ -138,9 +145,7 @@ def test_certificate_rows_are_the_ideal_components_over_column_indices(
         torsion_free_certificate(rho, 9)
     assert list(eliminated) == list(range(rho.degree, 10))
     for n, rows in eliminated.items():
-        basis = lyndon_words(scheme, n)
-        assert [{basis[i]: c for i, c in row.items()} for row in rows] \
-            == quotient.ideal_component(rho, n), n
+        assert rows == quotient.ideal_component(rho, n), n
     sweep = quotient._IdealSweep(rho, 10, quotient.DEFAULT_BUDGET)
     for n in range(rho.degree, 10):
         advance(sweep)
@@ -155,13 +160,13 @@ def bracket_rows(sweep, n, block, table):
     """A block's rows by ``bracket`` over ``table``: [g, e] for each
     (generator g, source block) pair of the block and each kept basis
     row e of that source, in the sweep's order, word-keyed."""
-    scheme = sweep.scheme
+    scheme, words = sweep.scheme, sweep.brackets.words
     rows = []
     for g, key in block[1]:
         k = n - scheme.letter_weight(g)
-        basis = sweep.brackets.basis(k)
         for coords in sweep.bases[k][key].values():
-            e = LieElement(scheme, k, {basis[j]: c for j, c in coords.items()})
+            # the checked constructor refuses a word not of degree k
+            e = LieElement(scheme, k, {words[v]: c for v, c in coords.items()})
             image = bracket(x(scheme, g), e, table)
             if not image.is_zero():
                 rows.append(image.coords)
@@ -180,8 +185,9 @@ def test_ad_table_rows_equal_brackets_with_the_kept_bases(scheme, make):
         for block in sweep.next_degree():
             expected = bracket_rows(sweep, n, block, table)
             rows = sweep.next_rows(block)
-            basis = sweep.brackets.basis(n)
-            assert [{basis[i]: c for i, c in row.items()} for row in rows] \
+            words, offset = sweep.brackets.words, sweep.brackets.offset
+            assert all(offset[n] <= i < offset[n + 1] for row in rows for i in row)
+            assert [{words[i]: c for i, c in row.items()} for row in rows] \
                 == expected, (n, block[0])
             sweep.eliminate(block, rows)
 
@@ -396,7 +402,7 @@ def test_every_pair_the_table_fills_equals_the_bracket_memo(scheme, top=9):
     for k in range(1, top):
         for g, w in enumerate(scheme.letter_weights()):
             if k + w <= top:
-                table.ad(g, k, range(table.offset[k + 1] - table.offset[k]))
+                table.ad(g, range(table.offset[k], table.offset[k + 1]))
     assert table.memo
     for (u, v), out in list(table.memo.items()) + [
             ((a, b), {w: 1}) for (a, b), w in table.concat.items()]:
@@ -405,6 +411,54 @@ def test_every_pair_the_table_fills_equals_the_bracket_memo(scheme, top=9):
             == bracket_words(words[u], words[v]), (words[u], words[v])
     assert table.offset[-1] == len(words) == sum(
         len(lyndon_words(scheme, k)) for k in range(1, top + 1))
+
+
+@pytest.mark.parametrize("scheme", [S213, S314, S201, S112],
+                         ids=["(2,1,3)", "(3,1,4)", "(2,0,1)", "(1,1,2)"])
+def test_ad_hands_out_the_tables_own_brackets(scheme, top=8):
+    table = BracketTable(scheme)
+    table.register(top)
+    words, shared = table.words, 0
+    for k in range(1, top):
+        used = range(table.offset[k], table.offset[k + 1])
+        for g, w in enumerate(scheme.letter_weights()):
+            if k + w > top:
+                continue
+            letter = table.ids[g,]
+            ad = table.ad(g, used)
+            assert list(ad) == list(used)
+            again = table.ad(g, used)
+            for v, image in ad.items():
+                if v == letter:
+                    assert image == {}
+                elif words[letter] < words[v]:
+                    # the id of gv, which is Lyndon with factors (g, v)
+                    assert words[image] == words[letter] + words[v]
+                    assert table.factors[image] == (letter, v)
+                elif (v, letter) in table.concat:
+                    assert image == {table.concat[v, letter]: 1}
+                else:
+                    # the memo's own dict, not a copy, every time
+                    assert image is table.memo[v, letter] is again[v]
+                    shared += 1
+    assert shared
+
+
+@pytest.mark.parametrize("scheme, make", ROW_SPACE_CASES)
+def test_rows_and_bases_are_keyed_by_the_word_ids_of_their_degree(scheme, make):
+    rho = make(scheme)
+    sweep = quotient._IdealSweep(rho, 9, quotient.DEFAULT_BUDGET)
+    offset = sweep.brackets.offset
+    for n in range(rho.degree, 10):
+        built = 0
+        for block in sweep.next_degree():
+            ids = range(offset[n], offset[n + 1])
+            rows = sweep.next_rows(block)
+            built += len(rows)
+            assert all(i in ids for row in rows for i in row), n
+            pivots = sweep.eliminate(block, rows)
+            assert all(i in ids for row in pivots.values() for i in row), n
+        assert built, n
 
 
 def test_budget_counts_the_columns_before_enumerating_them(monkeypatch):
@@ -570,9 +624,9 @@ def test_each_block_of_2_comm_has_sympy_invariant_factors():
     for n in range(rho.degree, 8):
         for block in sweep.next_degree():
             rows = sweep.next_rows(block)
-            ncols = sweep.brackets.offset[n + 1] - sweep.brackets.offset[n]
-            matrix = sympy.Matrix([[row.get(i, 0) for i in range(ncols)]
-                                   for row in rows])
+            ids = range(sweep.brackets.offset[n], sweep.brackets.offset[n + 1])
+            assert all(i in ids for row in rows for i in row)
+            matrix = sympy.Matrix([[row.get(i, 0) for i in ids] for row in rows])
             expected = [abs(int(v)) for v in invariant_factors(matrix, domain=sympy.ZZ)
                         if v]
             result = quotient._smith_from_echelon(sweep.eliminate(block, rows))

@@ -8,6 +8,7 @@ from magnuslie import (BudgetExceeded, LieElement, TorsionReport, WeightScheme,
                        hilbert_crosscheck, ideal_component, ideal_component_alt,
                        integer_row_space, lyndon_words, modp_dimension_check,
                        pbw_series, torsion_free_certificate, witt_dimensions)
+from magnuslie.brackets import BracketTable
 from test_liebasis import product_of_powers
 
 S20 = WeightScheme(2, 0, 1)
@@ -382,6 +383,46 @@ def test_strategy_independence_random_relators():
         primary = ideal_component(rho, n)
         alt = [e.coords for e in ideal_component_alt(rho, n)]
         assert _row_space(primary, scheme, n) == _row_space(alt, scheme, n)
+
+
+def sorted_key_alt(rho, n):
+    """``ideal_component_alt`` as it deduplicated each level before, by
+    the sorted tuple of each value's coordinates, and the number of
+    duplicates that dropped."""
+    scheme, d = rho.scheme, rho.degree
+    table = BracketTable(scheme)
+    levels, dropped = {d: [rho]}, 0
+    for k in range(d + 1, n + 1):
+        found = [bracket(LieElement(scheme, k - d, {word: 1}), rho, table)
+                 for word in lyndon_words(scheme, k - d)]
+        for letter in range(scheme.letters):
+            for q in levels.get(k - scheme.letter_weight(letter), ()):
+                found.append(bracket(xi(scheme, letter), q, table))
+        found = [e for e in found if not e.is_zero()]
+        levels[k] = list({tuple(sorted(e.coords.items())): e for e in found}.values())
+        dropped += len(found) - len(levels[k])
+    return tuple(levels[n]), dropped
+
+
+def test_alt_levels_keep_the_first_of_each_value_in_order():
+    rng = Random(59)
+    dropped = 0
+    for _ in range(40):
+        scheme = (S20, S112, S213)[rng.randrange(3)]
+        degree = rng.randrange(1, 4)
+        basis = lyndon_words(scheme, degree)
+        if not basis:
+            continue
+        coords = {w: rng.choice([-2, -1, 1, 2]) for w in basis if rng.randrange(2)}
+        rho = LieElement(scheme, degree, coords or {basis[0]: 1})
+        n = degree + rng.randrange(1, 4)
+        expected, count = sorted_key_alt(rho, n)
+        got = ideal_component_alt(rho, n)
+        assert got == expected
+        assert [list(e.coords.items()) for e in got] \
+            == [list(e.coords.items()) for e in expected]
+        dropped += count
+    assert dropped
 
 
 def test_quotient_dims_bounds():
