@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .liebasis import LieElement, witt_dimensions
+from .liebasis import LieElement
 from .series import WeightScheme
 
 
 class BracketTable:
     def __init__(self, scheme: WeightScheme):
-        self.scheme = scheme
         self.weights = scheme.letter_weights()
         # id -> word and its (left id, right id), None for a letter;
         # word -> id; degree k -> its first id, degree k + 1 -> the end
@@ -61,13 +60,6 @@ class BracketTable:
         """The Lyndon words of degree k in order, numbered first if need be."""
         self.register(k)
         return self.words[self.offset[k]:self.offset[k + 1]]
-
-    def dimension(self, k: int) -> int:
-        """The number of Lyndon words of degree k >= 1: read from the
-        offsets once degree k is numbered, else counted, not enumerated."""
-        if k + 1 < len(self.offset):
-            return self.offset[k + 1] - self.offset[k]
-        return witt_dimensions(self.scheme, k)[-1]
 
     def pair(self, u: int, v: int) -> dict[int, int]:
         """[u, v] for the ids of words u < v, as id -> coefficient; read-only.
@@ -127,7 +119,7 @@ def bracket(a: LieElement, b: LieElement,
     if scheme != b.scheme:
         raise ValueError("scheme mismatch")
     brackets = BracketTable(scheme) if brackets is None else brackets
-    if brackets.scheme is not scheme and brackets.weights != scheme.letter_weights():
+    if brackets.weights != scheme.letter_weights():
         raise ValueError(f"bracket table of letter weights {brackets.weights}, "
                          f"not {scheme.letter_weights()}")
     if not (a.coords and b.coords):

@@ -160,17 +160,19 @@ class _IdealSweep:
         and the (letter, source block key) pairs that build it.
 
         The row count is bounded by the kept bases, and the columns are
-        counted by the table (``BracketTable.dimension``), which numbers
-        no word, before the basis or any bracket is computed;
-        BudgetExceeded when the bound times the columns outgrows the
-        budget, with the sweep left as it was.  Then the
+        read from the table's offsets when it has numbered the degree,
+        else counted, not enumerated, before the basis or any bracket is
+        computed; BudgetExceeded when the bound times the columns
+        outgrows the budget, with the sweep left as it was.  Then the
         bases that no degree from this one to ``top`` reads are dropped.
         """
         n = self.degree + 1
         weights = self.scheme.letter_weights()
         bound = 1 if n == self.rho.degree else sum(
             len(basis) for w in weights for basis in self.bases.get(n - w, {}).values())
-        cols = self.brackets.dimension(n)
+        offset = self.brackets.offset
+        cols = offset[n + 1] - offset[n] if n + 1 < len(offset) \
+            else witt_dimensions(self.scheme, n)[-1]
         if bound * max(cols, 1) > self.budget:
             raise BudgetExceeded(n, bound, cols, self.budget)
         # degree k is read by degrees k + 1 and k + w for the largest
@@ -356,7 +358,7 @@ def torsion_free_certificate(rho: LieElement, max_degree: int, *,
         # the degree's matrix is block diagonal: its divisors are the
         # blocks' merged into one chain
         result = SmithResult(rank=rank, divisors=_divisor_chain(diagonal))
-        ncols = sweep.brackets.dimension(n)
+        ncols = sweep.brackets.offset[n + 1] - sweep.brackets.offset[n]
         reports.append(DegreeReport(n, ncols, result.rank, result.divisors,
                                     ncols - result.rank, result.nontrivial))
     torsion_free = all(not r.torsion for r in reports)

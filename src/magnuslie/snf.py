@@ -211,33 +211,24 @@ def integer_row_space(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     this function returns identical tuples for both.
     """
     pivots = _echelon(_sparse_rows(rows, ncols))
-    # normalize: positive pivots, entries above each pivot reduced into
-    # [0, pivot); holders maps each pivot column to the leads of the
-    # other rows that have had an entry there, so a lead reads only those
-    leads = sorted(pivots)
-    holders = {lead: [] for lead in leads}
-    for other_lead, other in pivots.items():
-        for c in other.keys() & holders.keys():
-            if c != other_lead:
-                holders[c].append(other_lead)
-    for lead in leads:
+    # normalize: positive pivots, entries above each pivot reduced into [0, pivot)
+    for lead in sorted(pivots):
         row = pivots[lead]
         if row[lead] < 0:
             pivots[lead] = row = {c: -v for c, v in row.items()}
-        for other_lead in holders[lead]:
-            other = pivots[other_lead]
-            q = other.get(lead, 0) // row[lead]
+        for other_lead, other in pivots.items():
+            if other_lead == lead or lead not in other:
+                continue
+            q = other[lead] // row[lead]
             if q:
                 for c, v in row.items():
                     value = other.get(c, 0) - q * v
                     if value:
-                        if c not in other and c in holders:
-                            holders[c].append(other_lead)
                         other[c] = value
                     else:
                         other.pop(c, None)
     out = []
-    for lead in leads:
+    for lead in sorted(pivots):
         row = pivots[lead]
         dense = [0] * ncols
         for c, v in row.items():

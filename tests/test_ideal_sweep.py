@@ -461,6 +461,34 @@ def test_rows_and_bases_are_keyed_by_the_word_ids_of_their_degree(scheme, make):
         assert built, n
 
 
+@pytest.mark.parametrize("scheme", [S213, S314])
+def test_the_sweep_counts_only_the_degrees_its_table_has_not_numbered(
+        monkeypatch, scheme, top=9):
+    counted = []
+    witt = quotient.witt_dimensions
+
+    def spy(of, up_to):
+        counted.append(up_to)
+        return witt(of, up_to)
+
+    monkeypatch.setattr(quotient, "witt_dimensions", spy)
+    table = BracketTable(scheme)
+    table.register(5)
+    for _ in range(2):
+        sweep = quotient._IdealSweep(comm(scheme), top, quotient.DEFAULT_BUDGET, table)
+        for n in range(2, top + 1):
+            sweep.budget = 0
+            with pytest.raises(BudgetExceeded) as err:
+                sweep.next_degree()
+            assert err.value.cols == witt(scheme, n)[-1], n
+            sweep.budget = quotient.DEFAULT_BUDGET
+            advance(sweep)
+    # degrees 2..5 are read from the offsets; the first sweep counts each
+    # of 6..9 at both its calls, the refused and the taken one, as it
+    # numbers the degree only when taking it; the second counts nothing
+    assert counted == [6, 6, 7, 7, 8, 8, 9, 9]
+
+
 def test_budget_counts_the_columns_before_enumerating_them(monkeypatch):
     # degree 3 over 200 x letters has 2,666,600 Lyndon words and at most
     # 200 rows: the budget refuses it from the count alone

@@ -356,35 +356,6 @@ def test_a_table_of_other_letter_weights_is_refused(table_scheme, scheme):
     assert bracket(a, b, BracketTable(S211)) == bracket(a, b)
 
 
-def test_a_table_of_the_elements_own_scheme_is_not_weighed_again(monkeypatch):
-    table = BracketTable(S213)
-    a, b = generator_element(S213, 0), generator_element(S213, 2)
-    expected = bracket(a, b)
-
-    def refuse(scheme):
-        raise AssertionError("letter weights rebuilt for the table's own scheme")
-
-    monkeypatch.setattr(WeightScheme, "letter_weights", refuse)
-    assert bracket(a, b, table) == expected
-    assert table.scheme is S213
-
-
-@pytest.mark.parametrize("scheme", [S20, S213, S314])
-def test_the_table_counts_the_degrees_it_has_not_numbered(monkeypatch, scheme, top=9):
-    table = BracketTable(scheme)
-    table.register(5)
-    counted = []
-
-    def spy(of, up_to):
-        counted.append(up_to)
-        return witt_dimensions(of, up_to)
-
-    monkeypatch.setattr("magnuslie.brackets.witt_dimensions", spy)
-    assert [table.dimension(k) for k in range(1, top + 1)] == witt_dimensions(scheme, top)
-    # degrees 1..5 are read from the offsets; nothing more is enumerated
-    assert counted == [6, 7, 8, 9] and len(table.offset) == 7
-
-
 @pytest.mark.parametrize("scheme", [S20, S213, S314])
 def test_pair_table_right_factors_match_suffix_scan(scheme, top=8):
     table = BracketTable(scheme)

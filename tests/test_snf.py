@@ -411,53 +411,6 @@ def test_row_space_matches_dense_hermite_oracle(cases):
         assert integer_row_space(rows, ncols) == reference_hermite(dense, ncols)
 
 
-def scanning_row_space(rows, ncols):
-    """``integer_row_space`` with the normalization it had before its
-    column index: each lead scans every other pivot row for its column."""
-    pivots = snf._echelon(snf._sparse_rows(rows, ncols))
-    for lead in sorted(pivots):
-        row = pivots[lead]
-        if row[lead] < 0:
-            pivots[lead] = row = {c: -v for c, v in row.items()}
-        for other_lead, other in pivots.items():
-            if other_lead == lead or lead not in other:
-                continue
-            q = other[lead] // row[lead]
-            if q:
-                for c, v in row.items():
-                    value = other.get(c, 0) - q * v
-                    if value:
-                        other[c] = value
-                    else:
-                        other.pop(c, None)
-    out = []
-    for lead in sorted(pivots):
-        dense = [0] * ncols
-        for c, v in pivots[lead].items():
-            dense[c] = v
-        out.append(tuple(dense))
-    return tuple(out)
-
-
-def test_row_space_equals_the_scanning_normalization():
-    rng = Random(53)
-    negative = non_unit = 0
-    for _ in range(300):
-        nrows, ncols = rng.randrange(1, 16), rng.randrange(1, 16)
-        values = (0,) * rng.randrange(1, 10) + (1, -1, 2, -2, 3, -4, 6, -9)
-        rows = [{c: v for c in range(ncols) if (v := rng.choice(values))}
-                for _ in range(nrows)]
-        pivots = snf._echelon([dict(row) for row in rows])
-        negative += any(row[lead] < 0 for lead, row in pivots.items())
-        non_unit += any(abs(row[lead]) != 1 for lead, row in pivots.items())
-        assert integer_row_space(rows, ncols) == scanning_row_space(rows, ncols)
-    for cases in (planted_cases, sparse_cases, ideal_cases):
-        for rows, ncols in cases():
-            assert integer_row_space(rows, ncols) == scanning_row_space(rows, ncols)
-    # the normalization negated rows and reduced over non-unit pivots
-    assert negative > 50 and non_unit > 50
-
-
 @pytest.mark.parametrize("cases", [planted_cases, sparse_cases, ideal_cases])
 def test_fp_rank_counts_divisors_prime_to_p_at_scale(cases):
     for rows, ncols in cases():
