@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from .liebasis import DegreeAboveCutoff, LieElement, leading_lie_form
 from .record import Record
-from .series import WeightScheme
-from .words import Word, is_reduced, only_x_letters, only_y_letters
+from .series import WeightScheme, _check_int
+from .words import Word, free_reduce, only_x_letters, only_y_letters
 
 
 class Presentation(Record):
@@ -35,17 +35,18 @@ class Presentation(Record):
     e: int | None = None
 
     def __post_init__(self):
+        for name in ("m", "n") if self.e is None else ("m", "n", "e"):
+            _check_int(getattr(self, name), name)
         if self.m < 1 or self.n < 1:
             raise ValueError("presentations need at least one x and one y generator")
         if self.e is not None and self.e < 1:
             raise ValueError("e must be a positive integer")
+        bounds = self.scheme_bounds
         for word in (self.u, self.v):
             if not isinstance(word, tuple):
                 raise TypeError("words must be tuples of signed letters")
-            for signed in word:
-                if not isinstance(signed, int) or signed == 0 or abs(signed) > self.m + self.n:
-                    raise ValueError(f"letter {signed} out of range")
-            if not is_reduced(word):
+            # free_reduce refuses a letter out of range, or not an int
+            if free_reduce(word, bounds) != word:
                 raise ValueError("presentation words must be freely reduced")
 
     @property

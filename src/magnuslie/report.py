@@ -1,8 +1,10 @@
 """Pipeline orchestration and the JSON run report.
 
 The fixed check order is gate, torsion, hilbert, mod-p, floor-bound,
-magnus-e1.  A gate rejection stops the quotient checks unless forced,
-in which case their sections carry hypotheses_met = false.
+magnus-e1.  run_report times each selected check under its name in
+meta.timings.  The quotient checks share one skip reason: no leading
+form, or a gate rejection unless forced, when their blocks carry
+hypotheses_met = false.  The exit code judges one table of verdicts.
 
 The result records are the report schema: each check's block holds
 its result's fields plus "skipped" (and "hypotheses_met" for the
@@ -44,6 +46,12 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 4
 
 ALL_CHECKS = ("gate", "torsion", "hilbert", "modp", "floor-bound", "magnus-e1")
+# the checks that read the certificate, so need the gate's leading form
+_QUOTIENT_CHECKS = ("torsion", "hilbert", "modp")
+# each check after the gate, with its result's verdict field; a result's
+# RunReport field and JSON block are named as the check, "-" read as "_"
+_VERDICTS = {"torsion": "torsion_free", "hilbert": "all_match",
+             "modp": "all_match", "floor-bound": "passed", "magnus-e1": "passed"}
 
 
 class RunConfig(Record):
@@ -111,71 +119,55 @@ def run_report(config: RunConfig) -> RunReport:
     selected = config.selected()
     timings: dict[str, float] = {}
 
+    def timed(name, run, *args, **kwargs):
+        # each step is named here, so read from this module at call time
+        start = time.perf_counter()
+        result = run(*args, **kwargs)
+        timings[name] = time.perf_counter() - start
+        return result
+
     # gate: a configured degree cap is the certification window; without
     # one the gate chooses its windows and names the one that decided
     configured_cap = config.max_degree or parsed.max_degree
-    start = time.perf_counter()
-    gate = check_relator_hypotheses(pres, configured_cap)
-    timings["gate"] = time.perf_counter() - start
+    gate = timed("gate", check_relator_hypotheses, pres, configured_cap)
 
     max_degree = configured_cap
     if max_degree is None and gate.d is not None:
         max_degree = gate.d + 6
 
-    report = RunReport(
-        config=config,
-        presentation_file=parsed,
-        gate=gate,
-        max_degree=max_degree,
-    )
+    report = RunReport(config=config, presentation_file=parsed, gate=gate,
+                       max_degree=max_degree, timings=timings)
 
     # rho's degree is at most the cap, which is d + 6 when none is set
-    quotient_ok = gate.rho is not None
-    run_quotient = (gate.accepted or config.force_downstream) and quotient_ok
-
-    for name in ("torsion", "hilbert", "modp"):
+    blocked = ("no leading form available" if gate.rho is None
+               else None if gate.accepted or config.force_downstream
+               else "gate rejected (pass --force-downstream to run)")
+    for name in _VERDICTS:
         if name not in selected:
             report.skip_reasons[name] = "not selected"
-        elif not quotient_ok:
-            report.skip_reasons[name] = "no leading form available"
-        elif not run_quotient:
-            report.skip_reasons[name] = "gate rejected (pass --force-downstream to run)"
+        elif blocked and name in _QUOTIENT_CHECKS:
+            report.skip_reasons[name] = blocked
 
-    if run_quotient:
-        if "torsion" in selected or "hilbert" in selected or "modp" in selected:
-            start = time.perf_counter()
-            # mod-p reads the F_p ranks the certificate takes as it sweeps
-            report.torsion = torsion_free_certificate(
-                gate.rho, max_degree, budget=config.budget,
-                primes=config.primes if "modp" in selected else ())
-            timings["torsion"] = time.perf_counter() - start
-        if "hilbert" in selected and report.torsion is not None:
-            start = time.perf_counter()
-            report.hilbert = hilbert_crosscheck(report.torsion)
-            timings["hilbert"] = time.perf_counter() - start
-        if "modp" in selected and report.torsion is not None:
-            start = time.perf_counter()
-            report.modp = modp_dimension_check(report.torsion)
-            timings["modp"] = time.perf_counter() - start
+    if not blocked and any(name in selected for name in _QUOTIENT_CHECKS):
+        # mod-p reads the F_p ranks the certificate takes as it sweeps
+        report.torsion = timed(
+            "torsion", torsion_free_certificate, gate.rho, max_degree,
+            budget=config.budget,
+            primes=config.primes if "modp" in selected else ())
+        if "hilbert" in selected:
+            report.hilbert = timed("hilbert", hilbert_crosscheck, report.torsion)
+        if "modp" in selected:
+            report.modp = timed("modp", modp_dimension_check, report.torsion)
 
     # the relator's scheme when the gate found one; else the file's e, if any
     suites_scheme = WeightScheme(pres.m, pres.n, gate.chosen_e or 1)
     if "floor-bound" in selected:
-        start = time.perf_counter()
-        report.floor_bound = floor_bound_suite(
-            suites_scheme, samples=config.samples,
-            max_len=config.max_word_len, seed=config.seed)
-        timings["floor_bound"] = time.perf_counter() - start
-    else:
-        report.skip_reasons["floor-bound"] = "not selected"
+        report.floor_bound = timed(
+            "floor_bound", floor_bound_suite, suites_scheme,
+            samples=config.samples, max_len=config.max_word_len, seed=config.seed)
     if "magnus-e1" in selected:
-        start = time.perf_counter()
-        report.magnus_e1 = magnus_e1_suite(suites_scheme)
-        timings["magnus_e1"] = time.perf_counter() - start
-    else:
-        report.skip_reasons["magnus-e1"] = "not selected"
+        report.magnus_e1 = timed("magnus_e1", magnus_e1_suite, suites_scheme)
 
-    report.timings = timings
     report.exit_code = _exit_code(report, selected)
     return report
 
@@ -192,26 +184,18 @@ def algebra_law_suites(scheme: WeightScheme, samples: int = 500,
 
 
 def _exit_code(report: RunReport, selected) -> int:
-    quotient_selected = any(n in selected for n in ("torsion", "hilbert", "modp"))
+    quotient_selected = any(n in selected for n in _QUOTIENT_CHECKS)
     if report.gate.inconclusive and ("gate" in selected or quotient_selected):
         return EXIT_INCONCLUSIVE
     if not report.gate.accepted:
         # a rejection also blocks selected quotient checks unless forced
         if "gate" in selected or (quotient_selected and report.torsion is None):
             return EXIT_GATE_REJECTED
-    failed = False
-    if report.torsion is not None and "torsion" in selected:
-        failed = failed or not report.torsion.torsion_free
-    if report.hilbert is not None:
-        failed = failed or not report.hilbert.all_match
-    if report.modp is not None:
-        failed = failed or not report.modp.all_match
-    if report.floor_bound is not None:
-        failed = failed or not report.floor_bound.passed
-    if report.magnus_e1 is not None:
-        failed = failed or not report.magnus_e1.passed
-    if failed:
-        return EXIT_CHECK_FAILED
+    # the certificate runs for Hilbert and mod-p too, but is judged if selected
+    for name, verdict in _VERDICTS.items():
+        result = getattr(report, name.replace("-", "_"))
+        if name in selected and result is not None and not getattr(result, verdict):
+            return EXIT_CHECK_FAILED
     # mod-p's aborted_degree is the certificate's
     if report.torsion is not None and report.torsion.aborted_degree is not None:
         return EXIT_INCONCLUSIVE
@@ -255,14 +239,17 @@ def report_to_json_dict(report: RunReport, include_timings: bool = True) -> dict
     config = report.config
     reason = report.skip_reasons.get
 
-    torsion = _block(report.torsion, reason("torsion"),
-                     hypotheses_met=gate.accepted)
+    blocks = {}
+    for name in _VERDICTS:
+        result = getattr(report, name.replace("-", "_"))
+        extra = ({"hypotheses_met": gate.accepted} if name in _QUOTIENT_CHECKS
+                 else {"passed": getattr(result, "passed", None)})
+        blocks[name.replace("-", "_")] = _block(result, reason(name), **extra)
     # the relator is the gate's rho; the F_p ranks are the mod-p block's
-    torsion.pop("relator", None)
-    torsion.pop("modp_ranks", None)
-    modp = _block(report.modp, reason("modp"), hypotheses_met=gate.accepted)
-    if "reports" in modp:
-        modp["tables"] = modp.pop("reports")
+    blocks["torsion"].pop("relator", None)
+    blocks["torsion"].pop("modp_ranks", None)
+    if "reports" in blocks["modp"]:
+        blocks["modp"]["tables"] = blocks["modp"].pop("reports")
 
     meta = {
         "version": __version__,
@@ -286,14 +273,7 @@ def report_to_json_dict(report: RunReport, include_timings: bool = True) -> dict
         },
         "gate": {**_fields(gate),
                  "rho": None if gate.rho is None else gate.rho.to_text()},
-        "torsion": torsion,
-        "hilbert": _block(report.hilbert, reason("hilbert"),
-                          hypotheses_met=gate.accepted),
-        "modp": modp,
-        "floor_bound": _block(report.floor_bound, reason("floor-bound"),
-                              passed=getattr(report.floor_bound, "passed", None)),
-        "magnus_e1": _block(report.magnus_e1, reason("magnus-e1"),
-                            passed=getattr(report.magnus_e1, "passed", None)),
+        **blocks,
         "meta": meta,
     }
     return _stringify(payload)

@@ -23,7 +23,7 @@ import re
 from bisect import insort
 from random import Random
 
-from .record import Record
+from .record import Record, field
 from .series import INFINITY, Series, WeightScheme, _check_cutoff
 
 Word = tuple[int, ...]
@@ -58,7 +58,7 @@ class WordSyntaxError(ValueError):
 def _check_letter(signed: int, letters: int, scheme: WeightScheme):
     """ValueError unless ``signed`` is a signed letter of the scheme, which
     has ``letters`` letters (read once by the caller)."""
-    if not isinstance(signed, int) or signed == 0:
+    if signed.__class__ is not int or signed == 0:  # a bool is no letter
         raise ValueError(f"signed letter expected, got {signed!r}")
     if abs(signed) > letters:
         raise ValueError(f"generator index {abs(signed)} out of range for {scheme}")
@@ -67,18 +67,10 @@ def _check_letter(signed: int, letters: int, scheme: WeightScheme):
 def free_reduce(raw, scheme: WeightScheme) -> Word:
     """Freely reduce a raw sequence of signed letters.  Idempotent."""
     letters = scheme.letters
-    stack: list[int] = []
+    raw = tuple(raw)
     for signed in raw:
         _check_letter(signed, letters, scheme)
-        if stack and stack[-1] == -signed:
-            stack.pop()
-        else:
-            stack.append(signed)
-    return tuple(stack)
-
-
-def is_reduced(word: Word) -> bool:
-    return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
+    return word_multiply((), raw)
 
 
 def invert_word(word: Word) -> Word:
@@ -89,20 +81,22 @@ def word_multiply(a: Word, b) -> Word:
     """Product of a reduced word and a sequence of signed letters, freely
     reduced: each letter of b cancels against the result so far or is
     appended.  For two reduced words only their boundary cancels."""
-    stack = list(a)
+    return tuple(_multiply_onto(list(a), b))
+
+
+def _multiply_onto(stack: list, b) -> list:
+    """word_multiply in place on a reduced list, which it returns."""
     for signed in b:
         if stack and stack[-1] == -signed:
             stack.pop()
         else:
             stack.append(signed)
-    return tuple(stack)
+    return stack
 
 
 def group_commutator(w: Word, z: Word) -> Word:
     """The commutator w z w^-1 z^-1, freely reduced."""
-    out = word_multiply(w, z)
-    out = word_multiply(out, invert_word(w))
-    return word_multiply(out, invert_word(z))
+    return word_multiply(w, z + invert_word(w) + invert_word(z))
 
 
 def generator(letter: int) -> Word:
@@ -307,20 +301,25 @@ def _integer(digits: str, column: int) -> int:
 
 class _Group(Record, frozen=False):
     """An open '(' or '[' at ``column``, or the whole text (closer None):
-    a commutator's first word once its ',' is read, the product so far,
-    and the last factor apart, since a following power may raise it."""
+    a commutator's first word once its ',' is read, the product so far as
+    a reduced list that grows in place, so a group of k letters parses in
+    O(k), and the last factor apart, since a following power may raise it."""
 
     closer: str | None
     column: int
     first: Word | None = None
-    product: Word = ()
+    product: list = field(default_factory=list)
     last: Word | None = None
 
-    def word(self) -> Word:
-        return word_multiply(self.product, self.last) if self.last else self.product
+    def push(self, factor: Word | None):
+        """Multiply the last factor into the product and hold ``factor``."""
+        if self.last is not None:
+            _multiply_onto(self.product, self.last)
+        self.last = factor
 
-    def push(self, factor: Word):
-        self.product, self.last = self.word(), factor
+    def word(self) -> Word:
+        self.push(None)  # even a last (): no power may follow the word
+        return tuple(self.product)
 
 
 def parse_word(text: str, scheme: WeightScheme) -> Word:
@@ -351,7 +350,7 @@ def parse_word(text: str, scheme: WeightScheme) -> Word:
                     f"power {value} of a word of length {len(base)} exceeds "
                     f"{MAX_POWER_LENGTH} letters", column)
             base = invert_word(base) if exponent < 0 else base
-            group.product = word_multiply(group.product, base * abs(exponent))
+            _multiply_onto(group.product, base * abs(exponent))
             group.last = None  # a power is not raised again
         elif value in ("(", "["):
             stack.append(_Group(")" if value == "(" else ",", column))
@@ -362,7 +361,7 @@ def parse_word(text: str, scheme: WeightScheme) -> Word:
             return group.word()
         elif value == ",":
             group.closer, group.first = "]", group.word()
-            group.product, group.last = (), None
+            group.product = []
         else:
             word = group.word()
             if value == "]":

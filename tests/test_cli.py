@@ -13,7 +13,7 @@ from magnuslie import (EXIT_CHECK_FAILED, EXIT_GATE_REJECTED,
                        PresentationSyntaxError, RunConfig,
                        parse_presentation, parse_presentation_file,
                        report_to_json, run_report)
-from magnuslie import cli
+from magnuslie import cli, report as pipeline
 from magnuslie.cli import main
 
 ACCEPTED = """\
@@ -260,6 +260,95 @@ def test_the_timings_follow_the_check_order(tmp_path):
     assert list(report.timings) == ["gate", "torsion", "hilbert", "modp",
                                     "floor_bound", "magnus_e1"]
     assert all(seconds > 0 for seconds in report.timings.values())
+
+
+def test_run_report_calls_each_step_by_its_module_name(tmp_path, monkeypatch,
+                                                       capsys):
+    # the bench tracer wraps these names on magnuslie.report, so a step
+    # bound when the module is imported would escape it
+    steps = ["check_relator_hypotheses", "torsion_free_certificate",
+             "hilbert_crosscheck", "modp_dimension_check",
+             "floor_bound_suite", "magnus_e1_suite"]
+    calls = []
+    for name in steps:
+        def spy(*args, _name=name, _step=getattr(pipeline, name), **kwargs):
+            calls.append(_name)
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, spy)
+    ok = _write(tmp_path, "ok.pres", ACCEPTED)
+    assert main(["--input", ok, "--samples", "10", "--max-degree", "4"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == steps
+
+
+NOT_SELECTED = "not selected"
+GATE_REJECTED = "gate rejected (pass --force-downstream to run)"
+NO_FORM = "no leading form available"
+
+# (check, presentation kind, exit code, skip reasons besides "not selected"
+# for the checks other than the one selected, results set), as the run
+# gave them before its checks shared one timing, skip and verdict step
+SELECTION_TABLE = [
+    ("gate", "accepted", EXIT_OK, {}, ()),
+    ("gate", "rejected", EXIT_GATE_REJECTED, {}, ()),
+    ("gate", "forced", EXIT_GATE_REJECTED, {}, ()),
+    ("gate", "inconclusive", EXIT_INCONCLUSIVE, {}, ()),
+    ("torsion", "accepted", EXIT_OK, {}, ("torsion",)),
+    ("torsion", "rejected", EXIT_GATE_REJECTED, {"torsion": GATE_REJECTED}, ()),
+    ("torsion", "forced", EXIT_CHECK_FAILED, {}, ("torsion",)),
+    ("torsion", "inconclusive", EXIT_INCONCLUSIVE, {"torsion": NO_FORM}, ()),
+    ("hilbert", "accepted", EXIT_OK, {}, ("torsion", "hilbert")),
+    ("hilbert", "rejected", EXIT_GATE_REJECTED, {"hilbert": GATE_REJECTED}, ()),
+    ("hilbert", "forced", EXIT_OK, {}, ("torsion", "hilbert")),
+    ("hilbert", "inconclusive", EXIT_INCONCLUSIVE, {"hilbert": NO_FORM}, ()),
+    ("modp", "accepted", EXIT_OK, {}, ("torsion", "modp")),
+    ("modp", "rejected", EXIT_GATE_REJECTED, {"modp": GATE_REJECTED}, ()),
+    ("modp", "forced", EXIT_CHECK_FAILED, {}, ("torsion", "modp")),
+    ("modp", "inconclusive", EXIT_INCONCLUSIVE, {"modp": NO_FORM}, ()),
+    ("floor-bound", "accepted", EXIT_OK, {}, ("floor_bound",)),
+    ("floor-bound", "rejected", EXIT_OK, {}, ("floor_bound",)),
+    ("floor-bound", "forced", EXIT_OK, {}, ("floor_bound",)),
+    ("floor-bound", "inconclusive", EXIT_OK, {}, ("floor_bound",)),
+    ("magnus-e1", "accepted", EXIT_OK, {}, ("magnus_e1",)),
+    ("magnus-e1", "rejected", EXIT_OK, {}, ("magnus_e1",)),
+    ("magnus-e1", "forced", EXIT_OK, {}, ("magnus_e1",)),
+    ("magnus-e1", "inconclusive", EXIT_OK, {}, ("magnus_e1",)),
+    ("all", "accepted", EXIT_OK, {},
+     ("torsion", "hilbert", "modp", "floor_bound", "magnus_e1")),
+    ("all", "rejected", EXIT_GATE_REJECTED,
+     {"torsion": GATE_REJECTED, "hilbert": GATE_REJECTED, "modp": GATE_REJECTED},
+     ("floor_bound", "magnus_e1")),
+    ("all", "forced", EXIT_GATE_REJECTED, {},
+     ("torsion", "hilbert", "modp", "floor_bound", "magnus_e1")),
+    ("all", "inconclusive", EXIT_INCONCLUSIVE,
+     {"torsion": NO_FORM, "hilbert": NO_FORM, "modp": NO_FORM},
+     ("floor_bound", "magnus_e1")),
+]
+
+# an accepted relator, a rejected one, the rejected one forced through,
+# and a cap below the accepted relator's degree d = 2
+SELECTION_KINDS = {"accepted": (ACCEPTED, {}), "rejected": (SQUARE, {}),
+                   "forced": (SQUARE, {"force_downstream": True}),
+                   "inconclusive": (ACCEPTED, {"max_degree": 1})}
+
+
+@pytest.mark.parametrize("check, kind, exit_code, reasons, results",
+                         SELECTION_TABLE,
+                         ids=[f"{row[0]}-{row[1]}" for row in SELECTION_TABLE])
+def test_check_selection_table(tmp_path, check, kind, exit_code, reasons, results):
+    text, options = SELECTION_KINDS[kind]
+    config = _config(_write(tmp_path, "p.pres", text), checks=(check,),
+                     samples=5, max_word_len=4, **{"max_degree": 4, **options})
+    report = run_report(config)
+    assert report.exit_code == exit_code
+    others = ("torsion", "hilbert", "modp", "floor-bound", "magnus-e1")
+    assert report.skip_reasons == {
+        **{name: NOT_SELECTED for name in others if check not in (name, "all")},
+        **reasons}
+    assert tuple(name for name in ("torsion", "hilbert", "modp", "floor_bound",
+                                   "magnus_e1")
+                 if getattr(report, name) is not None) == results
+    assert tuple(report.timings) == ("gate",) + results
 
 
 def test_import_loads_no_process_or_thread_module():

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -186,6 +187,22 @@ def test_presentation_validation():
         Presentation(m=1, n=1, u=(5,), v=(2,))  # out of range
     with pytest.raises(ValueError):
         Presentation(m=1, n=1, u=(1,), v=(2,), e=0)
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"u": (True, 2, -1, -2)}, ValueError, "signed letter expected, got True"),
+    ({"v": (3.0,)}, ValueError, "signed letter expected, got 3.0"),
+    ({"v": (4,)}, ValueError, "generator index 4 out of range"),
+    ({"u": [1, 2]}, TypeError, "words must be tuples"),
+    ({"m": 2.0}, TypeError, "integer m expected, got 2.0"),
+    ({"n": True}, TypeError, "integer n expected, got True"),
+    ({"e": 3.0}, TypeError, "integer e expected, got 3.0"),
+])
+def test_presentation_fields_follow_the_int_rule(fields, error, message):
+    valid = {"m": 2, "n": 1, "u": (1, 2, -1, -2), "v": (3,)}
+    assert Presentation(**valid).u == (1, 2, -1, -2)
+    with pytest.raises(error, match=re.escape(message)):
+        Presentation(**{**valid, **fields})
 
 
 def _spy_on_windows(monkeypatch) -> list[int]:

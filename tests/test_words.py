@@ -45,6 +45,14 @@ def test_reduce_range_error():
         free_reduce([4], S213)
 
 
+def test_a_bool_is_not_a_letter():
+    # True == 1 and -True == -1, but neither is a signed letter
+    with pytest.raises(ValueError, match="signed letter expected, got True"):
+        free_reduce((True, 2, -True), S213)
+    with pytest.raises(ValueError, match="signed letter expected, got False"):
+        free_reduce((1, False), S213)
+
+
 def test_embed_y_generator():
     assert magnus_embed((3,), S213, 6).to_text() == "1 + Y1"
 
@@ -390,6 +398,7 @@ def test_the_window_is_the_least_weight_with_a_nonzero_exponent_sum(
 @pytest.mark.parametrize("word, cutoff, error, message", [
     ((1, 0), 4, ValueError, "signed letter expected, got 0"),
     ((1, 1.0), 4, ValueError, "signed letter expected, got 1.0"),
+    ((True, 2), 4, ValueError, "signed letter expected, got True"),
     ((1, -4), 4, ValueError, "generator index 4 out of range for (m=2, n=1, e=3)"),
     ((1,), -1, ValueError, "cutoff must be nonnegative"),
     ((1,), 2.0, TypeError, "integer cutoff expected, got 2.0"),
