@@ -398,12 +398,12 @@ def test_the_window_is_the_least_weight_with_a_nonzero_exponent_sum(
 @pytest.mark.parametrize("word, cutoff, error, message", [
     ((1, 0), 4, ValueError, "signed letter expected, got 0"),
     ((1, 1.0), 4, ValueError, "signed letter expected, got 1.0"),
-    ((True, 2), 4, ValueError, "signed letter expected, got True"),
     ((1, -4), 4, ValueError, "generator index 4 out of range for (m=2, n=1, e=3)"),
     ((1,), -1, ValueError, "cutoff must be nonnegative"),
     ((1,), 2.0, TypeError, "integer cutoff expected, got 2.0"),
     ((1,), True, TypeError, "integer cutoff expected, got True"),
     ((1, 0), 2.5, TypeError, "integer cutoff expected, got 2.5"),
+    ((True, 2), 4, ValueError, "signed letter expected, got True"),
 ])
 def test_window_keeps_the_embedding_errors(word, cutoff, error, message):
     for call in (filtration_degree, leading_lie_form, magnus_embed):
