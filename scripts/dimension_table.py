@@ -21,10 +21,11 @@ import sys
 from pathlib import Path
 
 from magnuslie import (EXIT_CHECK_FAILED, EXIT_INCONCLUSIVE, EXIT_OK,
-                       WeightScheme, hilbert_crosscheck, leading_lie_form,
-                       parse_word, torsion_free_certificate, witt_dimensions)
+                       WeightScheme, hilbert_crosscheck, ideal_component,
+                       leading_lie_form, parse_word, torsion_free_certificate,
+                       witt_dimensions)
+from magnuslie.brackets import BracketTable
 from magnuslie.cli import _Parser, invariants_text, run_command
-from magnuslie.quotient import DEFAULT_BUDGET, _IdealSweep
 
 PROG = "dimension_table.py"
 
@@ -81,22 +82,13 @@ def table() -> int:
     print(f"series cross-check: {table.formula_status}")
 
     if args.dump_matrices:
-        # the rows the certificate eliminates, over the degree's Lyndon
-        # basis in order, one matrix row per line, block after block:
-        # each block's rows are read between building them and
-        # eliminating them
-        sweep = _IdealSweep(rho, len(cert.degrees), DEFAULT_BUDGET)
+        # the rows the certificate eliminates at each degree, block after
+        # block, over the degree's Lyndon basis in order, one row a line
+        brackets = BracketTable(scheme)
         for n in range(degree, len(cert.degrees) + 1):
-            ncols = cert.degrees[n - 1].dim_free
-            lines = []
-            for block in sweep.next_degree():
-                rows = sweep.next_rows(block)
-                # the sweep keys rows by the table's word ids, and degree
-                # n's ids start at its offset
-                first = sweep.brackets.offset[n]
-                lines += [" ".join(str(row.get(first + i, 0)) for i in range(ncols))
-                          for row in rows]
-                sweep.eliminate(block, rows)
+            basis = brackets.basis(n)
+            lines = [" ".join(str(row.get(w, 0)) for w in basis)
+                     for row in ideal_component(rho, n, brackets=brackets)]
             path = out_dir / f"ideal_degree_{n}.txt"
             path.write_text("\n".join(lines) + "\n")
             print(f"wrote {path} ({len(lines)} rows)")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the bundled presentation corpus through the full pipeline.
 
-Prints one block per presentation file.  Useful as a quick end-to-end
-sweep:
+Prints one block per presentation file: the magnuslie CLI's summary,
+then the exit code it expected.  Useful as a quick end-to-end sweep:
 
     python scripts/run_corpus.py [--samples N] [--seed K] [--directory DIR]
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from magnuslie import (EXIT_CHECK_FAILED, EXIT_GATE_REJECTED, EXIT_OK,
                        RunConfig, run_report)
-from magnuslie.cli import _Parser, run_command
+from magnuslie.cli import _Parser, _print_summary, run_command
 
 PROG = "run_corpus.py"
 
@@ -54,20 +54,7 @@ def sweep() -> int:
         report = run_report(RunConfig(
             input_path=str(path), samples=args.samples, seed=args.seed))
         elapsed = time.perf_counter() - start
-        gate = report.gate
-        verdict = "accepted" if gate.accepted else "rejected"
-        print(f"gate {verdict}; d={gate.d} rho={None if gate.rho is None else gate.rho.to_text()} "
-              f"content={gate.content} e={gate.chosen_e}")
-        if report.torsion is not None:
-            print(f"torsion-free={report.torsion.torsion_free} "
-                  f"to degree {len(report.torsion.degrees)}")
-        if report.hilbert is not None:
-            print(f"hilbert match={report.hilbert.all_match}")
-        if report.modp is not None:
-            print(f"mod-p match={report.modp.all_match} primes={report.modp.primes}")
-        for suite in (report.floor_bound, report.magnus_e1):
-            if suite is not None:
-                print(f"{suite.name}: failures={suite.failures}/{suite.cases}")
+        _print_summary(report)
         ok = report.exit_code == expected
         print(f"exit {report.exit_code} (expected {expected}) "
               f"{'ok' if ok else 'UNEXPECTED'} in {elapsed:.2f}s")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .liebasis import DegreeAboveCutoff, LieElement, leading_lie_form
 from .record import Record
 from .series import WeightScheme, _check_int
-from .words import Word, free_reduce, only_x_letters, only_y_letters
+from .words import Word, free_reduce
 
 
 class Presentation(Record):
@@ -104,10 +104,10 @@ def check_relator_hypotheses(pres: Presentation,
     window = min(4, limit)
     failures: list[str] = []
     inconclusive = False
-    bounds = pres.scheme_bounds
 
-    u_in_a = only_x_letters(pres.u, bounds)
-    v_in_b = only_y_letters(pres.v, bounds)
+    # the x letters are 1..m, the y letters m+1..m+n
+    u_in_a = all(abs(s) <= pres.m for s in pres.u)
+    v_in_b = all(abs(s) > pres.m for s in pres.v)
     if not pres.u:
         failures.append("u is the trivial word")
     elif not u_in_a:

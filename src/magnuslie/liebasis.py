@@ -159,9 +159,8 @@ class LieElement(Record):
             _check_int(c, "coordinate")
             if not c:
                 continue
-            # one C-level pass; a float or Fraction letter makes a float or
-            # Fraction sum, and (0.0, 1.0) would pass for (0, 1) below
-            if sum(word).__class__ is not int:
+            # (0.0, 1.0) or (False, True) would pass for (0, 1) below
+            if any(letter.__class__ is not int for letter in word):
                 raise TypeError(f"integer letters expected, got {word!r}")
             if scheme.monomial_weight(word) != degree:
                 raise ValueError(f"basis word {word} is not homogeneous of "
@@ -259,8 +258,7 @@ class LieElement(Record):
 
 def generator_element(scheme: WeightScheme, letter: int) -> LieElement:
     """The degree-w(letter) basis generator as a LieElement."""
-    if not isinstance(letter, int):
-        raise TypeError(f"integer letters expected, got {(letter,)!r}")
+    _check_int(letter, "letter")
     return LieElement._raw(scheme, scheme.letter_weight(letter), {(letter,): 1})
 
 

@@ -2,9 +2,11 @@
 
 The fixed check order is gate, torsion, hilbert, mod-p, floor-bound,
 magnus-e1.  run_report times each selected check under its name in
-meta.timings.  The quotient checks share one skip reason: no leading
-form, or a gate rejection unless forced, when their blocks carry
-hypotheses_met = false.  The exit code judges one table of verdicts.
+meta.timings.  Hilbert and mod-p read the certificate, so either one
+selects torsion too, and the exit code judges every result it holds
+through one table of verdicts.  The quotient checks share one skip
+reason: no leading form, or a gate rejection unless forced, when their
+blocks carry hypotheses_met = false.
 
 The result records are the report schema: each check's block holds
 its result's fields plus "skipped" (and "hypotheses_met" for the
@@ -86,10 +88,11 @@ class RunConfig(Record):
 
     def selected(self) -> tuple[str, ...]:
         """The checks whose verdicts drive the exit code.  The gate always
-        runs regardless (everything downstream needs d and e)."""
-        if "all" in self.checks:
-            return ALL_CHECKS
-        return tuple(name for name in ALL_CHECKS if name in self.checks)
+        runs (all else needs d and e); Hilbert and mod-p select torsion."""
+        named = ALL_CHECKS if "all" in self.checks else self.checks
+        if "hilbert" in named or "modp" in named:
+            named += ("torsion",)
+        return tuple(name for name in ALL_CHECKS if name in named)
 
 
 class RunReport(Record, frozen=False):
@@ -148,7 +151,7 @@ def run_report(config: RunConfig) -> RunReport:
         elif blocked and name in _QUOTIENT_CHECKS:
             report.skip_reasons[name] = blocked
 
-    if not blocked and any(name in selected for name in _QUOTIENT_CHECKS):
+    if not blocked and "torsion" in selected:
         # mod-p reads the F_p ranks the certificate takes as it sweeps
         report.torsion = timed(
             "torsion", torsion_free_certificate, gate.rho, max_degree,
@@ -184,17 +187,16 @@ def algebra_law_suites(scheme: WeightScheme, samples: int = 500,
 
 
 def _exit_code(report: RunReport, selected) -> int:
-    quotient_selected = any(n in selected for n in _QUOTIENT_CHECKS)
-    if report.gate.inconclusive and ("gate" in selected or quotient_selected):
+    certifying = "torsion" in selected
+    if report.gate.inconclusive and ("gate" in selected or certifying):
         return EXIT_INCONCLUSIVE
     if not report.gate.accepted:
-        # a rejection also blocks selected quotient checks unless forced
-        if "gate" in selected or (quotient_selected and report.torsion is None):
+        # a rejection also blocks a selected certificate unless forced
+        if "gate" in selected or (certifying and report.torsion is None):
             return EXIT_GATE_REJECTED
-    # the certificate runs for Hilbert and mod-p too, but is judged if selected
     for name, verdict in _VERDICTS.items():
         result = getattr(report, name.replace("-", "_"))
-        if name in selected and result is not None and not getattr(result, verdict):
+        if result is not None and not getattr(result, verdict):
             return EXIT_CHECK_FAILED
     # mod-p's aborted_degree is the certificate's
     if report.torsion is not None and report.torsion.aborted_degree is not None:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import re
 from bisect import insort
+from collections import deque
+from itertools import groupby
 from random import Random
 
 from .record import Record, field
@@ -102,14 +104,6 @@ def group_commutator(w: Word, z: Word) -> Word:
 def generator(letter: int) -> Word:
     """The one-letter word for generator index ``letter`` (0-based)."""
     return (letter + 1,)
-
-
-def only_x_letters(word: Word, scheme: WeightScheme) -> bool:
-    return all(abs(s) - 1 < scheme.m for s in word)
-
-
-def only_y_letters(word: Word, scheme: WeightScheme) -> bool:
-    return all(abs(s) - 1 >= scheme.m for s in word)
 
 
 class EmbeddingTooLarge(RuntimeError):
@@ -248,9 +242,8 @@ def filtration_degree(word: Word, scheme: WeightScheme, cutoff: int) -> DegreeBo
     """
     v = _image_valuation(magnus_embed(word, scheme,
                                       _decided_cutoff(word, scheme, cutoff)))
-    if v is INFINITY:
-        return DegreeBound(cutoff + 1, exact=False)
-    return DegreeBound(v, exact=True)
+    exact = v is not INFINITY
+    return DegreeBound(v if exact else cutoff + 1, exact)
 
 
 def random_word(rng: Random, scheme: WeightScheme, max_len: int) -> Word:
@@ -273,6 +266,9 @@ def random_word(rng: Random, scheme: WeightScheme, max_len: int) -> Word:
 # Longest word a power or a commutator may expand to; larger ones are
 # rejected before any letter is built.
 MAX_POWER_LENGTH = 10_000
+# Most letters a word may spell, counting each letter named and each
+# letter of each power's and commutator's expansion as it is built.
+MAX_WORD_LETTERS = 1_000_000
 
 _TOKEN_RE = re.compile(r"(?P<name>[xy][0-9]+)|(?P<power>\^-?[0-9]+)|(?P<one>1)"
                        r"|(?P<punct>[\[\](),])|(?P<space>\s+)|(?P<bad>.)")
@@ -299,27 +295,46 @@ def _integer(digits: str, column: int) -> int:
         raise WordSyntaxError("integer has too many digits", column) from None
 
 
+def _spell(built: int, letters: int, what: str, column: int) -> int:
+    """built + the letters of one name, power or commutator (what), or a
+    WordSyntaxError at column where either letter bound refuses them."""
+    if letters > MAX_POWER_LENGTH:
+        raise WordSyntaxError(f"{what} exceeds {MAX_POWER_LENGTH} letters", column)
+    if built + letters > MAX_WORD_LETTERS:
+        raise WordSyntaxError(f"the word spells more than {MAX_WORD_LETTERS} "
+                              f"letters", column)
+    return built + letters
+
+
 class _Group(Record, frozen=False):
     """An open '(' or '[' at ``column``, or the whole text (closer None):
     a commutator's first word once its ',' is read, the product so far as
-    a reduced list that grows in place, so a group of k letters parses in
-    O(k), and the last factor apart, since a following power may raise it."""
+    a reduced deque, and the last factor apart, since a power may raise
+    it; a closed group's deque is its parent's factor, not a copy."""
 
     closer: str | None
     column: int
     first: Word | None = None
-    product: list = field(default_factory=list)
-    last: Word | None = None
+    product: deque = field(default_factory=deque)
+    last: Word | deque | None = None
 
-    def push(self, factor: Word | None):
-        """Multiply the last factor into the product and hold ``factor``."""
-        if self.last is not None:
-            _multiply_onto(self.product, self.last)
+    def push(self, factor) -> deque:
+        """Merge the last factor, even (), into the product, which it
+        returns, and hold ``factor``: None once no power may follow.  Both
+        are reduced, and the merge builds on the longer, so only the
+        shorter is read: it cancels at the seam or is added on."""
+        last, product = self.last, self.product
         self.last = factor
-
-    def word(self) -> Word:
-        self.push(None)  # even a last (): no power may follow the word
-        return tuple(self.product)
+        if last is None or len(last) <= len(product):
+            return _multiply_onto(product, last or ())
+        last = last if last.__class__ is deque else deque(last)
+        for signed in reversed(product):
+            if last and last[0] == -signed:
+                last.popleft()
+            else:
+                last.appendleft(signed)
+        self.product = last
+        return last
 
 
 def parse_word(text: str, scheme: WeightScheme) -> Word:
@@ -329,6 +344,7 @@ def parse_word(text: str, scheme: WeightScheme) -> Word:
     All tokens are read first: a bad character is the error wherever it is."""
     m, n = scheme.m, scheme.n
     stack = [_Group(None, 0)]
+    built = 0
     for kind, value, column in list(_tokens(text)):
         group = stack[-1]
         if kind == "one":
@@ -339,16 +355,15 @@ def parse_word(text: str, scheme: WeightScheme) -> Word:
             if not 1 <= index <= count:
                 raise WordSyntaxError(
                     f"generator {value} out of range ({size}={count})", column)
+            built = _spell(built, 1, value, column)
             group.push((offset + index,))
         elif kind == "power":
             base = group.last
             if base is None:
                 raise WordSyntaxError(f"unexpected {value!r}", column)
             exponent = _integer(value[1:], column)
-            if abs(exponent) * len(base) > MAX_POWER_LENGTH:
-                raise WordSyntaxError(
-                    f"power {value} of a word of length {len(base)} exceeds "
-                    f"{MAX_POWER_LENGTH} letters", column)
+            built = _spell(built, abs(exponent) * len(base),
+                           f"power {value} of a word of length {len(base)}", column)
             base = invert_word(base) if exponent < 0 else base
             _multiply_onto(group.product, base * abs(exponent))
             group.last = None  # a power is not raised again
@@ -358,37 +373,26 @@ def parse_word(text: str, scheme: WeightScheme) -> Word:
             raise WordSyntaxError(
                 _EXPECTED.get(group.closer, f"unexpected {value!r}"), column)
         elif value is None:
-            return group.word()
+            return tuple(group.push(None))
         elif value == ",":
-            group.closer, group.first = "]", group.word()
-            group.product = []
+            group.closer, group.first = "]", tuple(group.push(None))
+            group.product = deque()
         else:
-            word = group.word()
+            word = group.push(None)
             if value == "]":
-                if 2 * (len(group.first) + len(word)) > MAX_POWER_LENGTH:
-                    raise WordSyntaxError(
-                        f"commutator of words of lengths {len(group.first)} and "
-                        f"{len(word)} exceeds {MAX_POWER_LENGTH} letters",
-                        group.column)
-                word = group_commutator(group.first, word)
+                a, b = len(group.first), len(word)
+                built = _spell(built, 2 * (a + b), f"commutator of words of "
+                               f"lengths {a} and {b}", group.column)
+                word = group_commutator(group.first, tuple(word))
             stack.pop()
             stack[-1].push(word)
 
 
 def word_to_text(word: Word, scheme: WeightScheme) -> str:
     """Canonical spelling with collapsed powers, identity spelled 1."""
-    if not word:
-        return "1"
     pieces = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        count = j - i
-        signed = word[i]
+    for signed, run in groupby(word):
         name = scheme.generator_name(abs(signed) - 1)
-        exponent = count if signed > 0 else -count
+        exponent = len(list(run)) * (1 if signed > 0 else -1)
         pieces.append(name if exponent == 1 else f"{name}^{exponent}")
-        i = j
-    return " ".join(pieces)
+    return " ".join(pieces) or "1"

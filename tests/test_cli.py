@@ -286,8 +286,9 @@ GATE_REJECTED = "gate rejected (pass --force-downstream to run)"
 NO_FORM = "no leading form available"
 
 # (check, presentation kind, exit code, skip reasons besides "not selected"
-# for the checks other than the one selected, results set), as the run
-# gave them before its checks shared one timing, skip and verdict step
+# for the checks not selected, results set), as the run gave them before
+# its checks shared one timing, skip and verdict step; the hilbert and
+# modp rows as they are since either selects the certificate it reads
 SELECTION_TABLE = [
     ("gate", "accepted", EXIT_OK, {}, ()),
     ("gate", "rejected", EXIT_GATE_REJECTED, {}, ()),
@@ -298,13 +299,17 @@ SELECTION_TABLE = [
     ("torsion", "forced", EXIT_CHECK_FAILED, {}, ("torsion",)),
     ("torsion", "inconclusive", EXIT_INCONCLUSIVE, {"torsion": NO_FORM}, ()),
     ("hilbert", "accepted", EXIT_OK, {}, ("torsion", "hilbert")),
-    ("hilbert", "rejected", EXIT_GATE_REJECTED, {"hilbert": GATE_REJECTED}, ()),
-    ("hilbert", "forced", EXIT_OK, {}, ("torsion", "hilbert")),
-    ("hilbert", "inconclusive", EXIT_INCONCLUSIVE, {"hilbert": NO_FORM}, ()),
+    ("hilbert", "rejected", EXIT_GATE_REJECTED,
+     {"torsion": GATE_REJECTED, "hilbert": GATE_REJECTED}, ()),
+    ("hilbert", "forced", EXIT_CHECK_FAILED, {}, ("torsion", "hilbert")),
+    ("hilbert", "inconclusive", EXIT_INCONCLUSIVE,
+     {"torsion": NO_FORM, "hilbert": NO_FORM}, ()),
     ("modp", "accepted", EXIT_OK, {}, ("torsion", "modp")),
-    ("modp", "rejected", EXIT_GATE_REJECTED, {"modp": GATE_REJECTED}, ()),
+    ("modp", "rejected", EXIT_GATE_REJECTED,
+     {"torsion": GATE_REJECTED, "modp": GATE_REJECTED}, ()),
     ("modp", "forced", EXIT_CHECK_FAILED, {}, ("torsion", "modp")),
-    ("modp", "inconclusive", EXIT_INCONCLUSIVE, {"modp": NO_FORM}, ()),
+    ("modp", "inconclusive", EXIT_INCONCLUSIVE,
+     {"torsion": NO_FORM, "modp": NO_FORM}, ()),
     ("floor-bound", "accepted", EXIT_OK, {}, ("floor_bound",)),
     ("floor-bound", "rejected", EXIT_OK, {}, ("floor_bound",)),
     ("floor-bound", "forced", EXIT_OK, {}, ("floor_bound",)),
@@ -325,6 +330,10 @@ SELECTION_TABLE = [
      ("floor_bound", "magnus_e1")),
 ]
 
+# the checks each --check value selects, where not just itself
+SELECTS = {"hilbert": ("torsion", "hilbert"), "modp": ("torsion", "modp"),
+           "all": ("torsion", "hilbert", "modp", "floor-bound", "magnus-e1")}
+
 # an accepted relator, a rejected one, the rejected one forced through,
 # and a cap below the accepted relator's degree d = 2
 SELECTION_KINDS = {"accepted": (ACCEPTED, {}), "rejected": (SQUARE, {}),
@@ -343,12 +352,35 @@ def test_check_selection_table(tmp_path, check, kind, exit_code, reasons, result
     assert report.exit_code == exit_code
     others = ("torsion", "hilbert", "modp", "floor-bound", "magnus-e1")
     assert report.skip_reasons == {
-        **{name: NOT_SELECTED for name in others if check not in (name, "all")},
+        **{name: NOT_SELECTED for name in others
+           if name not in SELECTS.get(check, (check,))},
         **reasons}
     assert tuple(name for name in ("torsion", "hilbert", "modp", "floor_bound",
                                    "magnus_e1")
                  if getattr(report, name) is not None) == results
     assert tuple(report.timings) == ("gate",) + results
+
+
+@pytest.mark.parametrize("name, extra, exit_code", [
+    ("commutator_basic.pres", [], EXIT_OK),
+    ("square_power.pres", ["--force-downstream"], EXIT_CHECK_FAILED),
+])
+def test_a_hilbert_run_judges_the_certificate_it_reads(
+        tmp_path, capsys, name, extra, exit_code):
+    pres = Path(__file__).resolve().parent.parent / "presentations" / name
+    out_path = tmp_path / "report.json"
+    assert main(["--input", str(pres), "--check", "hilbert", "--json-out",
+                 str(out_path)] + extra) == exit_code
+    out = capsys.readouterr().out
+    assert "torsion: skipped" not in out
+    assert ("TORSION FOUND" in out) == (exit_code == EXIT_CHECK_FAILED)
+    payload = json.loads(out_path.read_text())
+    assert payload["meta"]["checks"] == ["torsion", "hilbert"]
+    assert payload["torsion"]["skipped"] is False
+    assert payload["modp"] == {"skipped": True, "reason": NOT_SELECTED}
+    report = run_report(RunConfig(input_path=str(pres), checks=("hilbert",),
+                                  force_downstream=bool(extra)))
+    assert "torsion" not in report.skip_reasons
 
 
 def test_import_loads_no_process_or_thread_module():

@@ -620,15 +620,21 @@ def test_non_integer_letters_are_rejected(word):
     assert str(caught.value) == f"integer letters expected, got {word!r}"
 
 
-def test_bool_letters_are_the_integers_they_equal():
-    # bool subclasses int, and (False, True) == (0, 1) with the same hash:
-    # such a word is accepted and names the basis word (0, 1)
-    elem = LieElement(S20, 2, {(False, True): 3})
-    assert elem == LieElement(S20, 2, {(0, 1): 3})
-    assert elem.to_text() == "3*L[x1 x2]"
-    with pytest.raises(ValueError) as caught:
-        LieElement(S20, 2, {(True, False): 1})
-    assert str(caught.value) == "(True, False) is not a Lyndon word"
+@pytest.mark.parametrize("word", [(False, True), (True,), (0, True)])
+def test_bool_letters_are_refused(word):
+    # bool subclasses int, and (False, True) == (0, 1) with the same hash;
+    # as in a group word, a bool is no letter
+    with pytest.raises(TypeError) as caught:
+        LieElement(S20, len(word), {word: 3})
+    assert str(caught.value) == f"integer letters expected, got {word!r}"
+
+
+@pytest.mark.parametrize("letter", [True, False, 1.0, Fraction(1)])
+def test_generator_element_takes_int_letters_only(letter):
+    with pytest.raises(TypeError) as caught:
+        generator_element(S20, letter)
+    assert str(caught.value) == f"integer letter expected, got {letter!r}"
+    assert generator_element(S20, 1) == LieElement(S20, 1, {(1,): 1})
 
 
 @pytest.mark.parametrize("scheme", [S20, S112, S211, S213, WeightScheme(3, 1, 4)])
@@ -674,7 +680,7 @@ def test_unchecked_results_pass_the_checked_constructor(scheme):
         assert 0 not in x.coords.values()
     with pytest.raises(TypeError) as caught:
         generator_element(scheme, 1.0)
-    assert str(caught.value) == "integer letters expected, got (1.0,)"
+    assert str(caught.value) == "integer letter expected, got 1.0"
 
 
 def test_the_package_keeps_no_memo():

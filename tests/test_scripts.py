@@ -27,6 +27,20 @@ def test_run_corpus_meets_every_expected_exit(monkeypatch, capsys):
     assert "UNEXPECTED" not in capsys.readouterr().out
 
 
+def test_run_corpus_prints_the_cli_summary_of_each_file(monkeypatch, capsys):
+    assert run_script("run_corpus.py", ["--samples", "5"], monkeypatch) == 0
+    blocks = capsys.readouterr().out.split("=== ")[1:]
+    assert [block.split(" ===")[0] for block in blocks] == sorted(
+        path.name for path in (ROOT / "presentations").glob("*.pres"))
+    for block in blocks:
+        lines = block.splitlines()
+        assert lines[1].startswith("gate: ")
+        exit_line = next(line for line in lines if line.startswith("exit code: "))
+        code = exit_line.removeprefix("exit code: ")
+        assert lines[lines.index(exit_line) + 1].startswith(
+            f"exit {code} (expected {code}) ok in ")
+
+
 def test_dumped_matrices_match_ideal_components(tmp_path, monkeypatch, capsys):
     args = ["--m", "2", "--n", "1", "--e", "3", "--relator", "[x1,x2]",
             "--max-degree", "7", "--dump-matrices", str(tmp_path)]
